@@ -1,11 +1,11 @@
 """Teacher-student knowledge distillation and the training loop.
 
-The teacher is an HD-view model trained first and then frozen. During
-student training, every scene is passed through both models: the
-teacher's embedding (a constant, no gradient flows into it) guides the
-first ``d_t`` coordinates of the student's embedding via a mean squared
-error term, weighted into the total loss. Any remaining student
-coordinates stay unguided and free to encode nav-map-specific
+The teacher is an HD-view model trained first and then frozen. Student
+training passes every scene through the teacher once, before the first
+epoch: the teacher's embedding (a constant, no gradient flows into it)
+guides the first ``d_t`` coordinates of the student's embedding via a
+mean squared error term, weighted into the total loss. Any remaining
+student coordinates stay unguided and free to encode nav-map-specific
 information.
 """
 
@@ -138,18 +138,25 @@ def train(scenes: list[Scene], map_points: np.ndarray,
           dcfg: DistillConfig | None = None) -> TrainResult:
     """SGD with momentum over per-scene winner-takes-all losses.
 
-    With a teacher, each step also runs the frozen teacher forward on its
-    own (HD) map view and adds the weighted distillation gradient. The
-    loop is single-threaded and bit-reproducible for a fixed seed.
+    With a teacher, the frozen teacher runs forward once per scene on its
+    own (HD) map view before the first epoch; its embeddings are the fixed
+    targets of the weighted distillation term. Each step writes its
+    gradients into one buffer reused for the whole run and updates
+    ``params.flat`` in place. The loop is single-threaded and
+    bit-reproducible for a fixed seed.
     """
     if not scenes:
         raise ValueError("empty training set")
     rng = np.random.default_rng(tcfg.seed)
     params = m.init_params(config, rng)
-    velocity = m.zeros_like_params(params)
+    velocity = m.zeros_like_params(params).flat
+    grads = m.zeros_like_params(params)
+    squares = m.zeros_like_params(params)
+    square_fields = [getattr(squares, name) for name in m.PARAM_FIELDS]
+    weights, step = params.flat, grads.flat
 
     scene_maps = prepare_map_inputs(scenes, map_points, config.map_radius)
-    teacher_maps = None
+    xi_teachers = [None] * len(scenes)
     if teacher is not None:
         t_params, t_config = teacher
         if dcfg is None:
@@ -164,6 +171,10 @@ def train(scenes: list[Scene], map_points: np.ndarray,
             raise ValueError("teacher given without its map view")
         teacher_maps = prepare_map_inputs(scenes, teacher_map_points,
                                           t_config.map_radius)
+        xi_teachers = [
+            m.forward(scene.agents[scene.target], t_map, t_params)[1]
+            for scene, t_map in zip(scenes, teacher_maps)
+        ]
 
     alpha = dcfg.alpha if dcfg is not None else 1.0
     beta = dcfg.beta if dcfg is not None else 0.0
@@ -176,26 +187,25 @@ def train(scenes: list[Scene], map_points: np.ndarray,
         rng.shuffle(order)
         for idx in order:
             scene = scenes[idx]
-            observed = scene.agents[scene.target]
-            xi_teacher = None
-            if teacher is not None:
-                _pred, xi_teacher, _cache = m.forward(
-                    observed, teacher_maps[idx], t_params
-                )
-            loss, grads, _xi = m.loss_and_grads(
-                observed, scene_maps[idx], scene.future, params,
-                alpha=alpha, teacher_embedding=xi_teacher, beta=beta,
+            loss, _grads, _xi = m.loss_and_grads(
+                scene.agents[scene.target], scene_maps[idx], scene.future,
+                params, alpha=alpha, teacher_embedding=xi_teachers[idx],
+                beta=beta, out=grads,
             )
-            gnorm = math.sqrt(sum(float(np.sum(g * g))
-                                  for g in grads.arrays()))
+            # Clipping fires on nearly every step, so the norm's last bit
+            # reaches every update: sum each field on its own and add the
+            # sums in field order, not one dot product over the buffer.
+            np.multiply(step, step, out=squares.flat)
+            gnorm = math.sqrt(sum([float(sq.sum()) for sq in square_fields]))
+            if not math.isfinite(gnorm):
+                raise m.NumericError("non-finite gradient norm")
             scale = 1.0
             if tcfg.grad_clip > 0.0 and gnorm > tcfg.grad_clip:
                 scale = tcfg.grad_clip / gnorm
-            for name in m.PARAM_FIELDS:
-                v = getattr(velocity, name)
-                v *= tcfg.momentum
-                v -= lr * scale * getattr(grads, name)
-                getattr(params, name)[...] += v
+            velocity *= tcfg.momentum
+            step *= lr * scale
+            velocity -= step
+            weights += velocity
             smoothed = loss if smoothed is None else \
                 0.99 * smoothed + 0.01 * loss
             if not np.isfinite(smoothed):

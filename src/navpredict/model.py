@@ -54,7 +54,6 @@ __all__ = [
     "model_loss",
     "loss_and_grads",
     "select_map_points",
-    "params_to_vector",
     "vector_to_params",
     "zeros_like_params",
     "save_checkpoint",
@@ -99,28 +98,49 @@ class ModelConfig:
             raise ValueError(f"unknown map source {self.map_source!r}")
 
 
-# Field order doubles as the checkpoint layout order.
+# Field order doubles as the checkpoint payload order.
 PARAM_FIELDS = ("w1", "b1", "w2", "b2", "wk", "bk", "wv", "bv",
-                 "wdec", "bdec", "wconf", "bconf")
+                "wdec", "bdec", "wconf", "bconf")
 
 
-@dataclass
 class ModelParams:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    wk: np.ndarray
-    bk: np.ndarray
-    wv: np.ndarray
-    bv: np.ndarray
-    wdec: np.ndarray
-    bdec: np.ndarray
-    wconf: np.ndarray
-    bconf: np.ndarray
+    """Model parameters as named views into one contiguous buffer.
 
-    def arrays(self):
-        return [getattr(self, name) for name in PARAM_FIELDS]
+    ``flat`` is a 1-D float64 array holding every parameter in
+    ``PARAM_FIELDS`` order; each field (``w1``, ``b1``, ...) is a view of
+    its slice, so writing into either writes into both. ``shapes`` lists
+    the field shapes in the same order. The fields cannot be rebound,
+    which would break that link; write into them in place instead.
+    """
+
+    __slots__ = ("flat", "shapes") + PARAM_FIELDS
+
+    def __init__(self, flat: np.ndarray, shapes):
+        shapes = tuple(tuple(int(n) for n in shape) for shape in shapes)
+        if len(shapes) != len(PARAM_FIELDS):
+            raise ValueError(f"expected {len(PARAM_FIELDS)} parameter "
+                             f"shapes, got {len(shapes)}")
+        if (not isinstance(flat, np.ndarray) or flat.dtype != np.float64
+                or flat.ndim != 1 or not flat.flags.c_contiguous):
+            raise ValueError("parameter vector must be a contiguous 1-D "
+                             "float64 array")
+        sizes = [math.prod(shape) for shape in shapes]
+        if flat.size != sum(sizes):
+            raise ValueError(f"parameter vector has {flat.size} entries, "
+                             f"expected {sum(sizes)}")
+        set_field = object.__setattr__
+        set_field(self, "flat", flat)
+        set_field(self, "shapes", shapes)
+        offset = 0
+        for name, shape, size in zip(PARAM_FIELDS, shapes, sizes):
+            set_field(self, name, flat[offset:offset + size].reshape(shape))
+            offset += size
+
+    def __setattr__(self, name, value):
+        # An in-place operator (``params.w1 += x``) assigns the same array.
+        if getattr(self, name, None) is not value:
+            raise AttributeError(f"cannot rebind ModelParams.{name}; its "
+                                 f"fields are views of 'flat'")
 
 
 @dataclass
@@ -129,17 +149,16 @@ class PredictionSet:
     confidences: np.ndarray              # (k,), on the simplex
 
 
-def _shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+def _shapes(config: ModelConfig) -> tuple[tuple[int, ...], ...]:
+    """Parameter shapes in ``PARAM_FIELDS`` order."""
     d, h, k = config.d, config.hidden, config.k
     out = 2 * FUTURE_LEN
-    return [
-        ("w1", (h, _N_DELTA_FEATURES)), ("b1", (h,)),
-        ("w2", (d, h)), ("b2", (d,)),
-        ("wk", (d, 2)), ("bk", (d,)),
-        ("wv", (d, 2)), ("bv", (d,)),
-        ("wdec", (k, out, d)), ("bdec", (k, out)),
-        ("wconf", (k, d)), ("bconf", (k,)),
-    ]
+    return ((h, _N_DELTA_FEATURES), (h,),    # w1, b1
+            (d, h), (d,),                    # w2, b2
+            (d, 2), (d,),                    # wk, bk
+            (d, 2), (d,),                    # wv, bv
+            (k, out, d), (k, out),           # wdec, bdec
+            (k, d), (k,))                    # wconf, bconf
 
 
 def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
@@ -150,39 +169,26 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
     would saturate the attention softmax from the first step.
     """
     map_scale = 1.0 / max(config.map_radius, 1.0)
-    values = {}
-    for name, shape in _shapes(config):
+    shapes = _shapes(config)
+    params = ModelParams(np.zeros(sum(map(math.prod, shapes))), shapes)
+    for name, shape in zip(PARAM_FIELDS, shapes):
         if name.startswith("b"):
-            values[name] = np.zeros(shape)
-        else:
-            fan_in = shape[-1]
-            std = 1.0 / np.sqrt(fan_in)
-            if name in ("wk", "wv"):
-                std *= map_scale
-            values[name] = rng.normal(0.0, std, size=shape)
-    return ModelParams(**values)
+            continue
+        fan_in = shape[-1]
+        std = 1.0 / np.sqrt(fan_in)
+        if name in ("wk", "wv"):
+            std *= map_scale
+        getattr(params, name)[...] = rng.normal(0.0, std, size=shape)
+    return params
 
 
 def zeros_like_params(params: ModelParams) -> ModelParams:
-    return ModelParams(**{name: np.zeros_like(getattr(params, name))
-                          for name in PARAM_FIELDS})
-
-
-def params_to_vector(params: ModelParams) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in params.arrays()])
+    return ModelParams(np.zeros_like(params.flat), params.shapes)
 
 
 def vector_to_params(vec: np.ndarray, config: ModelConfig) -> ModelParams:
-    values = {}
-    offset = 0
-    for name, shape in _shapes(config):
-        size = int(np.prod(shape))
-        values[name] = vec[offset:offset + size].reshape(shape).copy()
-        offset += size
-    if offset != vec.size:
-        raise ValueError(f"parameter vector has {vec.size} entries, "
-                         f"expected {offset}")
-    return ModelParams(**values)
+    """Parameters holding a copy of ``vec`` (``PARAM_FIELDS`` order)."""
+    return ModelParams(np.array(vec, dtype=np.float64), _shapes(config))
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -301,13 +307,17 @@ def loss_and_grads(observed: np.ndarray, map_points: np.ndarray,
                    future: np.ndarray, params: ModelParams,
                    alpha: float = 1.0,
                    teacher_embedding: np.ndarray | None = None,
-                   beta: float = 0.0):
+                   beta: float = 0.0, out: ModelParams | None = None):
     """Total loss, analytic parameter gradients and the embedding.
 
     With a teacher embedding, the total loss is
     ``alpha * model_loss + beta * distill`` where the distillation term
     is the mean squared error of the first ``len(teacher_embedding)``
     embedding coordinates; the remaining coordinates are unguided.
+
+    The gradients are written into ``out`` (zeroed first; it must have
+    the layout of ``params``) and returned; without it they go into a
+    fresh buffer. Both give the same values, bit for bit.
     """
     _pred, xi, cache = forward(observed, map_points, params)
     ((rot, pred), h_a, keys, values, _xi,
@@ -320,7 +330,11 @@ def loss_and_grads(observed: np.ndarray, map_points: np.ndarray,
 
     lm, m_star = model_loss(pred, future)
     total = alpha * lm
-    grads = zeros_like_params(params)
+    if out is None:
+        grads = zeros_like_params(params)
+    else:
+        grads = out
+        grads.flat.fill(0.0)
     d = xi.size
 
     # Decoder heads.
@@ -328,14 +342,14 @@ def loss_and_grads(observed: np.ndarray, map_points: np.ndarray,
     dtraj = alpha * 2.0 * diff_star / FUTURE_LEN
     dsteps = np.flip(np.cumsum(np.flip(dtraj, axis=0), axis=0), axis=0)
     du = dsteps.ravel()
-    grads.wdec[m_star] = np.outer(du, xi)
+    np.multiply.outer(du, xi, out=grads.wdec[m_star])
     grads.bdec[m_star] = du
     dxi = params.wdec[m_star].T @ du
 
     dlogits = alpha * pred.confidences.copy()
     dlogits[m_star] -= alpha
-    grads.wconf = np.outer(dlogits, xi)
-    grads.bconf = dlogits
+    np.multiply.outer(dlogits, xi, out=grads.wconf)
+    grads.bconf[...] = dlogits
     dxi = dxi + params.wconf.T @ dlogits
 
     # Distillation term on the guided prefix of the embedding.
@@ -360,19 +374,19 @@ def loss_and_grads(observed: np.ndarray, map_points: np.ndarray,
         dkeys = dscores[:, None] * h_a[None, :] * scale
 
         dzk = dkeys * (zk > 0.0)
-        grads.wk = dzk.T @ feats
-        grads.bk = dzk.sum(axis=0)
+        np.matmul(dzk.T, feats, out=grads.wk)
+        dzk.sum(axis=0, out=grads.bk)
         dzv = dvalues * (zv > 0.0)
-        grads.wv = dzv.T @ feats
-        grads.bv = dzv.sum(axis=0)
+        np.matmul(dzv.T, feats, out=grads.wv)
+        dzv.sum(axis=0, out=grads.bv)
 
     # Agent encoder.
-    grads.w2 = np.outer(dh_a, a1)
-    grads.b2 = dh_a
+    np.multiply.outer(dh_a, a1, out=grads.w2)
+    grads.b2[...] = dh_a
     da1 = params.w2.T @ dh_a
     dz1 = da1 * (z1 > 0.0)
-    grads.w1 = np.outer(dz1, x)
-    grads.b1 = dz1
+    np.multiply.outer(dz1, x, out=grads.w1)
+    grads.b1[...] = dz1
 
     if not np.isfinite(total):
         raise NumericError("non-finite total loss (decoder/loss block)")
@@ -380,24 +394,30 @@ def loss_and_grads(observed: np.ndarray, map_points: np.ndarray,
 
 
 def save_checkpoint(path, params: ModelParams, config: ModelConfig):
-    """Write a checkpoint: JSON header line + row-major float64 payload."""
+    """Write a checkpoint: JSON header line + row-major float64 payload.
+
+    The payload is ``params.flat`` as little-endian float64, that is the
+    fields in ``PARAM_FIELDS`` order.
+    """
     header = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(config),
-        "shapes": [[name, list(getattr(params, name).shape)]
-                   for name in PARAM_FIELDS],
+        "shapes": [[name, list(shape)]
+                   for name, shape in zip(PARAM_FIELDS, params.shapes)],
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for name in PARAM_FIELDS:
-            arr = np.ascontiguousarray(getattr(params, name),
-                                       dtype="<f8")
-            fh.write(arr.tobytes())
+        fh.write(np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path):
-    """Read a checkpoint written by :func:`save_checkpoint`."""
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    Raises ``ValueError`` on an unknown version, a layout that does not
+    match the config, a truncated payload, bytes after the payload and
+    non-finite parameter values.
+    """
     with open(path, "rb") as fh:
         header_line = fh.readline()
         header = json.loads(header_line.decode("utf-8"))
@@ -411,19 +431,21 @@ def load_checkpoint(path):
             map_radius=float(cfg["map_radius"]),
             map_source=str(cfg["map_source"]),
         )
-        values = {}
-        for name, shape in header["shapes"]:
-            shape = tuple(int(s) for s in shape)
-            count = int(np.prod(shape))
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValueError(f"checkpoint truncated in array {name!r}")
-            values[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    params = ModelParams(**values)
-    expected = dict(_shapes(config))
-    for name in PARAM_FIELDS:
-        if getattr(params, name).shape != expected[name]:
-            raise ValueError(f"checkpoint array {name!r} has shape "
-                             f"{getattr(params, name).shape}, expected "
-                             f"{expected[name]}")
-    return params, config
+        shapes = _shapes(config)
+        expected = [[name, list(shape)]
+                    for name, shape in zip(PARAM_FIELDS, shapes)]
+        if header["shapes"] != expected:
+            raise ValueError(f"checkpoint layout {header['shapes']} does "
+                             f"not match its config, expected {expected}")
+        nbytes = 8 * sum(map(math.prod, shapes))
+        payload = fh.read(nbytes)
+        if len(payload) != nbytes:
+            raise ValueError(f"checkpoint truncated: payload has "
+                             f"{len(payload)} bytes, expected {nbytes}")
+        if fh.read(1):
+            raise ValueError("checkpoint has trailing bytes after its "
+                             "payload")
+    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    if not np.isfinite(flat).all():
+        raise ValueError("checkpoint payload holds non-finite values")
+    return ModelParams(flat, shapes), config

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -106,8 +108,7 @@ def test_training_is_deterministic(world, scenes):
     tc = TrainConfig(epochs=2, seed=5)
     a = train(scenes, pts, cfg, tc)
     b = train(scenes, pts, cfg, tc)
-    np.testing.assert_array_equal(M.params_to_vector(a.params),
-                                  M.params_to_vector(b.params))
+    np.testing.assert_array_equal(a.params.flat, b.params.flat)
     assert a.loss_curve == b.loss_curve
 
 
@@ -142,18 +143,17 @@ def test_zero_beta_matches_plain_training_bitwise(world, scenes):
     plain_cfg = M.ModelConfig(d=student_width(4, "shared"), k=3, hidden=8,
                               map_source="nav")
     plain = train(scenes, view_points(world, "nav"), plain_cfg, tc)
-    np.testing.assert_array_equal(M.params_to_vector(guided.params),
-                                  M.params_to_vector(plain.params))
+    np.testing.assert_array_equal(guided.params.flat, plain.params.flat)
 
 
 def test_teacher_is_frozen_during_student_training(world, scenes):
     t_cfg = M.ModelConfig(d=4, k=3, hidden=8, map_source="hd")
     teacher = train_teacher(scenes, world, t_cfg, TrainConfig(epochs=1, seed=1))
-    before = M.params_to_vector(teacher.params).copy()
+    before = teacher.params.flat.copy()
     train_student(scenes, world, (teacher.params, t_cfg),
                   DistillConfig(beta=1.0, variant="matched"),
                   TrainConfig(epochs=2, seed=3))
-    np.testing.assert_array_equal(M.params_to_vector(teacher.params), before)
+    np.testing.assert_array_equal(teacher.params.flat, before)
 
 
 def test_positive_beta_changes_the_student(world, scenes):
@@ -164,8 +164,7 @@ def test_positive_beta_changes_the_student(world, scenes):
                       DistillConfig(beta=0.0), tc)
     b = train_student(scenes, world, (teacher.params, t_cfg),
                       DistillConfig(beta=1.0), tc)
-    assert not np.array_equal(M.params_to_vector(a.params),
-                              M.params_to_vector(b.params))
+    assert not np.array_equal(a.params.flat, b.params.flat)
 
 
 def test_student_width_mismatch_rejected(world, scenes):
@@ -191,3 +190,124 @@ def test_matched_variant_widths(world, scenes):
                         DistillConfig(variant="shared"),
                         TrainConfig(epochs=1, seed=0))
     assert res.config.d == 6
+
+
+def _reference_train(scenes, map_points, config, tcfg, teacher=None,
+                     teacher_map_points=None, dcfg=None):
+    """The training loop before parameters became one flat buffer.
+
+    Per-field velocity arrays and updates, fresh gradients every step, a
+    teacher forward on every step and the per-field clip norm. Returns
+    the parameters, the loss curve and the number of clipped steps.
+    """
+    rng = np.random.default_rng(tcfg.seed)
+    params = M.init_params(config, rng)
+    velocity = {name: np.zeros_like(getattr(params, name))
+                for name in M.PARAM_FIELDS}
+    scene_maps = prepare_map_inputs(scenes, map_points, config.map_radius)
+    if teacher is not None:
+        t_params, t_config = teacher
+        teacher_maps = prepare_map_inputs(scenes, teacher_map_points,
+                                          t_config.map_radius)
+    alpha = dcfg.alpha if dcfg is not None else 1.0
+    beta = dcfg.beta if dcfg is not None else 0.0
+    smoothed, curve, clipped = None, [], 0
+    lr = tcfg.lr
+    order = np.arange(len(scenes))
+    for _epoch in range(tcfg.epochs):
+        rng.shuffle(order)
+        for idx in order:
+            scene = scenes[idx]
+            observed = scene.agents[scene.target]
+            xi_teacher = None
+            if teacher is not None:
+                _pred, xi_teacher, _cache = M.forward(
+                    observed, teacher_maps[idx], t_params)
+            loss, grads, _xi = M.loss_and_grads(
+                observed, scene_maps[idx], scene.future, params,
+                alpha=alpha, teacher_embedding=xi_teacher, beta=beta)
+            fields = [getattr(grads, name) for name in M.PARAM_FIELDS]
+            gnorm = math.sqrt(sum(float(np.sum(g * g)) for g in fields))
+            scale = 1.0
+            if tcfg.grad_clip > 0.0 and gnorm > tcfg.grad_clip:
+                scale = tcfg.grad_clip / gnorm
+                clipped += 1
+            for name in M.PARAM_FIELDS:
+                v = velocity[name]
+                v *= tcfg.momentum
+                v -= lr * scale * getattr(grads, name)
+                getattr(params, name)[...] += v
+            smoothed = loss if smoothed is None else \
+                0.99 * smoothed + 0.01 * loss
+        curve.append(float(smoothed))
+        lr *= tcfg.lr_decay
+    return params, curve, clipped
+
+
+@pytest.mark.parametrize("variant", ["hd", "distilled", "nav", "map_free"])
+def test_training_matches_reference_loop_bitwise(world, scenes, variant):
+    tc = TrainConfig(epochs=2, seed=3)
+    t_cfg = M.ModelConfig(d=8, k=3, hidden=8, map_source="hd")
+    if variant == "distilled":
+        teacher = train_teacher(scenes, world, t_cfg,
+                                TrainConfig(epochs=1, seed=1))
+        dcfg = DistillConfig(variant="shared")
+        got = train_student(scenes, world, (teacher.params, t_cfg), dcfg, tc)
+        ref = _reference_train(
+            scenes, view_points(world, "nav"), got.config, tc,
+            teacher=(teacher.params, t_cfg),
+            teacher_map_points=view_points(world, "hd"), dcfg=dcfg)
+    else:
+        source = {"hd": "hd", "nav": "nav", "map_free": "none"}[variant]
+        cfg = M.ModelConfig(d=8, k=3, hidden=8, map_source=source)
+        pts = view_points(world, source)
+        got = train(scenes, pts, cfg, tc)
+        ref = _reference_train(scenes, pts, cfg, tc)
+    ref_params, ref_curve, clipped = ref
+    assert clipped > 0, "the run must exercise gradient clipping"
+    for name in M.PARAM_FIELDS:
+        np.testing.assert_array_equal(getattr(got.params, name),
+                                      getattr(ref_params, name))
+    assert got.loss_curve == ref_curve
+
+
+def test_teacher_runs_once_per_scene(world, scenes, monkeypatch):
+    t_cfg = M.ModelConfig(d=4, k=3, hidden=8, map_source="hd")
+    teacher = train_teacher(scenes, world, t_cfg, TrainConfig(epochs=1, seed=1))
+    original = M.forward
+    teacher_calls = []
+
+    def counting_forward(observed, map_points, params):
+        if params is teacher.params:
+            teacher_calls.append(id(observed))
+        return original(observed, map_points, params)
+
+    monkeypatch.setattr(M, "forward", counting_forward)
+    train_student(scenes, world, (teacher.params, t_cfg),
+                  DistillConfig(variant="shared"),
+                  TrainConfig(epochs=3, seed=0))
+    assert len(teacher_calls) == len(scenes)
+    assert len(set(teacher_calls)) == len(scenes)
+
+
+def test_non_finite_gradient_raises_before_update(world, scenes,
+                                                  monkeypatch):
+    original = M.loss_and_grads
+    seen = []
+
+    def poisoned(*args, **kwargs):
+        loss, grads, xi = original(*args, **kwargs)
+        params = args[3]
+        seen.append((params, params.flat.copy()))
+        if len(seen) == 3:
+            grads.wk[0, 0] = np.nan
+        return loss, grads, xi
+
+    monkeypatch.setattr(M, "loss_and_grads", poisoned)
+    cfg = M.ModelConfig(d=8, k=3, hidden=8, map_source="nav")
+    with pytest.raises(M.NumericError, match="gradient"):
+        train(scenes, view_points(world, "nav"), cfg,
+              TrainConfig(epochs=1, seed=0))
+    assert len(seen) == 3
+    params, before = seen[-1]
+    np.testing.assert_array_equal(params.flat, before)

@@ -13,7 +13,6 @@ from navpredict.model import (
     load_checkpoint,
     loss_and_grads,
     model_loss,
-    params_to_vector,
     save_checkpoint,
     select_map_points,
     vector_to_params,
@@ -47,19 +46,28 @@ def test_config_validation():
 def test_param_vector_round_trip():
     rng = np.random.default_rng(0)
     params = init_params(SMALL, rng)
-    vec = params_to_vector(params)
+    vec = params.flat
     back = vector_to_params(vec, SMALL)
     for name in PARAM_FIELDS:
         np.testing.assert_array_equal(getattr(params, name),
                                       getattr(back, name))
     with pytest.raises(ValueError):
         vector_to_params(vec[:-1], SMALL)
+    # Fields are views of the flat buffer; vector_to_params copies.
+    assert not np.shares_memory(back.flat, vec)
+    params.w2[1, 2] = 7.5
+    params.bconf += 1.0
+    np.testing.assert_array_equal(vector_to_params(params.flat, SMALL).w2,
+                                  params.w2)
+    assert params.flat[-1] == params.bconf[-1]
+    with pytest.raises(AttributeError):
+        params.w1 = np.zeros_like(params.w1)
 
 
 def test_init_is_seeded_and_biases_zero():
     a = init_params(SMALL, np.random.default_rng(7))
     b = init_params(SMALL, np.random.default_rng(7))
-    np.testing.assert_array_equal(params_to_vector(a), params_to_vector(b))
+    np.testing.assert_array_equal(a.flat, b.flat)
     for name in ("b1", "b2", "bk", "bv", "bdec", "bconf"):
         assert not getattr(a, name).any()
 
@@ -142,7 +150,7 @@ def test_stationary_target_keeps_world_axes(jitter):
     np.testing.assert_array_equal(xi_b, xi_a)
     loss, grads, _ = loss_and_grads(observed, map_points, future, params)
     assert np.isfinite(loss)
-    assert np.isfinite(params_to_vector(grads)).all()
+    assert np.isfinite(grads.flat).all()
 
 
 def test_map_permutation_invariance():
@@ -203,7 +211,7 @@ def test_gradients_match_finite_differences(n_map):
     observed, map_points, future = _scene(rng, n_map=max(n_map, 1))
     map_points = map_points[:n_map]
     params = init_params(cfg, rng)
-    vec = params_to_vector(params)
+    vec = params.flat
 
     def f(v):
         loss, _, _ = loss_and_grads(observed, map_points, future,
@@ -212,7 +220,7 @@ def test_gradients_match_finite_differences(n_map):
 
     _, grads, _ = loss_and_grads(observed, map_points, future, params)
     fd = _fd_grad(f, vec)
-    np.testing.assert_allclose(params_to_vector(grads), fd,
+    np.testing.assert_allclose(grads.flat, fd,
                                rtol=1e-4, atol=1e-7)
 
 
@@ -222,7 +230,7 @@ def test_gradients_with_distillation_match_finite_differences():
     observed, map_points, future = _scene(rng, n_map=6)
     params = init_params(cfg, rng)
     teacher = rng.normal(size=3)  # guided prefix of width 3 < d
-    vec = params_to_vector(params)
+    vec = params.flat
 
     def f(v):
         loss, _, _ = loss_and_grads(
@@ -234,7 +242,7 @@ def test_gradients_with_distillation_match_finite_differences():
                                  alpha=0.7, teacher_embedding=teacher,
                                  beta=1.3)
     fd = _fd_grad(f, vec)
-    np.testing.assert_allclose(params_to_vector(grads), fd,
+    np.testing.assert_allclose(grads.flat, fd,
                                rtol=1e-4, atol=1e-7)
 
 
@@ -257,6 +265,40 @@ def test_zero_params_stationary_scene_has_zero_trajectory_grads():
     expected_bconf = np.full(cfg.k, 1.0 / cfg.k)
     expected_bconf[0] -= 1.0
     np.testing.assert_allclose(grads.bconf, expected_bconf, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_map", [0, 8])
+def test_gradients_into_reused_buffer_match_fresh(n_map):
+    """``out=`` holding a previous step's gradients changes no bit."""
+    cfg = ModelConfig(d=6, k=4, hidden=5)
+    rng = np.random.default_rng(14)
+    params = init_params(cfg, rng)
+    teacher = rng.normal(size=4)
+
+    def winner(observed, map_points, future):
+        pred, _, _ = forward(observed, map_points, params)
+        return model_loss(pred, future)[1]
+
+    first = _scene(rng)
+    for _ in range(200):
+        observed, map_points, future = _scene(rng, n_map=max(n_map, 1))
+        map_points = map_points[:n_map]
+        if winner(observed, map_points, future) != winner(*first):
+            break
+    else:
+        pytest.fail("no scene with a different winning mode")
+    buf = zeros_like_params(params)
+    loss_and_grads(*first, params, teacher_embedding=teacher, beta=0.5,
+                   out=buf)
+    assert buf.wk.any() and buf.wdec.any()
+    fresh = loss_and_grads(observed, map_points, future, params,
+                           teacher_embedding=teacher, beta=0.5)
+    reused = loss_and_grads(observed, map_points, future, params,
+                            teacher_embedding=teacher, beta=0.5, out=buf)
+    assert reused[1] is buf
+    assert reused[0] == fresh[0]
+    np.testing.assert_array_equal(reused[2], fresh[2])
+    np.testing.assert_array_equal(buf.flat, fresh[1].flat)
 
 
 def test_distillation_ignores_unguided_suffix():
@@ -314,6 +356,24 @@ def test_checkpoint_truncation_detected(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-16])
     with pytest.raises(ValueError, match="truncated"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    params = init_params(SMALL, np.random.default_rng(12))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, SMALL)
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(ValueError, match="trailing"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_non_finite_payload_rejected(tmp_path):
+    params = init_params(SMALL, np.random.default_rng(12))
+    params.wk[0, 1] = np.inf
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, SMALL)
+    with pytest.raises(ValueError, match="non-finite"):
         load_checkpoint(path)
 
 
