@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import asdict
 
 import click
-import numpy as np
 
 from . import __version__, distill, metrics, osm_ingest, road_graph, scenario
 from . import model as model_mod
@@ -161,9 +161,7 @@ def gen(out_dir, n, seed, roads, lanes, lane_width, curvature,
                 p_lane_change=p_lane_change,
             )
         os.makedirs(out_dir, exist_ok=True)
-        hd_path = os.path.join(out_dir, "world_hd.json")
-        nav_path = os.path.join(out_dir, "world_nav.json")
-        scenario.write_world(world, hd_path, nav_path)
+        scenario.write_world(world, *_world_paths(out_dir))
         splits = {"train": [], "val": []}
         for scene in scenes:
             splits[_split_of(scene.scene_id, train_fraction)].append(scene)
@@ -191,19 +189,9 @@ def _data_dir_option():
     )
 
 
-def _load_view_points(data_dir: str, source: str) -> np.ndarray:
-    if source == "none":
-        return np.zeros((0, 2))
-    if source == "hd":
-        lanes = scenario.read_hd_view(os.path.join(data_dir, "world_hd.json"))
-        polys = [lane.points for lane in lanes]
-    else:
-        polys = scenario.read_nav_view(
-            os.path.join(data_dir, "world_nav.json")
-        )
-    if not polys:
-        return np.zeros((0, 2))
-    return np.concatenate(polys, axis=0)
+def _world_paths(data_dir: str) -> tuple[str, str]:
+    return (os.path.join(data_dir, "world_hd.json"),
+            os.path.join(data_dir, "world_nav.json"))
 
 
 @main.command()
@@ -236,24 +224,14 @@ def train(data_dir, map_source, teacher_path, variant, alpha, beta, seed,
         scenes = scenario.read_scenes(
             os.path.join(data_dir, "scenes_train.ndjson")
         )
+        world = scenario.read_world(*_world_paths(data_dir))
         tcfg = distill.TrainConfig(epochs=epochs, lr=lr, seed=seed)
         if teacher_path is not None:
-            t_params, t_config = model_mod.load_checkpoint(teacher_path)
-            if t_config.map_source != "hd":
-                raise ValueError("teacher checkpoint must use the hd view")
             dcfg = distill.DistillConfig(alpha=alpha, beta=beta,
-                                         variant=variant,
-                                         teacher_checkpoint=teacher_path)
-            config = model_mod.ModelConfig(
-                d=distill.student_width(t_config.d, variant),
-                k=t_config.k, hidden=t_config.hidden,
-                map_radius=map_radius, map_source="nav",
-            )
-            result = distill.train(
-                scenes, _load_view_points(data_dir, "nav"), config, tcfg,
-                teacher=(t_params, t_config),
-                teacher_map_points=_load_view_points(data_dir, "hd"),
-                dcfg=dcfg,
+                                         variant=variant)
+            result = distill.train_student(
+                scenes, world, model_mod.load_checkpoint(teacher_path),
+                dcfg, tcfg, map_radius=map_radius,
             )
         else:
             config = model_mod.ModelConfig(
@@ -261,8 +239,7 @@ def train(data_dir, map_source, teacher_path, variant, alpha, beta, seed,
                 map_source=map_source,
             )
             result = distill.train(
-                scenes, _load_view_points(data_dir, map_source),
-                config, tcfg,
+                scenes, scenario.view_points(world, map_source), config, tcfg,
             )
         model_mod.save_checkpoint(out_path, result.params, result.config)
         with open(out_path + ".loss.csv", "w", encoding="utf-8",
@@ -364,9 +341,11 @@ def eval_cmd(data_dir, ckpt_path, split, json_path, csv_path, hist_path,
         scenes = scenario.read_scenes(
             os.path.join(data_dir, f"scenes_{split}.ndjson")
         )
-        map_points = _load_view_points(data_dir, config.map_source)
-        report, per_scene = metrics.evaluate_model(params, config, scenes,
-                                                   map_points)
+        world = scenario.read_world(*_world_paths(data_dir))
+        report, per_scene = metrics.evaluate_model(
+            params, config, scenes,
+            scenario.view_points(world, config.map_source),
+        )
         click.echo(metrics.format_report_table(report))
         if json_path:
             with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -427,23 +406,25 @@ def report(csv_path, k, hist_path, hist_svg_path):
     try:
         with open(csv_path, encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
-            rows = [dict(zip(header, line.strip().split(",")))
-                    for line in fh if line.strip()]
-        ade_col = f"minADE@{k}"
-        fde_col = f"minFDE@{k}"
-        if fde_col not in header:
-            raise ValueError(f"column {fde_col!r} not in {csv_path}")
-        fdes = [float(row[fde_col]) for row in rows]
-        ades = [float(row[ade_col]) for row in rows]
-        rep = metrics.MetricReport(
-            scene_count=len(rows),
-            values={k: {"minADE": float(np.mean(ades)),
-                        "minFDE": float(np.mean(fdes)),
-                        "MR": metrics.miss_rate(fdes)}},
-        )
+            lines = [line.strip().split(",") for line in fh if line.strip()]
+        columns = [f"minADE@{k}", f"minFDE@{k}"]
+        missing = [col for col in columns if col not in header]
+        if missing:
+            raise ValueError(f"{csv_path}: no column {missing[0]!r}")
+        rows = []
+        for number, cells in enumerate(lines, start=2):
+            if len(cells) != len(header):
+                raise ValueError(f"{csv_path}: line {number} has "
+                                 f"{len(cells)} cells, expected {len(header)}")
+            row = {col: float(cells[header.index(col)]) for col in columns}
+            if not all(math.isfinite(v) for v in row.values()):
+                raise ValueError(f"{csv_path}: line {number} holds a "
+                                 f"non-finite value")
+            rows.append(row)
+        rep = metrics.aggregate(rows, ks=(k,))
         click.echo(metrics.format_report_table(rep))
         if hist_path or hist_svg_path:
-            hist = metrics.fde_histogram(fdes)
+            hist = metrics.fde_histogram([row[f"minFDE@{k}"] for row in rows])
             _write_histogram(hist, hist_path, hist_svg_path)
     except Exception as exc:  # noqa: BLE001
         _fail(exc)

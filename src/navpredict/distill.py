@@ -17,43 +17,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as m
+from .model import distill_loss
 from .scenario import MapPair, Scene, view_points
 
 __all__ = [
-    "EmbeddingSpec",
     "DistillConfig",
     "TrainConfig",
     "TrainResult",
     "distill_loss",
-    "total_loss",
     "prepare_map_inputs",
     "train",
     "train_teacher",
     "train_student",
 ]
-
-
-@dataclass(frozen=True)
-class EmbeddingSpec:
-    """Teacher width, student width and the guided prefix (= d_t)."""
-
-    d_t: int
-    d: int
-
-    def __post_init__(self):
-        if not 1 <= self.d_t <= self.d:
-            raise ValueError(
-                f"widths must satisfy d >= d_t >= 1, got d={self.d}, "
-                f"d_t={self.d_t}"
-            )
-
-    @property
-    def guided(self) -> int:
-        return self.d_t
-
-    @property
-    def unguided(self) -> int:
-        return self.d - self.d_t
 
 
 def student_width(d_t: int, variant: str) -> int:
@@ -70,7 +46,6 @@ class DistillConfig:
     alpha: float = 1.0
     beta: float = 1.0
     variant: str = "shared"          # matched | shared
-    teacher_checkpoint: str | None = None
 
     def __post_init__(self):
         if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
@@ -79,28 +54,6 @@ class DistillConfig:
             raise ValueError("alpha and beta must be non-negative")
         if self.variant not in ("matched", "shared"):
             raise ValueError(f"unknown variant {self.variant!r}")
-
-
-def distill_loss(xi_teacher: np.ndarray, xi_student: np.ndarray) -> float:
-    """Mean squared error over the guided prefix of the student embedding.
-
-    Student coordinates beyond the teacher width are ignored.
-    """
-    d_t = xi_teacher.size
-    if xi_student.size < d_t:
-        raise ValueError(
-            f"student embedding width {xi_student.size} is smaller than "
-            f"teacher width {d_t}"
-        )
-    diff = xi_student[:d_t] - xi_teacher
-    return float(np.mean(diff * diff))
-
-
-def total_loss(l_model: float, l_dist: float, cfg: DistillConfig) -> float:
-    """Weighted sum of model loss and distillation loss."""
-    if not (np.isfinite(l_model) and np.isfinite(l_dist)):
-        raise ValueError("losses must be finite")
-    return cfg.alpha * l_model + cfg.beta * l_dist
 
 
 @dataclass(frozen=True)
@@ -161,7 +114,8 @@ def train(scenes: list[Scene], map_points: np.ndarray,
         t_params, t_config = teacher
         if dcfg is None:
             raise ValueError("teacher given without a distillation config")
-        spec = EmbeddingSpec(d_t=t_config.d, d=config.d)
+        if t_config.map_source != "hd":
+            raise ValueError("teacher must use the hd map source")
         if config.d != student_width(t_config.d, dcfg.variant):
             raise ValueError(
                 f"student width {config.d} does not match variant "

@@ -25,6 +25,7 @@ __all__ = [
     "min_fde",
     "min_ade",
     "miss_rate",
+    "aggregate",
     "evaluate_predictions",
     "evaluate_model",
     "fde_histogram",
@@ -84,11 +85,14 @@ def min_fde(pred: PredictionSet, future: np.ndarray,
     return best, best_idx
 
 
-def min_ade(pred: PredictionSet, future: np.ndarray, k: int) -> float:
-    """Average point-wise error of the minFDE-winning trajectory."""
-    _fde, idx = min_fde(pred, future, k)
+def _ade(pred: PredictionSet, future: np.ndarray, idx: int) -> float:
     return float(np.linalg.norm(pred.trajectories[idx] - future,
                                 axis=1).mean())
+
+
+def min_ade(pred: PredictionSet, future: np.ndarray, k: int) -> float:
+    """Average point-wise error of the minFDE-winning trajectory."""
+    return _ade(pred, future, min_fde(pred, future, k)[1])
 
 
 def miss_rate(min_fdes) -> float:
@@ -99,22 +103,14 @@ def miss_rate(min_fdes) -> float:
     return sum(1 for v in values if v > MISS_DISTANCE) / len(values)
 
 
-def evaluate_predictions(preds: list[PredictionSet],
-                         futures: list[np.ndarray],
-                         ks=DEFAULT_KS) -> tuple[MetricReport, list[dict]]:
-    """Aggregate metrics over a split, plus per-scene rows for CSV dumps."""
-    if len(preds) != len(futures):
-        raise ValueError("predictions and futures differ in length")
-    if not preds:
+def aggregate(per_scene: list[dict], ks=DEFAULT_KS) -> MetricReport:
+    """Split means of ``minADE@k`` and ``minFDE@k`` and the miss rate.
+
+    ``per_scene`` holds one row per scene, as :func:`evaluate_predictions`
+    returns them or as read back from its CSV dump.
+    """
+    if not per_scene:
         raise ValueError("empty split")
-    per_scene = []
-    for i, (pred, future) in enumerate(zip(preds, futures)):
-        row = {"scene": i}
-        for k in ks:
-            fde, _idx = min_fde(pred, future, k)
-            row[f"minADE@{k}"] = min_ade(pred, future, k)
-            row[f"minFDE@{k}"] = fde
-        per_scene.append(row)
     values = {}
     for k in ks:
         fdes = [row[f"minFDE@{k}"] for row in per_scene]
@@ -124,7 +120,24 @@ def evaluate_predictions(preds: list[PredictionSet],
             "minFDE": float(np.mean(fdes)),
             "MR": miss_rate(fdes),
         }
-    return MetricReport(scene_count=len(preds), values=values), per_scene
+    return MetricReport(scene_count=len(per_scene), values=values)
+
+
+def evaluate_predictions(preds: list[PredictionSet],
+                         futures: list[np.ndarray],
+                         ks=DEFAULT_KS) -> tuple[MetricReport, list[dict]]:
+    """Aggregate metrics over a split, plus per-scene rows for CSV dumps."""
+    if len(preds) != len(futures):
+        raise ValueError("predictions and futures differ in length")
+    per_scene = []
+    for i, (pred, future) in enumerate(zip(preds, futures)):
+        row = {"scene": i}
+        for k in ks:
+            fde, idx = min_fde(pred, future, k)
+            row[f"minADE@{k}"] = _ade(pred, future, idx)
+            row[f"minFDE@{k}"] = fde
+        per_scene.append(row)
+    return aggregate(per_scene, ks), per_scene
 
 
 def evaluate_model(params: ModelParams, config: ModelConfig, scenes,

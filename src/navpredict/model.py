@@ -44,7 +44,6 @@ __all__ = [
     "PARAM_FIELDS",
     "PredictionSet",
     "NumericError",
-    "EMBED_PRESETS",
     "init_params",
     "encode_agent",
     "encode_map",
@@ -52,6 +51,7 @@ __all__ = [
     "decode",
     "forward",
     "model_loss",
+    "distill_loss",
     "loss_and_grads",
     "select_map_points",
     "vector_to_params",
@@ -72,9 +72,6 @@ CHECKPOINT_VERSION = 2
 # target counts as stationary and its frame keeps the world axes.
 HEADING_LAG = 5
 HEADING_MIN_DISPLACEMENT = 0.1
-
-# (teacher width, enlarged student width) pairs at the two stock scales.
-EMBED_PRESETS = {"small": (64, 96), "large": (128, 192)}
 
 _N_DELTA_FEATURES = 2 * (OBSERVED_LEN - 1)
 
@@ -303,6 +300,21 @@ def model_loss(pred: PredictionSet, future: np.ndarray):
     return float(regression + classification), m_star
 
 
+def distill_loss(xi_teacher: np.ndarray, xi_student: np.ndarray) -> float:
+    """Mean squared error over the guided prefix of the student embedding.
+
+    Student coordinates beyond the teacher width are ignored.
+    """
+    d_t = xi_teacher.size
+    if xi_student.size < d_t:
+        raise ValueError(
+            f"student embedding width {xi_student.size} is smaller than "
+            f"teacher width {d_t}"
+        )
+    diff = xi_student[:d_t] - xi_teacher
+    return float(np.mean(diff * diff))
+
+
 def loss_and_grads(observed: np.ndarray, map_points: np.ndarray,
                    future: np.ndarray, params: ModelParams,
                    alpha: float = 1.0,
@@ -311,9 +323,9 @@ def loss_and_grads(observed: np.ndarray, map_points: np.ndarray,
     """Total loss, analytic parameter gradients and the embedding.
 
     With a teacher embedding, the total loss is
-    ``alpha * model_loss + beta * distill`` where the distillation term
-    is the mean squared error of the first ``len(teacher_embedding)``
-    embedding coordinates; the remaining coordinates are unguided.
+    ``alpha * model_loss + beta * distill_loss``: the distillation term
+    guides the first ``len(teacher_embedding)`` embedding coordinates;
+    the remaining coordinates are unguided.
 
     The gradients are written into ``out`` (zeroed first; it must have
     the layout of ``params``) and returned; without it they go into a
@@ -335,7 +347,6 @@ def loss_and_grads(observed: np.ndarray, map_points: np.ndarray,
     else:
         grads = out
         grads.flat.fill(0.0)
-    d = xi.size
 
     # Decoder heads.
     diff_star = pred.trajectories[m_star] - future
@@ -354,14 +365,9 @@ def loss_and_grads(observed: np.ndarray, map_points: np.ndarray,
 
     # Distillation term on the guided prefix of the embedding.
     if teacher_embedding is not None:
+        total += beta * distill_loss(teacher_embedding, xi)
         dt = teacher_embedding.size
-        if d < dt:
-            raise ValueError(f"student width {d} smaller than teacher "
-                             f"width {dt}")
-        prefix = xi[:dt]
-        ld = float(np.mean((prefix - teacher_embedding) ** 2))
-        total += beta * ld
-        dxi[:dt] += beta * 2.0 * (prefix - teacher_embedding) / dt
+        dxi[:dt] += beta * 2.0 * (xi[:dt] - teacher_embedding) / dt
 
     # Fusion.
     dh_a = dxi.copy()

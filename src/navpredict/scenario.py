@@ -33,8 +33,7 @@ __all__ = [
     "write_scenes",
     "read_scenes",
     "write_world",
-    "read_hd_view",
-    "read_nav_view",
+    "read_world",
 ]
 
 OBSERVED_LEN = 20   # 2 s at 10 Hz
@@ -42,6 +41,11 @@ FUTURE_LEN = 30     # 3 s at 10 Hz
 DT = 0.1
 
 _SAMPLE_STEP = 2.0  # polyline sampling step along road centerlines [m]
+
+# Intersection anchors are drawn in a 500 m box at least 150 m apart.
+# Past about 9 anchors the box can fill up so that no draw fits; give up
+# when this many draws in a row for one anchor are all too close.
+_MAX_ANCHOR_DRAWS = 10_000
 
 
 class SceneFormatError(ValueError):
@@ -120,9 +124,17 @@ def generate_world(spec: WorldSpec) -> MapPair:
     # Intersection anchor points, spread out with a minimum separation.
     ipoints = []
     while len(ipoints) < spec.intersection_count:
-        cand = rng.uniform(-250.0, 250.0, size=2)
-        if all(np.linalg.norm(cand - p) > 150.0 for p in ipoints):
-            ipoints.append(cand)
+        for _ in range(_MAX_ANCHOR_DRAWS):
+            cand = rng.uniform(-250.0, 250.0, size=2)
+            if all(np.linalg.norm(cand - p) > 150.0 for p in ipoints):
+                ipoints.append(cand)
+                break
+        else:
+            raise ValueError(
+                f"cannot place {spec.intersection_count} intersections "
+                f"150 m apart: no room for number {len(ipoints) + 1} in "
+                f"{_MAX_ANCHOR_DRAWS} draws; use fewer intersections"
+            )
 
     hd_lanes: list[Lane] = []
     nav_roads: list[np.ndarray] = []
@@ -225,6 +237,9 @@ class Scene:
             )
         if not 0 <= self.target < len(self.agents):
             raise ValueError(f"target index {self.target} out of range")
+        if not (all(np.isfinite(track).all() for track in self.agents)
+                and np.isfinite(self.future).all()):
+            raise ValueError("scene holds non-finite coordinates")
 
 
 def _lane_pos(lane: Lane, s: float) -> np.ndarray:
@@ -242,7 +257,7 @@ def _smoothstep(t: float) -> float:
 
 
 def _straight_track(world, rng, n_steps, speed_range):
-    """Lane-follow path; returns (positions, used lane, arc fn) or None."""
+    """Lane-follow path of n_steps positions, or None."""
     horizon = (n_steps - 1) * DT
     for _ in range(20):
         road = int(rng.integers(0, len(world.road_lanes)))
@@ -258,12 +273,8 @@ def _straight_track(world, rng, n_steps, speed_range):
             s0 = float(rng.uniform(lo, hi - travel))
         else:
             s0 = float(rng.uniform(lo + travel, hi))
-
-        def s_at(t, s0=s0, d=direction, u=speed):
-            return s0 + d * u * t
-
-        pos = np.array([_lane_pos(lane, s_at(i * DT)) for i in range(n_steps)])
-        return pos, lane, s_at
+        return np.array([_lane_pos(lane, s0 + direction * speed * (i * DT))
+                         for i in range(n_steps)])
     return None
 
 
@@ -368,10 +379,9 @@ def generate_scenes(world: MapPair, n: int, seed: int,
             if pos is not None:
                 maneuver = "lane_change"
         if pos is None:
-            res = _straight_track(world, rng, n_steps, speed_range)
-            if res is None:
+            pos = _straight_track(world, rng, n_steps, speed_range)
+            if pos is None:
                 raise ValueError("world roads too short for any track")
-            pos = res[0]
             maneuver = "straight"
         if noise_sigma > 0.0:
             pos = pos + rng.normal(0.0, noise_sigma, size=pos.shape)
@@ -379,10 +389,9 @@ def generate_scenes(world: MapPair, n: int, seed: int,
         n_background = int(rng.integers(0, 5))
         tracks = []
         for _ in range(n_background):
-            res = _straight_track(world, rng, OBSERVED_LEN, speed_range)
-            if res is None:
+            track = _straight_track(world, rng, OBSERVED_LEN, speed_range)
+            if track is None:
                 continue
-            track = res[0]
             if noise_sigma > 0.0:
                 track = track + rng.normal(0.0, noise_sigma, size=track.shape)
             tracks.append(track)
@@ -456,20 +465,43 @@ def write_world(world: MapPair, hd_path, nav_path):
         fh.write("\n]}\n")
 
 
-def read_hd_view(path) -> list[Lane]:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return [
+def _read_view(path, build):
+    """``build`` applied to the JSON object in ``path``.
+
+    A missing key, a malformed value, points that are not ``(n, 2)`` or
+    non-finite points raise ``ValueError`` naming the file.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return build(json.load(fh))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _polyline(entry) -> np.ndarray:
+    points = np.asarray(entry["points"], dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError(f"points must be (n, 2), got {points.shape}")
+    if not np.isfinite(points).all():
+        raise ValueError("points hold non-finite values")
+    return points
+
+
+def read_world(hd_path, nav_path) -> MapPair:
+    """Read the two map views written by :func:`write_world`.
+
+    The files hold lanes and road polylines only, so the intersections,
+    road lane lists and road lengths of the result are empty.
+    """
+    hd_lanes = _read_view(hd_path, lambda obj: [
         Lane(lane_id=int(entry["id"]), road=int(entry["road"]),
-             index=int(entry["index"]),
-             points=np.asarray(entry["points"], dtype=np.float64),
+             index=int(entry["index"]), points=_polyline(entry),
              successors=[int(s) for s in entry["successors"]])
         for entry in obj["lanes"]
-    ]
-
-
-def read_nav_view(path) -> list[np.ndarray]:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return [np.asarray(entry["points"], dtype=np.float64)
-            for entry in obj["roads"]]
+    ])
+    nav_roads = _read_view(nav_path, lambda obj: [
+        _polyline(entry) for entry in obj["roads"]
+    ])
+    return MapPair(hd_lanes=hd_lanes, nav_roads=nav_roads)

@@ -255,3 +255,72 @@ def test_report_from_csv(tmp_path, runner, dataset):
 def test_threads_option_validated(runner):
     result = runner.invoke(main, ["--threads", "0", "gen", "--out", "x"])
     assert result.exit_code == 2
+
+
+def test_gen_too_many_intersections_is_invalid_input(tmp_path, runner):
+    result = runner.invoke(main, [
+        "gen", "--out", str(tmp_path / "data"), "--n", "5",
+        "--intersections", "30",
+    ])
+    assert result.exit_code == 1
+    assert "error code=invalid-input" in result.stderr
+
+
+def test_corrupt_world_is_invalid_input(tmp_path, runner, dataset):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("world_hd.json", "world_nav.json", "scenes_train.ndjson"):
+        (data / name).write_bytes((dataset / name).read_bytes())
+    nav = json.loads((data / "world_nav.json").read_text())
+    del nav["roads"][0]["points"]
+    (data / "world_nav.json").write_text(json.dumps(nav))
+    result = runner.invoke(main, [
+        "train", "--data", str(data), "--map", "nav", "--epochs", "1",
+        "--out", str(tmp_path / "m.ckpt"),
+    ])
+    assert result.exit_code == 1
+    assert "error code=invalid-input" in result.stderr
+    assert "world_nav.json" in result.stderr
+
+
+def test_non_finite_scene_is_scene_format_error(tmp_path, runner, dataset):
+    ckpt = _train(runner, dataset, tmp_path, "m.ckpt", "--map", "none")
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("world_hd.json", "world_nav.json"):
+        (data / name).write_bytes((dataset / name).read_bytes())
+    lines = (dataset / "scenes_val.ndjson").read_text().splitlines()
+    record = json.loads(lines[1])
+    record["agents"][0][7][1] = float("nan")
+    lines[1] = json.dumps(record)
+    (data / "scenes_val.ndjson").write_text("\n".join(lines) + "\n")
+    result = runner.invoke(main, [
+        "eval", "--data", str(data), "--ckpt", str(ckpt),
+    ])
+    assert result.exit_code == 1
+    assert "error code=scene-format" in result.stderr
+    assert "record 1" in result.stderr
+
+
+def _per_scene_csv(tmp_path, text):
+    path = tmp_path / "per_scene.csv"
+    path.write_text(text)
+    return path
+
+
+def test_report_missing_column_is_invalid_input(tmp_path, runner):
+    csv_path = _per_scene_csv(tmp_path, "scene,minFDE@6\n0,1.5\n1,2.5\n")
+    result = runner.invoke(main, ["report", "--csv", str(csv_path)])
+    assert result.exit_code == 1
+    assert "error code=invalid-input" in result.stderr
+    assert "minADE@6" in result.stderr
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_report_non_finite_value_is_invalid_input(tmp_path, runner, value):
+    csv_path = _per_scene_csv(
+        tmp_path, f"scene,minADE@6,minFDE@6\n0,1.0,1.5\n1,{value},2.5\n")
+    result = runner.invoke(main, ["report", "--csv", str(csv_path)])
+    assert result.exit_code == 1
+    assert "error code=invalid-input" in result.stderr
+    assert "minFDE" not in result.stdout

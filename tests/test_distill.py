@@ -6,12 +6,10 @@ import pytest
 from navpredict import model as M
 from navpredict.distill import (
     DistillConfig,
-    EmbeddingSpec,
     TrainConfig,
     distill_loss,
     prepare_map_inputs,
     student_width,
-    total_loss,
     train,
     train_student,
     train_teacher,
@@ -28,16 +26,6 @@ def world():
 @pytest.fixture(scope="module")
 def scenes(world):
     return generate_scenes(world, 30, seed=4)
-
-
-def test_embedding_spec_validation():
-    spec = EmbeddingSpec(d_t=4, d=6)
-    assert spec.guided == 4
-    assert spec.unguided == 2
-    with pytest.raises(ValueError):
-        EmbeddingSpec(d_t=7, d=6)
-    with pytest.raises(ValueError):
-        EmbeddingSpec(d_t=0, d=6)
 
 
 def test_student_width_variants():
@@ -85,13 +73,6 @@ def test_distill_loss_rejects_narrow_student():
         distill_loss(np.zeros(5), np.zeros(3))
 
 
-def test_total_loss_weighted_sum():
-    cfg = DistillConfig(alpha=0.5, beta=2.0)
-    assert total_loss(3.0, 1.25, cfg) == 0.5 * 3.0 + 2.0 * 1.25
-    with pytest.raises(ValueError):
-        total_loss(float("inf"), 0.0, cfg)
-
-
 def test_prepare_map_inputs_radius(world, scenes):
     pts = view_points(world, "nav")
     subsets = prepare_map_inputs(scenes, pts, 50.0)
@@ -130,6 +111,15 @@ def test_teacher_requires_hd_source(world, scenes):
     cfg = M.ModelConfig(d=8, k=3, hidden=8, map_source="nav")
     with pytest.raises(ValueError):
         train_teacher(scenes, world, cfg, TrainConfig(epochs=1))
+
+
+def test_student_rejects_non_hd_teacher(world, scenes):
+    cfg = M.ModelConfig(d=4, k=3, hidden=8, map_source="nav")
+    nav = train(scenes, view_points(world, "nav"), cfg,
+                TrainConfig(epochs=1, seed=1))
+    with pytest.raises(ValueError, match="hd map source"):
+        train_student(scenes, world, (nav.params, cfg), DistillConfig(),
+                      TrainConfig(epochs=1))
 
 
 def test_zero_beta_matches_plain_training_bitwise(world, scenes):

@@ -166,6 +166,23 @@ def test_evaluate_predictions_aggregates():
     assert report.values[6]["minFDE"] <= report.values[1]["minFDE"]
 
 
+def test_evaluate_predictions_selects_modes_once(monkeypatch):
+    from navpredict import metrics
+
+    original = metrics._selected_modes
+    calls = []
+
+    def counting(pred, k):
+        calls.append(k)
+        return original(pred, k)
+
+    monkeypatch.setattr(metrics, "_selected_modes", counting)
+    rng = np.random.default_rng(3)
+    preds, futures = zip(*[_random_instance(rng) for _ in range(5)])
+    evaluate_predictions(list(preds), list(futures), ks=(1, 3, 6))
+    assert sorted(calls) == [1] * 5 + [3] * 5 + [6] * 5
+
+
 def test_evaluate_model_stationary_scene_all_zero():
     from navpredict.model import ModelConfig, init_params, zeros_like_params
     from navpredict.metrics import evaluate_model

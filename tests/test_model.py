@@ -3,11 +3,11 @@ import pytest
 
 from navpredict.model import (
     CHECKPOINT_VERSION,
-    EMBED_PRESETS,
     HEADING_LAG,
     HEADING_MIN_DISPLACEMENT,
     PARAM_FIELDS,
     ModelConfig,
+    distill_loss,
     forward,
     init_params,
     load_checkpoint,
@@ -30,10 +30,6 @@ def _scene(rng, n_map=12):
         rng.normal(0.0, 0.5, size=(FUTURE_LEN, 2)), axis=0)
     map_points = observed[-1] + rng.uniform(-40.0, 40.0, size=(n_map, 2))
     return observed, map_points, future
-
-
-def test_embed_presets():
-    assert EMBED_PRESETS == {"small": (64, 96), "large": (128, 192)}
 
 
 def test_config_validation():
@@ -312,6 +308,20 @@ def test_distillation_ignores_unguided_suffix():
     loss_dist, _, _ = loss_and_grads(observed, map_points, future, params,
                                      teacher_embedding=teacher, beta=5.0)
     assert loss_dist == pytest.approx(loss_plain, rel=1e-12)
+
+
+def test_total_loss_adds_weighted_distill_loss():
+    cfg = ModelConfig(d=6, k=2, hidden=3)
+    rng = np.random.default_rng(11)
+    observed, map_points, future = _scene(rng)
+    params = init_params(cfg, rng)
+    teacher = rng.normal(size=4)
+    loss_plain, _, xi = loss_and_grads(observed, map_points, future, params,
+                                       alpha=0.7)
+    loss_dist, _, _ = loss_and_grads(observed, map_points, future, params,
+                                     alpha=0.7, teacher_embedding=teacher,
+                                     beta=1.3)
+    assert loss_dist == loss_plain + 1.3 * distill_loss(teacher, xi)
 
 
 def test_teacher_wider_than_student_rejected():

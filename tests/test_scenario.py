@@ -1,3 +1,6 @@
+import json
+import time
+
 import numpy as np
 import pytest
 
@@ -11,9 +14,8 @@ from navpredict.scenario import (
     WorldSpec,
     generate_scenes,
     generate_world,
-    read_hd_view,
-    read_nav_view,
     read_scenes,
+    read_world,
     view_points,
     write_scenes,
     write_world,
@@ -140,6 +142,15 @@ def test_scene_validation():
         Scene(0, [good], 0, np.zeros((5, 2)))
     with pytest.raises(ValueError):
         Scene(0, [good], 1, fut)
+    for bad in (np.nan, np.inf):
+        track = good.copy()
+        track[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Scene(0, [good, track], 0, fut)
+        future = fut.copy()
+        future[-1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Scene(0, [good], 0, future)
 
 
 def test_scenes_depend_only_on_seed_and_id(world):
@@ -217,12 +228,24 @@ def test_read_reports_record_index(tmp_path):
         read_scenes(path)
 
 
+def test_read_rejects_non_finite_record(tmp_path, scenes):
+    path = tmp_path / "scenes.ndjson"
+    write_scenes(scenes[:3], path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[2])
+    record["future"][5][0] = float("nan")
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SceneFormatError, match="record 2.*non-finite"):
+        read_scenes(path)
+
+
 def test_world_write_read_round_trip(tmp_path, world):
     hd_path = tmp_path / "world_hd.json"
     nav_path = tmp_path / "world_nav.json"
     write_world(world, hd_path, nav_path)
-    lanes = read_hd_view(hd_path)
-    roads = read_nav_view(nav_path)
+    back = read_world(hd_path, nav_path)
+    lanes, roads = back.hd_lanes, back.nav_roads
     assert len(lanes) == len(world.hd_lanes)
     for a, b in zip(world.hd_lanes, lanes):
         assert a.lane_id == b.lane_id
@@ -233,9 +256,52 @@ def test_world_write_read_round_trip(tmp_path, world):
     for a, b in zip(world.nav_roads, roads):
         np.testing.assert_allclose(a, b, atol=1e-6)
     # reconstructed views feed the model the same way
-    pair = MapPair(hd_lanes=lanes, nav_roads=roads)
-    np.testing.assert_allclose(view_points(pair, "hd"),
-                               view_points(world, "hd"), atol=1e-6)
+    for source in ("hd", "nav", "none"):
+        np.testing.assert_allclose(view_points(back, source),
+                                   view_points(world, source), atol=1e-6)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda obj: obj["roads"][1].pop("points"), "missing key 'points'"),
+    (lambda obj: obj.pop("roads"), "missing key 'roads'"),
+    (lambda obj: obj["roads"][0].update(points=[[1.0, 2.0, 3.0]]),
+     r"\(n, 2\)"),
+    (lambda obj: obj["roads"][0].update(points=[1.0, 2.0]), r"\(n, 2\)"),
+    (lambda obj: obj["roads"][0]["points"][4].__setitem__(1, float("nan")),
+     "non-finite"),
+    (lambda obj: obj["roads"][0]["points"][0].__setitem__(0, float("inf")),
+     "non-finite"),
+])
+def test_read_world_rejects_corrupt_nav_view(tmp_path, world, corrupt,
+                                             message):
+    hd_path = tmp_path / "world_hd.json"
+    nav_path = tmp_path / "world_nav.json"
+    write_world(world, hd_path, nav_path)
+    obj = json.loads(nav_path.read_text())
+    corrupt(obj)
+    nav_path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match=message) as info:
+        read_world(hd_path, nav_path)
+    assert str(nav_path) in str(info.value)
+
+
+def test_read_world_rejects_corrupt_hd_view(tmp_path, world):
+    hd_path = tmp_path / "world_hd.json"
+    nav_path = tmp_path / "world_nav.json"
+    write_world(world, hd_path, nav_path)
+    obj = json.loads(hd_path.read_text())
+    del obj["lanes"][2]["successors"]
+    hd_path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match="missing key 'successors'") as info:
+        read_world(hd_path, nav_path)
+    assert str(hd_path) in str(info.value)
+
+
+def test_too_many_intersections_rejected_quickly():
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="intersections"):
+        generate_world(WorldSpec(seed=0, intersection_count=30))
+    assert time.perf_counter() - started < 1.0
 
 
 def test_empty_world_rejected_for_scenes():
