@@ -5,6 +5,10 @@ takes all randomness from an explicit ``--seed`` and, run single
 threaded with identical flags, produces byte-identical primary outputs.
 A run manifest (command, config snapshot, seed, paths, version,
 duration) is written atomically next to every primary output.
+
+The modules that use numpy are imported inside the commands, not here,
+so that ``--threads`` sets the thread-pool variables before numpy loads
+and reads them.
 """
 
 from __future__ import annotations
@@ -19,28 +23,28 @@ from dataclasses import asdict
 
 import click
 
-from . import __version__, distill, metrics, osm_ingest, road_graph, scenario
-from . import model as model_mod
+from . import __version__, osm_ingest, road_graph
 from .geo import (BUILTIN_FRAMES, FrameMismatchError, InvalidCoordinateError,
                   LocalPoint, OutOfZoneError, load_frames)
 
-_ERROR_CODES = (
-    (osm_ingest.OsmParseError, "parse-error"),
-    (scenario.SceneFormatError, "scene-format"),
-    (road_graph.GraphFormatError, "graph-format"),
-    (road_graph.UnknownEdgeError, "unknown-edge"),
-    (OutOfZoneError, "out-of-zone"),
-    (FrameMismatchError, "frame-mismatch"),
-    (InvalidCoordinateError, "invalid-coordinate"),
-    (model_mod.NumericError, "numeric-error"),
-    (FileNotFoundError, "io-error"),
-    (ValueError, "invalid-input"),
-)
-
 
 def _fail(exc: BaseException):
+    from . import model, scenario
+
+    error_codes = (
+        (osm_ingest.OsmParseError, "parse-error"),
+        (scenario.SceneFormatError, "scene-format"),
+        (road_graph.GraphFormatError, "graph-format"),
+        (road_graph.UnknownEdgeError, "unknown-edge"),
+        (OutOfZoneError, "out-of-zone"),
+        (FrameMismatchError, "frame-mismatch"),
+        (InvalidCoordinateError, "invalid-coordinate"),
+        (model.NumericError, "numeric-error"),
+        (FileNotFoundError, "io-error"),
+        (ValueError, "invalid-input"),
+    )
     code = "internal-error"
-    for exc_type, name in _ERROR_CODES:
+    for exc_type, name in error_codes:
         if isinstance(exc, exc_type):
             code = name
             break
@@ -146,6 +150,8 @@ def _split_of(scene_id: int, train_fraction: float) -> str:
 def gen(out_dir, n, seed, roads, lanes, lane_width, curvature,
         intersections, noise, p_turn, p_lane_change, train_fraction):
     """Generate a synthetic world and scene dataset."""
+    from . import scenario
+
     started = time.time()
     try:
         spec = scenario.WorldSpec(
@@ -215,6 +221,9 @@ def _world_paths(data_dir: str) -> tuple[str, str]:
 def train(data_dir, map_source, teacher_path, variant, alpha, beta, seed,
           epochs, lr, embed_width, hidden, map_radius, out_path):
     """Train a predictor; optionally distill from an HD-map teacher."""
+    from . import distill, scenario
+    from . import model as model_mod
+
     started = time.time()
     if data_dir is None:
         raise click.UsageError("--data or NAVPREDICT_DATA_DIR required")
@@ -333,6 +342,9 @@ def _write_histogram_svg(hist, path, width=640, height=360, margin=40):
 def eval_cmd(data_dir, ckpt_path, split, json_path, csv_path, hist_path,
              hist_svg_path):
     """Evaluate a checkpoint on a dataset split."""
+    from . import metrics, scenario
+    from . import model as model_mod
+
     started = time.time()
     if data_dir is None:
         raise click.UsageError("--data or NAVPREDICT_DATA_DIR required")
@@ -403,6 +415,8 @@ def query(graph_path, frame_name, frames_config, x, y, radius, step):
 @click.option("--hist-svg", "hist_svg_path", type=click.Path(), default=None)
 def report(csv_path, k, hist_path, hist_svg_path):
     """Summarize a per-scene CSV: metric table and error histogram."""
+    from . import metrics
+
     try:
         with open(csv_path, encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")

@@ -62,7 +62,11 @@ class TrainConfig:
     lr: float = 0.002
     momentum: float = 0.9
     lr_decay: float = 0.7            # per-epoch multiplicative decay
-    grad_clip: float = 5.0           # global gradient norm ceiling
+    # A step whose global gradient norm exceeds grad_clip is rescaled to
+    # that norm. On criterion 7's set-up the median norm is 32-37, so
+    # this fires on 94-97% of steps: it normalises the step length rather
+    # than capping rare large gradients.
+    grad_clip: float = 5.0
     seed: int = 0
 
 
@@ -94,7 +98,8 @@ def train(scenes: list[Scene], map_points: np.ndarray,
     With a teacher, the frozen teacher runs forward once per scene on its
     own (HD) map view before the first epoch; its embeddings are the fixed
     targets of the weighted distillation term. Each step writes its
-    gradients into one buffer reused for the whole run and updates
+    gradients and activations into one ``model.Workspace``, sized for the
+    largest per-scene map set and reused for the whole run, and updates
     ``params.flat`` in place. The loop is single-threaded and
     bit-reproducible for a fixed seed.
     """
@@ -103,12 +108,12 @@ def train(scenes: list[Scene], map_points: np.ndarray,
     rng = np.random.default_rng(tcfg.seed)
     params = m.init_params(config, rng)
     velocity = m.zeros_like_params(params).flat
-    grads = m.zeros_like_params(params)
     squares = m.zeros_like_params(params)
     square_fields = [getattr(squares, name) for name in m.PARAM_FIELDS]
-    weights, step = params.flat, grads.flat
 
     scene_maps = prepare_map_inputs(scenes, map_points, config.map_radius)
+    workspace = m.Workspace(params, max(len(pts) for pts in scene_maps))
+    weights, step = params.flat, workspace.grads.flat
     xi_teachers = [None] * len(scenes)
     if teacher is not None:
         t_params, t_config = teacher
@@ -144,7 +149,7 @@ def train(scenes: list[Scene], map_points: np.ndarray,
             loss, _grads, _xi = m.loss_and_grads(
                 scene.agents[scene.target], scene_maps[idx], scene.future,
                 params, alpha=alpha, teacher_embedding=xi_teachers[idx],
-                beta=beta, out=grads,
+                beta=beta, workspace=workspace,
             )
             # Clipping fires on nearly every step, so the norm's last bit
             # reaches every update: sum each field on its own and add the

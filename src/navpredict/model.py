@@ -44,6 +44,7 @@ __all__ = [
     "PARAM_FIELDS",
     "PredictionSet",
     "NumericError",
+    "Workspace",
     "init_params",
     "encode_agent",
     "encode_map",
@@ -188,6 +189,29 @@ def vector_to_params(vec: np.ndarray, config: ModelConfig) -> ModelParams:
     return ModelParams(np.array(vec, dtype=np.float64), _shapes(config))
 
 
+# Per-point arrays of one step: the map encoder's activations, then the
+# gradients and ReLU mask of its backward pass.
+_MAP_ROWS = ("zk", "keys", "zv", "values", "dkeys", "dvalues", "mask")
+
+
+class Workspace:
+    """Buffers that the training steps of one model reuse.
+
+    ``grads`` has the layout of the parameters the workspace was made
+    for and receives each step's gradients. ``rows`` is a
+    ``(7, m_max, d)`` array holding, in ``_MAP_ROWS`` order, the
+    per-point activations and their gradients; a step on ``m`` map
+    points uses the first ``m`` rows of each, so it allocates nothing
+    that scales with the map set.
+    """
+
+    __slots__ = ("grads", "rows")
+
+    def __init__(self, params: ModelParams, m_max: int):
+        self.grads = zeros_like_params(params)
+        self.rows = np.empty((len(_MAP_ROWS), m_max, params.wk.shape[0]))
+
+
 def _softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max()
     e = np.exp(z)
@@ -196,7 +220,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 def encode_agent(observed: np.ndarray, params: ModelParams):
     """Observed (OBSERVED_LEN, 2) track -> agent embedding of width d."""
-    x = np.diff(observed, axis=0).ravel()
+    x = (observed[1:] - observed[:-1]).ravel()
     z1 = params.w1 @ x + params.b1
     a1 = np.maximum(z1, 0.0)
     h_a = params.w2 @ a1 + params.b2
@@ -204,13 +228,23 @@ def encode_agent(observed: np.ndarray, params: ModelParams):
 
 
 def encode_map(points: np.ndarray, last_pos: np.ndarray,
-               params: ModelParams):
-    """Map points (m, 2) -> per-point key and value vectors (m, d)."""
+               params: ModelParams, out: np.ndarray | None = None):
+    """Map points (m, 2) -> per-point key and value vectors (m, d).
+
+    ``out`` holds four ``(m, d)`` arrays that receive the pre-activations
+    and activations (``zk``, ``keys``, ``zv``, ``values``); without it
+    they are allocated.
+    """
     feats = points - last_pos
-    zk = feats @ params.wk.T + params.bk
-    keys = np.maximum(zk, 0.0)
-    zv = feats @ params.wv.T + params.bv
-    values = np.maximum(zv, 0.0)
+    if out is None:
+        out = np.empty((4, points.shape[0], params.wk.shape[0]))
+    zk, keys, zv, values = out
+    np.matmul(feats, params.wk.T, out=zk)
+    zk += params.bk
+    np.maximum(zk, 0.0, out=keys)
+    np.matmul(feats, params.wv.T, out=zv)
+    zv += params.bv
+    np.maximum(zv, 0.0, out=values)
     return keys, values, (feats, zk, zv)
 
 
@@ -261,6 +295,24 @@ def _heading_rotation(observed: np.ndarray) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def _forward_in_frame(observed, map_points, params, map_out=None):
+    """``forward`` without the rotation back to world coordinates.
+
+    Returns ``(xi, cache)``; ``map_out`` is ``encode_map``'s ``out``.
+    """
+    rot = _heading_rotation(observed)
+    observed = observed @ rot
+    last_pos = observed[-1]
+    h_a, agent_cache = encode_agent(observed, params)
+    keys, values, map_cache = encode_map(map_points @ rot, last_pos, params,
+                                         out=map_out)
+    xi, fuse_cache = fuse(h_a, keys, values)
+    local, dec_cache = decode(xi, last_pos, params)
+    cache = ((rot, local), h_a, keys, values, xi,
+             agent_cache, map_cache, fuse_cache, dec_cache)
+    return xi, cache
+
+
 def forward(observed: np.ndarray, map_points: np.ndarray,
             params: ModelParams):
     """Full forward pass; returns prediction set, embedding and caches.
@@ -269,16 +321,9 @@ def forward(observed: np.ndarray, map_points: np.ndarray,
     heading frame: the caches hold frame-coordinate values, and the first
     cache entry is ``(rot, frame_prediction)``.
     """
-    rot = _heading_rotation(observed)
-    observed = observed @ rot
-    last_pos = observed[-1]
-    h_a, agent_cache = encode_agent(observed, params)
-    keys, values, map_cache = encode_map(map_points @ rot, last_pos, params)
-    xi, fuse_cache = fuse(h_a, keys, values)
-    local, dec_cache = decode(xi, last_pos, params)
+    xi, cache = _forward_in_frame(observed, map_points, params)
+    rot, local = cache[0]
     pred = PredictionSet(local.trajectories @ rot.T, local.confidences)
-    cache = ((rot, local), h_a, keys, values, xi,
-             agent_cache, map_cache, fuse_cache, dec_cache)
     return pred, xi, cache
 
 
@@ -293,9 +338,13 @@ def model_loss(pred: PredictionSet, future: np.ndarray):
         raise ValueError(f"future must be ({FUTURE_LEN}, 2), "
                          f"got {future.shape}")
     diffs = pred.trajectories - future
-    avg_err = np.linalg.norm(diffs, axis=2).mean(axis=1)
+    # The Euclidean norm over the (x, y) axis and the means over the
+    # horizon, summed as np.linalg.norm and np.mean sum them, without
+    # their call overhead.
+    sq = diffs * diffs
+    avg_err = np.sqrt(sq[..., 0] + sq[..., 1]).sum(axis=1) / FUTURE_LEN
     m_star = int(np.argmin(avg_err))
-    regression = (diffs[m_star] ** 2).sum(axis=1).mean()
+    regression = sq[m_star].sum(axis=1).sum() / FUTURE_LEN
     classification = -np.log(pred.confidences[m_star])
     return float(regression + classification), m_star
 
@@ -315,11 +364,24 @@ def distill_loss(xi_teacher: np.ndarray, xi_student: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
+def _outer(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+           scratch: np.ndarray) -> None:
+    """``np.multiply.outer(a, b, out=out)`` with the same products.
+
+    A ufunc over broadcast operands allocates iteration buffers of up to
+    128 KB per call; broadcast copies into ``out`` and ``scratch`` (both
+    ``(len(a), len(b))``) followed by an elementwise product do not.
+    """
+    np.copyto(scratch, a[:, None])
+    np.copyto(out, b)
+    np.multiply(scratch, out, out=out)
+
+
 def loss_and_grads(observed: np.ndarray, map_points: np.ndarray,
                    future: np.ndarray, params: ModelParams,
                    alpha: float = 1.0,
                    teacher_embedding: np.ndarray | None = None,
-                   beta: float = 0.0, out: ModelParams | None = None):
+                   beta: float = 0.0, workspace: Workspace | None = None):
     """Total loss, analytic parameter gradients and the embedding.
 
     With a teacher embedding, the total loss is
@@ -327,11 +389,23 @@ def loss_and_grads(observed: np.ndarray, map_points: np.ndarray,
     guides the first ``len(teacher_embedding)`` embedding coordinates;
     the remaining coordinates are unguided.
 
-    The gradients are written into ``out`` (zeroed first; it must have
-    the layout of ``params``) and returned; without it they go into a
-    fresh buffer. Both give the same values, bit for bit.
+    The gradients are written into ``workspace.grads`` (zeroed first) and
+    returned, and the activations into the workspace's rows; it must have
+    been made for parameters of this layout and at least as many map
+    points. Without it, a workspace is allocated for the call. Both give
+    the same values, bit for bit.
     """
-    _pred, xi, cache = forward(observed, map_points, params)
+    m_points = map_points.shape[0]
+    if workspace is None:
+        workspace = Workspace(params, m_points)
+    elif workspace.grads.shapes != params.shapes:
+        raise ValueError("workspace was made for another parameter layout")
+    elif workspace.rows.shape[1] < m_points:
+        raise ValueError(f"{m_points} map points exceed the workspace's "
+                         f"{workspace.rows.shape[1]}")
+    rows = workspace.rows[:, :m_points]
+    xi, cache = _forward_in_frame(observed, map_points, params,
+                                  map_out=rows[:4])
     ((rot, pred), h_a, keys, values, _xi,
      agent_cache, map_cache, fuse_cache, _dec_cache) = cache
     x, z1, a1 = agent_cache
@@ -342,22 +416,18 @@ def loss_and_grads(observed: np.ndarray, map_points: np.ndarray,
 
     lm, m_star = model_loss(pred, future)
     total = alpha * lm
-    if out is None:
-        grads = zeros_like_params(params)
-    else:
-        grads = out
-        grads.flat.fill(0.0)
+    grads = workspace.grads
+    grads.flat.fill(0.0)
 
     # Decoder heads.
     diff_star = pred.trajectories[m_star] - future
     dtraj = alpha * 2.0 * diff_star / FUTURE_LEN
-    dsteps = np.flip(np.cumsum(np.flip(dtraj, axis=0), axis=0), axis=0)
-    du = dsteps.ravel()
+    du = np.cumsum(dtraj[::-1], axis=0)[::-1].ravel()
     np.multiply.outer(du, xi, out=grads.wdec[m_star])
     grads.bdec[m_star] = du
     dxi = params.wdec[m_star].T @ du
 
-    dlogits = alpha * pred.confidences.copy()
+    dlogits = alpha * pred.confidences
     dlogits[m_star] -= alpha
     np.multiply.outer(dlogits, xi, out=grads.wconf)
     grads.bconf[...] = dlogits
@@ -369,22 +439,27 @@ def loss_and_grads(observed: np.ndarray, map_points: np.ndarray,
         dt = teacher_embedding.size
         dxi[:dt] += beta * 2.0 * (xi[:dt] - teacher_embedding) / dt
 
-    # Fusion.
+    # Fusion. The key and value gradients are masked by their ReLUs in
+    # place; the float64 mask multiplies as the boolean one did.
     dh_a = dxi.copy()
     if fuse_cache is not None:
         scale, weights = fuse_cache
-        dvalues = weights[:, None] * dxi[None, :]
+        dkeys, dvalues, mask = rows[4:]
+        _outer(weights, dxi, dvalues, scratch=mask)
         dweights = values @ dxi
         dscores = weights * (dweights - weights @ dweights)
         dh_a += keys.T @ dscores * scale
-        dkeys = dscores[:, None] * h_a[None, :] * scale
+        _outer(dscores, h_a, dkeys, scratch=mask)
+        dkeys *= scale
 
-        dzk = dkeys * (zk > 0.0)
-        np.matmul(dzk.T, feats, out=grads.wk)
-        dzk.sum(axis=0, out=grads.bk)
-        dzv = dvalues * (zv > 0.0)
-        np.matmul(dzv.T, feats, out=grads.wv)
-        dzv.sum(axis=0, out=grads.bv)
+        np.greater(zk, 0.0, out=mask)
+        dkeys *= mask
+        np.matmul(dkeys.T, feats, out=grads.wk)
+        dkeys.sum(axis=0, out=grads.bk)
+        np.greater(zv, 0.0, out=mask)
+        dvalues *= mask
+        np.matmul(dvalues.T, feats, out=grads.wv)
+        dvalues.sum(axis=0, out=grads.bv)
 
     # Agent encoder.
     np.multiply.outer(dh_a, a1, out=grads.w2)

@@ -363,6 +363,11 @@ def generate_scenes(world: MapPair, n: int, seed: int,
     """Sample n scenes; scene i depends only on (seed, i)."""
     if not world.hd_lanes:
         raise ValueError("world has no lanes")
+    if not world.road_lanes or len(world.road_lengths) != len(
+            world.road_lanes):
+        raise ValueError("world has no road lane lists to sample scenes "
+                         "from; world files do not store them, so sample "
+                         "from a generated world")
     n_steps = OBSERVED_LEN + FUTURE_LEN
     scenes = []
     for scene_id in range(n):

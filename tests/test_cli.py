@@ -1,9 +1,13 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import navpredict
 from navpredict.cli import main
 
 FIXTURE = pathlib.Path(__file__).parent / "data" / "fixture.osm"
@@ -255,6 +259,36 @@ def test_report_from_csv(tmp_path, runner, dataset):
 def test_threads_option_validated(runner):
     result = runner.invoke(main, ["--threads", "0", "gen", "--out", "x"])
     assert result.exit_code == 2
+
+
+_THREADS_PROBE = """
+import builtins, os, sys
+import navpredict.cli
+print("numpy after import:", "numpy" in sys.modules)
+real_import = builtins.__import__
+def spy(name, *args, **kwargs):
+    if name == "numpy" and "numpy" not in sys.modules:
+        print("OPENBLAS_NUM_THREADS at numpy import:",
+              os.environ.get("OPENBLAS_NUM_THREADS"))
+    return real_import(name, *args, **kwargs)
+builtins.__import__ = spy
+navpredict.cli.main(["--threads", "3", "gen", "--out", sys.argv[1],
+                     "--n", "5"], standalone_mode=False)
+"""
+
+
+def test_threads_are_set_before_numpy_loads(tmp_path):
+    src = pathlib.Path(navpredict.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+        env.pop(var, None)
+    result = subprocess.run(
+        [sys.executable, "-c", _THREADS_PROBE, str(tmp_path / "data")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "numpy after import: False"
+    assert lines[1] == "OPENBLAS_NUM_THREADS at numpy import: 3"
 
 
 def test_gen_too_many_intersections_is_invalid_input(tmp_path, runner):

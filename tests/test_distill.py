@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,9 +187,10 @@ def _reference_train(scenes, map_points, config, tcfg, teacher=None,
                      teacher_map_points=None, dcfg=None):
     """The training loop before parameters became one flat buffer.
 
-    Per-field velocity arrays and updates, fresh gradients every step, a
-    teacher forward on every step and the per-field clip norm. Returns
-    the parameters, the loss curve and the number of clipped steps.
+    Per-field velocity arrays and updates, fresh gradients and
+    activations every step (no workspace), a teacher forward on every
+    step and the per-field clip norm. Returns the parameters, the loss
+    curve and the number of clipped steps.
     """
     rng = np.random.default_rng(tcfg.seed)
     params = M.init_params(config, rng)
@@ -234,10 +236,21 @@ def _reference_train(scenes, map_points, config, tcfg, teacher=None,
     return params, curve, clipped
 
 
-@pytest.mark.parametrize("variant", ["hd", "distilled", "nav", "map_free"])
-def test_training_matches_reference_loop_bitwise(world, scenes, variant):
+# At a 1.5 m radius most nav scenes keep no map point and the others one
+# to three, and HD scenes keep one to three: the per-step map set size
+# rises and falls, and the no-map branch runs between map steps.
+@pytest.mark.parametrize("variant, map_radius", [
+    pytest.param(variant, radius,
+                 id=variant if radius == 50.0 else f"{variant}-radius1.5")
+    for radius, variants in ((50.0, ("hd", "distilled", "nav", "map_free")),
+                             (1.5, ("hd", "distilled", "nav")))
+    for variant in variants
+])
+def test_training_matches_reference_loop_bitwise(world, scenes, variant,
+                                                 map_radius):
     tc = TrainConfig(epochs=2, seed=3)
-    t_cfg = M.ModelConfig(d=8, k=3, hidden=8, map_source="hd")
+    t_cfg = M.ModelConfig(d=8, k=3, hidden=8, map_radius=map_radius,
+                          map_source="hd")
     if variant == "distilled":
         teacher = train_teacher(scenes, world, t_cfg,
                                 TrainConfig(epochs=1, seed=1))
@@ -249,7 +262,8 @@ def test_training_matches_reference_loop_bitwise(world, scenes, variant):
             teacher_map_points=view_points(world, "hd"), dcfg=dcfg)
     else:
         source = {"hd": "hd", "nav": "nav", "map_free": "none"}[variant]
-        cfg = M.ModelConfig(d=8, k=3, hidden=8, map_source=source)
+        cfg = M.ModelConfig(d=8, k=3, hidden=8, map_radius=map_radius,
+                            map_source=source)
         pts = view_points(world, source)
         got = train(scenes, pts, cfg, tc)
         ref = _reference_train(scenes, pts, cfg, tc)
@@ -301,3 +315,33 @@ def test_non_finite_gradient_raises_before_update(world, scenes,
     assert len(seen) == 3
     params, before = seen[-1]
     np.testing.assert_array_equal(params.flat, before)
+
+
+def test_training_steps_allocate_less_than_one_map_array(world, scenes):
+    # A step writes its (m, d) activations and gradients into the
+    # workspace, so what it allocates does not grow with the map set.
+    cfg = M.ModelConfig(d=64, map_source="hd")
+    params = M.init_params(cfg, np.random.default_rng(0))
+    maps = prepare_map_inputs(scenes, view_points(world, "hd"),
+                              cfg.map_radius)
+    m_max = max(len(pts) for pts in maps)
+    workspace = M.Workspace(params, m_max)
+
+    def steps(indices):
+        for i in indices:
+            scene = scenes[i]
+            M.loss_and_grads(scene.agents[scene.target], maps[i],
+                             scene.future, params, workspace=workspace)
+
+    steps(range(10))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        steps(range(10, 30))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    one_array = m_max * cfg.d * 8
+    assert m_max > 100
+    assert peak < one_array, f"peak {peak} B >= one (m_max, d) array"

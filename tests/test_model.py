@@ -7,6 +7,7 @@ from navpredict.model import (
     HEADING_MIN_DISPLACEMENT,
     PARAM_FIELDS,
     ModelConfig,
+    Workspace,
     distill_loss,
     forward,
     init_params,
@@ -265,7 +266,7 @@ def test_zero_params_stationary_scene_has_zero_trajectory_grads():
 
 @pytest.mark.parametrize("n_map", [0, 8])
 def test_gradients_into_reused_buffer_match_fresh(n_map):
-    """``out=`` holding a previous step's gradients changes no bit."""
+    """A workspace holding a previous step's gradients changes no bit."""
     cfg = ModelConfig(d=6, k=4, hidden=5)
     rng = np.random.default_rng(14)
     params = init_params(cfg, rng)
@@ -283,18 +284,60 @@ def test_gradients_into_reused_buffer_match_fresh(n_map):
             break
     else:
         pytest.fail("no scene with a different winning mode")
-    buf = zeros_like_params(params)
+    workspace = Workspace(params, 12)
+    buf = workspace.grads
     loss_and_grads(*first, params, teacher_embedding=teacher, beta=0.5,
-                   out=buf)
+                   workspace=workspace)
     assert buf.wk.any() and buf.wdec.any()
     fresh = loss_and_grads(observed, map_points, future, params,
                            teacher_embedding=teacher, beta=0.5)
     reused = loss_and_grads(observed, map_points, future, params,
-                            teacher_embedding=teacher, beta=0.5, out=buf)
+                            teacher_embedding=teacher, beta=0.5,
+                            workspace=workspace)
     assert reused[1] is buf
     assert reused[0] == fresh[0]
     np.testing.assert_array_equal(reused[2], fresh[2])
     np.testing.assert_array_equal(buf.flat, fresh[1].flat)
+
+
+def test_workspace_matches_fresh_over_varying_map_sizes():
+    # The map set grows, shrinks and empties between steps, so the
+    # workspace holds stale rows beyond the current m and stale
+    # activations from a larger set.
+    cfg = ModelConfig(d=6, k=4, hidden=5)
+    rng = np.random.default_rng(21)
+    params = init_params(cfg, rng)
+    workspace = Workspace(params, 12)
+    winners = set()
+    for n_map in (12, 3, 0, 7, 12, 0, 1, 12, 5):
+        observed, map_points, future = _scene(rng, n_map=n_map)
+        teacher = rng.normal(size=4)
+        pred, _, _ = forward(observed, map_points, params)
+        winners.add(model_loss(pred, future)[1])
+        fresh = loss_and_grads(observed, map_points, future, params,
+                               teacher_embedding=teacher, beta=0.5)
+        reused = loss_and_grads(observed, map_points, future, params,
+                                teacher_embedding=teacher, beta=0.5,
+                                workspace=workspace)
+        assert reused[0] == fresh[0]
+        np.testing.assert_array_equal(reused[2], fresh[2])
+        assert np.array_equal(reused[1].flat, fresh[1].flat), n_map
+        assert np.array_equal(np.signbit(reused[1].flat),
+                              np.signbit(fresh[1].flat)), n_map
+    assert len(winners) > 1
+
+
+def test_workspace_rejects_what_it_was_not_made_for():
+    rng = np.random.default_rng(22)
+    params = init_params(SMALL, rng)
+    observed, map_points, future = _scene(rng, n_map=5)
+    with pytest.raises(ValueError, match="exceed"):
+        loss_and_grads(observed, map_points, future, params,
+                       workspace=Workspace(params, 4))
+    wider = init_params(ModelConfig(d=7, k=3, hidden=5), rng)
+    with pytest.raises(ValueError, match="layout"):
+        loss_and_grads(observed, map_points, future, params,
+                       workspace=Workspace(wider, 5))
 
 
 def test_distillation_ignores_unguided_suffix():

@@ -308,3 +308,20 @@ def test_empty_world_rejected_for_scenes():
     empty = MapPair(hd_lanes=[], nav_roads=[])
     with pytest.raises(ValueError):
         generate_scenes(empty, 1, seed=0)
+
+
+def test_world_read_back_cannot_sample_scenes(tmp_path, world, monkeypatch):
+    # World files store the two map views but not the per-road lane lists
+    # that scene sampling draws from; the error names them, before any
+    # random draw.
+    hd_path = tmp_path / "world_hd.json"
+    nav_path = tmp_path / "world_nav.json"
+    write_world(world, hd_path, nav_path)
+    back = read_world(hd_path, nav_path)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("rng created before the world was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match="road lane lists"):
+        generate_scenes(back, 1, seed=0)
