@@ -160,12 +160,10 @@ def gen(out_dir, n, seed, roads, lanes, lane_width, curvature,
             intersection_count=intersections,
         )
         world = scenario.generate_world(spec)
-        scenes = []
-        if n > 0:
-            scenes = scenario.generate_scenes(
-                world, n, seed=seed, noise_sigma=noise, p_turn=p_turn,
-                p_lane_change=p_lane_change,
-            )
+        scenes = scenario.generate_scenes(
+            world, n, seed=seed, noise_sigma=noise, p_turn=p_turn,
+            p_lane_change=p_lane_change,
+        )
         os.makedirs(out_dir, exist_ok=True)
         scenario.write_world(world, *_world_paths(out_dir))
         splits = {"train": [], "val": []}
@@ -230,11 +228,11 @@ def train(data_dir, map_source, teacher_path, variant, alpha, beta, seed,
     if teacher_path is not None and map_source != "nav":
         raise click.UsageError("--distill requires --map nav")
     try:
+        tcfg = distill.TrainConfig(epochs=epochs, lr=lr, seed=seed)
         scenes = scenario.read_scenes(
             os.path.join(data_dir, "scenes_train.ndjson")
         )
         world = scenario.read_world(*_world_paths(data_dir))
-        tcfg = distill.TrainConfig(epochs=epochs, lr=lr, seed=seed)
         if teacher_path is not None:
             dcfg = distill.DistillConfig(alpha=alpha, beta=beta,
                                          variant=variant)

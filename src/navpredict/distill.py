@@ -66,8 +66,20 @@ class TrainConfig:
     # that norm. On criterion 7's set-up the median norm is 32-37, so
     # this fires on 94-97% of steps: it normalises the step length rather
     # than capping rare large gradients.
-    grad_clip: float = 5.0
+    grad_clip: float = 5.0           # 0 turns clipping off
     seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        for name, value, ok in (
+            ("lr", self.lr, self.lr > 0.0),
+            ("momentum", self.momentum, 0.0 <= self.momentum < 1.0),
+            ("lr_decay", self.lr_decay, 0.0 < self.lr_decay <= 1.0),
+            ("grad_clip", self.grad_clip, self.grad_clip >= 0.0),
+        ):
+            if not (math.isfinite(value) and ok):
+                raise ValueError(f"{name} {value} is out of range")
 
 
 @dataclass

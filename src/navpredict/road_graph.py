@@ -86,6 +86,9 @@ class LocalNavGraph:
     )
     _edge_set: set[EdgeId] = field(default_factory=set, repr=False)
 
+    def __post_init__(self):
+        _check_positive("resample step", self.resample_step)
+
     @property
     def edge_ids(self) -> tuple[EdgeId, ...]:
         return self.graph.edges
@@ -111,8 +114,7 @@ def resample_polyline(src: LocalPoint, dst: LocalPoint,
     spacing length/n never exceeds the step. A zero-length segment yields
     the two coincident endpoints.
     """
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
+    _check_positive("resample step", step)
     length = math.hypot(dst.x - src.x, dst.y - src.y)
     n = max(1, math.ceil(length / step))
     dx = dst.x - src.x
@@ -121,6 +123,11 @@ def resample_polyline(src: LocalPoint, dst: LocalPoint,
         LocalPoint(src.x + dx * (i / n), src.y + dy * (i / n))
         for i in range(n + 1)
     ]
+
+
+def _check_positive(name: str, value: float):
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def _cell(x: float, y: float) -> tuple[int, int]:
@@ -170,8 +177,7 @@ def segments_in_radius(g: LocalNavGraph, center: LocalPoint,
     Distance is measured to the straight src-dst chord; results carry
     the resampled polyline and are ordered by edge id for determinism.
     """
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    _check_positive("radius", radius)
     cx0, cy0 = _cell(center.x - radius, center.y - radius)
     cx1, cy1 = _cell(center.x + radius, center.y + radius)
     n_cells = (cx1 - cx0 + 1) * (cy1 - cy0 + 1)

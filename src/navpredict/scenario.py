@@ -360,7 +360,24 @@ def generate_scenes(world: MapPair, n: int, seed: int,
                     speed_range: tuple[float, float] = (3.0, 15.0),
                     p_turn: float = 0.35,
                     p_lane_change: float = 0.2) -> list[Scene]:
-    """Sample n scenes; scene i depends only on (seed, i)."""
+    """Sample n scenes; scene i depends only on (seed, i).
+
+    A scene is a turn with probability ``p_turn`` (where the world has
+    intersections), a lane change with probability ``p_lane_change``
+    and straight otherwise, so the two must sum to at most 1.
+    """
+    if n < 0:
+        raise ValueError(f"scene count must be non-negative, got {n}")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
+        raise ValueError(f"noise sigma must be finite and non-negative, "
+                         f"got {noise_sigma}")
+    if not (0.0 <= p_turn <= 1.0 and 0.0 <= p_lane_change <= 1.0
+            and p_turn + p_lane_change <= 1.0):
+        raise ValueError(f"p_turn {p_turn} and p_lane_change "
+                         f"{p_lane_change} must be probabilities summing "
+                         f"to at most 1")
+    if n == 0:
+        return []
     if not world.hd_lanes:
         raise ValueError("world has no lanes")
     if not world.road_lanes or len(world.road_lengths) != len(

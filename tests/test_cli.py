@@ -358,3 +358,75 @@ def test_report_non_finite_value_is_invalid_input(tmp_path, runner, value):
     assert result.exit_code == 1
     assert "error code=invalid-input" in result.stderr
     assert "minFDE" not in result.stdout
+
+
+@pytest.mark.parametrize("radius", ["-5", "nan", "inf"])
+def test_train_bad_map_radius_is_invalid_input(tmp_path, runner, dataset,
+                                               radius):
+    ckpt = tmp_path / "m.ckpt"
+    result = runner.invoke(main, [
+        "train", "--data", str(dataset), "--map", "hd", "--epochs", "1",
+        "--map-radius", radius, "--out", str(ckpt),
+    ])
+    assert result.exit_code == 1
+    assert "error code=invalid-input" in result.stderr
+    assert "map radius" in result.stderr
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--epochs", "0", "epochs"),
+    ("--lr", "nan", "lr"),
+    ("--lr", "-0.1", "lr"),
+])
+def test_train_bad_schedule_is_invalid_input(tmp_path, runner, dataset,
+                                             flag, value, message):
+    result = runner.invoke(main, [
+        "train", "--data", str(dataset), "--map", "none", flag, value,
+        "--out", str(tmp_path / "m.ckpt"),
+    ])
+    assert result.exit_code == 1
+    assert "error code=invalid-input" in result.stderr
+    assert message in result.stderr
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--noise", "nan"], "noise sigma"),
+    (["--n", "-5"], "scene count"),
+    (["--p-turn", "3"], "p_turn"),
+    (["--p-lane-change", "nan"], "p_lane_change"),
+    (["--p-turn", "0.9", "--p-lane-change", "0.2"], "summing to at most 1"),
+], ids=["noise-nan", "n-negative", "p-turn-3", "p-lane-change-nan",
+        "p-sum-above-1"])
+def test_gen_bad_parameters_are_invalid_input(tmp_path, runner, args,
+                                              message):
+    out = tmp_path / "data"
+    result = runner.invoke(main, ["gen", "--out", str(out), *args])
+    assert result.exit_code == 1
+    assert "error code=invalid-input" in result.stderr
+    assert message in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--radius", "nan", "radius"),
+    ("--radius", "inf", "radius"),
+    ("--radius", "0", "radius"),
+    ("--step", "nan", "resample step"),
+    ("--step", "inf", "resample step"),
+])
+def test_query_bad_radius_or_step_is_invalid_input(tmp_path, runner, flag,
+                                                   value, message):
+    graph = tmp_path / "graph.txt"
+    result = runner.invoke(main, [
+        "ingest", str(FIXTURE), "--frame", "miami", "--out", str(graph),
+    ])
+    assert result.exit_code == 0
+    args = {"--radius": "100", "--step": "2", flag: value}
+    result = runner.invoke(main, [
+        "query", "--graph", str(graph), "--frame", "miami",
+        "--x", "0", "--y", "0", *[a for kv in args.items() for a in kv],
+    ])
+    assert result.exit_code == 1
+    assert "error code=invalid-input" in result.stderr
+    assert message in result.stderr

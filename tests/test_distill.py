@@ -46,6 +46,19 @@ def test_distill_config_validation():
         DistillConfig(variant="other")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("epochs", 0), ("epochs", -3), ("lr", 0.0), ("lr", float("nan")),
+    ("lr", float("inf")), ("momentum", -0.1), ("momentum", 1.0),
+    ("lr_decay", 0.0), ("lr_decay", 1.5), ("lr_decay", float("nan")),
+    ("grad_clip", -1.0), ("grad_clip", float("inf")),
+])
+def test_train_config_validation(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+    # The edges of each range are accepted.
+    TrainConfig(epochs=1, momentum=0.0, lr_decay=1.0, grad_clip=0.0)
+
+
 def test_distill_loss_zero_on_prefix_match():
     teacher = np.array([1.0, -2.0, 3.0])
     student = np.array([1.0, -2.0, 3.0, 99.0, -7.0])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,9 @@ from navpredict.model import (
     vector_to_params,
     zeros_like_params,
 )
-from navpredict.scenario import FUTURE_LEN, OBSERVED_LEN
+from navpredict.benchmark import BenchmarkSpec
+from navpredict.scenario import (FUTURE_LEN, OBSERVED_LEN, WorldSpec,
+                                 generate_scenes, generate_world, view_points)
 
 SMALL = ModelConfig(d=6, k=3, hidden=5, map_radius=50.0)
 
@@ -38,6 +42,24 @@ def test_config_validation():
         ModelConfig(d=0)
     with pytest.raises(ValueError):
         ModelConfig(map_source="radar")
+    for radius in (-5.0, -1e-300, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="map radius"):
+            ModelConfig(map_radius=radius)
+    assert ModelConfig(map_radius=0.0).map_radius == 0.0
+
+
+@pytest.mark.parametrize("radius", [-5.0, np.nan, np.inf])
+def test_checkpoint_with_bad_map_radius_rejected(radius, tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_params(SMALL, np.random.default_rng(0)),
+                    SMALL)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    doctored = header.replace(b'"map_radius": 50.0',
+                              f'"map_radius": {json.dumps(radius)}'.encode())
+    assert doctored != header
+    path.write_bytes(doctored + b"\n" + payload)
+    with pytest.raises(ValueError, match="map radius"):
+        load_checkpoint(path)
 
 
 def test_param_vector_round_trip():
@@ -383,6 +405,94 @@ def test_select_map_points():
     np.testing.assert_array_equal(got, pts[:2])
     empty = select_map_points(np.zeros((0, 2)), np.zeros(2), 5.0)
     assert empty.shape == (0, 2)
+
+
+def _reference_selection(points, center, radius):
+    # The definition select_map_points must reproduce bit for bit.
+    return points[np.linalg.norm(points - center, axis=1) <= radius]
+
+
+def _assert_same_selection(points, center, radius):
+    got = select_map_points(points, center, radius)
+    want = _reference_selection(points, center, radius)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+_RADII = (0.0, 1.5, 50.0, 300.0, np.inf, np.nan,
+          np.nextafter(50.0, 0.0), np.nextafter(50.0, 100.0))
+
+
+def _centres_50m_from(points, rng, n):
+    """Centres whose reference distance to some map point is exactly 50."""
+    centres = []
+    for p in points[rng.choice(len(points), size=n, replace=False)]:
+        for angle in np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False):
+            c = p + 50.0 * np.array([np.cos(angle), np.sin(angle)])
+            if np.linalg.norm(p[None, :] - c, axis=1)[0] == 50.0:
+                centres.append(c)
+                break
+    return centres
+
+
+@pytest.mark.parametrize("world_spec", [
+    WorldSpec(seed=BenchmarkSpec().world_seed),
+    WorldSpec(seed=1, num_roads=16, lanes_per_road=3),
+], ids=["criterion7", "16x3"])
+def test_select_map_points_matches_norm_reference(world_spec):
+    world = generate_world(world_spec)
+    scenes = generate_scenes(world, 60, seed=BenchmarkSpec().val_scene_seed)
+    rng = np.random.default_rng(12)
+    for source in ("hd", "nav"):
+        points = view_points(world, source)
+        lo = points.min(axis=0) - 100.0
+        hi = points.max(axis=0) + 100.0
+        on_circle = _centres_50m_from(points, rng, 20)
+        assert len(on_circle) >= 10
+        centres = ([s.agents[s.target][-1] for s in scenes]
+                   + list(rng.uniform(lo, hi, size=(20, 2)))
+                   + on_circle + list(points[:5]))
+        kept = 0
+        for center in centres:
+            for radius in _RADII:
+                _assert_same_selection(points, center, radius)
+            kept += len(select_map_points(points, center, 50.0))
+        assert kept > 0
+
+
+def test_select_map_points_edge_cases():
+    # 3-4-5: a point at exactly 50 m is kept at radius 50 and at the next
+    # float up, and dropped at the next float down.
+    pts = np.array([[30.0, 40.0], [0.0, 0.0], [50.0, 1e-9], [-50.0, 0.0]])
+    for radius in _RADII:
+        _assert_same_selection(pts, np.zeros(2), radius)
+    # Points on a circle of the radius: comparing squared distances with
+    # the squared radius would move some of them across the boundary.
+    rng = np.random.default_rng(3)
+    centre = np.array([3.25, -7.5])
+    angles = rng.uniform(0.0, 2.0 * np.pi, 4000)
+    unit = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    moved = 0
+    for radius in (1.5, 50.0, 300.0, np.nextafter(50.0, 0.0),
+                   np.nextafter(50.0, 100.0)):
+        ring = centre + radius * unit
+        _assert_same_selection(ring, centre, radius)
+        sq = ((ring - centre) ** 2).sum(axis=1)
+        moved += np.count_nonzero((sq <= radius * radius)
+                                  != (np.sqrt(sq) <= radius))
+    assert moved > 0
+    # Underflow: 1e-170 squared is 0, so the reference keeps these points
+    # at radius 0 although they are not at the centre.
+    tiny = np.array([[1e-170, 0.0], [0.0, 1e-170], [1.0, 0.0]])
+    assert len(_reference_selection(tiny, np.zeros(2), 0.0)) == 2
+    for radius in (0.0, 1e-300, 1e-160):
+        _assert_same_selection(tiny, np.zeros(2), radius)
+    # An empty view and an empty result are (0, 2) float64.
+    for points, radius in ((np.zeros((0, 2)), 5.0),
+                           (np.array([[10.0, 0.0]]), 5.0)):
+        got = select_map_points(points, np.zeros(2), radius)
+        assert got.shape == (0, 2) and got.dtype == np.float64
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):

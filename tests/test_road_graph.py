@@ -99,8 +99,9 @@ def test_resample_spacing_uniform_and_below_step():
 
 
 def test_resample_rejects_bad_step():
-    with pytest.raises(ValueError):
-        resample_polyline(LocalPoint(0, 0), LocalPoint(1, 0), 0.0)
+    for step in (0.0, -2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="resample step"):
+            resample_polyline(LocalPoint(0, 0), LocalPoint(1, 0), step)
 
 
 def test_point_segment_distance_cases():
@@ -158,8 +159,15 @@ def test_radius_query_excludes_far_component(local):
 
 
 def test_radius_query_rejects_bad_radius(local):
-    with pytest.raises(ValueError):
-        segments_in_radius(local, LocalPoint(0, 0), -1.0)
+    for radius in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="radius"):
+            segments_in_radius(local, LocalPoint(0, 0), radius)
+
+
+def test_localize_rejects_bad_resample_step(local):
+    for step in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="resample step"):
+            localize(local.graph, local.frame, resample_step=step)
 
 
 def test_successors_exclude_u_turn(local):

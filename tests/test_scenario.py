@@ -50,6 +50,28 @@ def test_world_spec_validation():
         WorldSpec(num_roads=-1)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"n": -5}, "scene count"),
+    ({"noise_sigma": float("nan")}, "noise sigma"),
+    ({"noise_sigma": -0.1}, "noise sigma"),
+    ({"noise_sigma": float("inf")}, "noise sigma"),
+    ({"p_turn": 3.0}, "p_turn"),
+    ({"p_turn": float("nan")}, "p_turn"),
+    ({"p_lane_change": -0.2}, "p_lane_change"),
+    ({"p_turn": 0.9, "p_lane_change": 0.2}, "summing to at most 1"),
+], ids=["n-negative", "noise-nan", "noise-negative", "noise-inf",
+        "p-turn-3", "p-turn-nan", "p-lane-change-negative", "p-sum-above-1"])
+def test_generate_scenes_rejects_bad_parameters(world, kwargs, message):
+    args = {"n": 3, "seed": 0, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        generate_scenes(world, **args)
+
+
+def test_generate_zero_scenes_from_any_world():
+    empty = generate_world(WorldSpec(num_roads=0, intersection_count=0))
+    assert generate_scenes(empty, 0, seed=0) == []
+
+
 def test_world_shapes(world):
     spec = WorldSpec(seed=3)
     assert len(world.nav_roads) == spec.num_roads
