@@ -23,13 +23,13 @@ from dataclasses import asdict
 
 import click
 
-from . import __version__, osm_ingest, road_graph
+from . import __version__
 from .geo import (BUILTIN_FRAMES, FrameMismatchError, InvalidCoordinateError,
                   LocalPoint, OutOfZoneError, load_frames)
 
 
 def _fail(exc: BaseException):
-    from . import model, scenario
+    from . import model, osm_ingest, road_graph, scenario
 
     error_codes = (
         (osm_ingest.OsmParseError, "parse-error"),
@@ -108,6 +108,8 @@ def main(threads):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def ingest(osm_path, frame_name, frames_config, out_path):
     """Parse OSM XML into a serialized navigation graph."""
+    from . import osm_ingest, road_graph
+
     started = time.time()
     frame = _resolve_frame(frame_name, frames_config)
     try:
@@ -154,6 +156,10 @@ def gen(out_dir, n, seed, roads, lanes, lane_width, curvature,
 
     started = time.time()
     try:
+        if not (math.isfinite(train_fraction)
+                and 0.0 <= train_fraction <= 1.0):
+            raise ValueError(f"--split must be a train fraction in [0, 1], "
+                             f"got {train_fraction}")
         spec = scenario.WorldSpec(
             seed=seed, num_roads=roads, lanes_per_road=lanes,
             lane_width=lane_width, curvature_range=tuple(curvature),
@@ -389,6 +395,8 @@ def eval_cmd(data_dir, ckpt_path, split, json_path, csv_path, hist_path,
               help="Polyline resampling step in meters.")
 def query(graph_path, frame_name, frames_config, x, y, radius, step):
     """List road segments within a radius, with resampled polylines."""
+    from . import road_graph
+
     frame = _resolve_frame(frame_name, frames_config)
     try:
         graph = road_graph.load_graph(graph_path)
@@ -398,7 +406,8 @@ def query(graph_path, frame_name, frames_config, x, y, radius, step):
         )
         click.echo("src,dst,polyline")
         for seg in segments:
-            poly = ";".join(f"{p.x:.6f} {p.y:.6f}" for p in seg.polyline)
+            poly = ";".join(f"{px:.6f} {py:.6f}"
+                            for px, py in seg.points.tolist())
             click.echo(f"{seg.src},{seg.dst},{poly}")
     except Exception as exc:  # noqa: BLE001
         _fail(exc)

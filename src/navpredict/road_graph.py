@@ -9,8 +9,11 @@ query surface of a lane-level HD map API.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .geo import CityFrame, GeoPoint, LocalPoint, geo_to_local
 
@@ -61,14 +64,33 @@ class NavGraph:
             seen.add((src, dst))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoadSegment:
-    """One directed edge with its resampled centerline polyline."""
+    """One directed edge with its resampled centerline.
+
+    ``points`` is a read-only ``(n+1, 2)`` float64 array of the resampled
+    chord. ``polyline`` holds the same values as ``LocalPoint``s; it is
+    built on first access. Two segments are equal iff their edge ids and
+    every coordinate match.
+    """
 
     edge_id: EdgeId
     src: int
     dst: int
-    polyline: tuple[LocalPoint, ...]
+    points: np.ndarray
+
+    @functools.cached_property
+    def polyline(self) -> tuple[LocalPoint, ...]:
+        return tuple(LocalPoint(x, y) for x, y in self.points.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, RoadSegment):
+            return NotImplemented
+        return (self.edge_id == other.edge_id
+                and np.array_equal(self.points, other.points))
+
+    def __hash__(self):
+        return hash(self.edge_id)
 
 
 @dataclass
@@ -99,11 +121,7 @@ class LocalNavGraph:
 
     def segment(self, edge_id: EdgeId) -> RoadSegment:
         self._check_edge(edge_id)
-        src, dst = edge_id
-        polyline = resample_polyline(
-            self.local[src], self.local[dst], self.resample_step
-        )
-        return RoadSegment(edge_id, src, dst, tuple(polyline))
+        return _segments(self, [edge_id])[0]
 
 
 def resample_polyline(src: LocalPoint, dst: LocalPoint,
@@ -115,14 +133,44 @@ def resample_polyline(src: LocalPoint, dst: LocalPoint,
     the two coincident endpoints.
     """
     _check_positive("resample step", step)
-    length = math.hypot(dst.x - src.x, dst.y - src.y)
-    n = max(1, math.ceil(length / step))
-    dx = dst.x - src.x
-    dy = dst.y - src.y
-    return [
-        LocalPoint(src.x + dx * (i / n), src.y + dy * (i / n))
-        for i in range(n + 1)
-    ]
+    (points,) = _resample_chords(np.array([[src.x, src.y, dst.x, dst.y]]),
+                                 step)
+    return [LocalPoint(x, y) for x, y in points.tolist()]
+
+
+def _resample_chords(ends: np.ndarray, step: float) -> list[np.ndarray]:
+    """Resample chords given as ``(k, 4)`` rows ``x0 y0 x1 y1`` in one pass.
+
+    Point i of a chord with n intervals is ``p0 + (p1 - p0) * (i / n)``,
+    each operation rounded once, in that order. Returns one ``(n+1, 2)``
+    array per chord, read-only views of one shared buffer.
+    """
+    if len(ends) == 0:
+        return []
+    origins = ends[:, :2]
+    deltas = ends[:, 2:] - origins
+    # math.hypot, not np.hypot: the two can differ in the last bit, which
+    # moves n when length / step sits on an integer.
+    lengths = np.fromiter(map(math.hypot, *deltas.T.tolist()), float,
+                          len(ends))
+    n = np.maximum(1.0, np.ceil(lengths / step)).astype(np.int64)
+    counts = n + 1
+    stops = np.cumsum(counts)
+    starts = stops - counts
+    i = np.arange(stops[-1]) - np.repeat(starts, counts)
+    t = i / np.repeat(n, counts)
+    points = (np.repeat(origins, counts, axis=0)
+              + np.repeat(deltas, counts, axis=0) * t[:, None])
+    points.flags.writeable = False
+    return [points[lo:hi] for lo, hi in zip(starts.tolist(), stops.tolist())]
+
+
+def _segments(g: LocalNavGraph, edge_ids) -> list[RoadSegment]:
+    local = g.local
+    ends = np.array([(local[src].x, local[src].y, local[dst].x, local[dst].y)
+                     for src, dst in edge_ids]).reshape(-1, 4)
+    return [RoadSegment(eid, eid[0], eid[1], points) for eid, points
+            in zip(edge_ids, _resample_chords(ends, g.resample_step))]
 
 
 def _check_positive(name: str, value: float):
@@ -199,7 +247,7 @@ def segments_in_radius(g: LocalNavGraph, center: LocalPoint,
             b = g.local[eid[1]]
             if point_segment_distance(center.x, center.y, a, b) <= radius:
                 hits.add(eid)
-    return [g.segment(eid) for eid in sorted(hits)]
+    return _segments(g, sorted(hits))
 
 
 def successors(g: LocalNavGraph, edge_id: EdgeId) -> set[EdgeId]:

@@ -68,8 +68,13 @@ class WorldSpec:
             raise ValueError("counts must be non-negative")
         if not 1 <= self.lanes_per_road <= 3:
             raise ValueError("lanes per road must be in 1..3")
-        if self.lane_width <= 0.0:
-            raise ValueError("lane width must be positive")
+        if not (math.isfinite(self.lane_width) and self.lane_width > 0.0):
+            raise ValueError(f"lane width must be finite and positive, "
+                             f"got {self.lane_width}")
+        low, high = self.curvature_range
+        if not (math.isfinite(high - low) and low <= high):
+            raise ValueError(f"curvature range must be finite with low <= "
+                             f"high, got {self.curvature_range}")
 
 
 @dataclass

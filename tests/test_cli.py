@@ -396,8 +396,17 @@ def test_train_bad_schedule_is_invalid_input(tmp_path, runner, dataset,
     (["--p-turn", "3"], "p_turn"),
     (["--p-lane-change", "nan"], "p_lane_change"),
     (["--p-turn", "0.9", "--p-lane-change", "0.2"], "summing to at most 1"),
+    (["--curvature", "nan", "0"], "curvature range"),
+    (["--curvature", "1", "-1"], "curvature range"),
+    (["--lane-width", "nan"], "lane width"),
+    (["--split", "3"], "--split"),
+    (["--split", "-0.1"], "--split"),
+    (["--split", "nan"], "--split"),
+    (["--split", "inf"], "--split"),
 ], ids=["noise-nan", "n-negative", "p-turn-3", "p-lane-change-nan",
-        "p-sum-above-1"])
+        "p-sum-above-1", "curvature-nan", "curvature-reversed",
+        "lane-width-nan", "split-3", "split-negative", "split-nan",
+        "split-inf"])
 def test_gen_bad_parameters_are_invalid_input(tmp_path, runner, args,
                                               message):
     out = tmp_path / "data"

@@ -1,9 +1,12 @@
+import gc
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from navpredict.geo import CityFrame, GeoPoint, LocalPoint
+from navpredict.geo import MIAMI, CityFrame, GeoPoint, LocalPoint
+from navpredict.osm_ingest import build_nav_graph, parse_osm
 from navpredict.road_graph import (
     GraphFormatError,
     NavGraph,
@@ -25,6 +28,8 @@ FRAME = CityFrame("equator", 17, 500000.0, 0.0)
 # degrees of longitude per meter near the equator (approximate; only
 # used to place fixture nodes, never asserted against)
 DEG = 1.0 / 111000.0
+
+FIXTURE = pathlib.Path(__file__).parent / "data" / "fixture.osm"
 
 
 def _graph():
@@ -222,3 +227,144 @@ def test_load_rejects_wrong_field_count(tmp_path):
     path.write_text("N 1 0.0\n")
     with pytest.raises(GraphFormatError):
         load_graph(path)
+
+
+def _reference_polyline(a, b, step):
+    """The per-point resampling the array path must reproduce bit for bit."""
+    length = math.hypot(b.x - a.x, b.y - a.y)
+    n = max(1, math.ceil(length / step))
+    dx = b.x - a.x
+    dy = b.y - a.y
+    return [(a.x + dx * (i / n), a.y + dy * (i / n)) for i in range(n + 1)]
+
+
+def _bits(pairs):
+    """Coordinate bit patterns: equal iff every float.hex is equal."""
+    return np.array(list(pairs), dtype=np.float64).view(np.int64)
+
+
+def _fixture_graph():
+    with open(FIXTURE, "rb") as fh:
+        return build_nav_graph(*parse_osm(fh))
+
+
+def _grid_graph(seed=4, side=10, spacing=100.0):
+    """Jittered two-way street grid plus a zero-length edge."""
+    rng = np.random.default_rng(seed)
+    nodes = {}
+    for r in range(side):
+        for c in range(side):
+            dy, dx = (rng.uniform(-0.2, 0.2, size=2) + (r + 1, c)) * spacing
+            nodes[r * side + c] = GeoPoint(dy * DEG, -81.0 + dx * DEG)
+    edges = []
+    for r in range(side):
+        for c in range(side):
+            nid = r * side + c
+            for other in ((nid + 1) if c + 1 < side else None,
+                          (nid + side) if r + 1 < side else None):
+                if other is not None:
+                    edges += [(nid, other), (other, nid)]
+    twin = side * side
+    nodes[twin] = nodes[0]
+    edges.append((0, twin))
+    return NavGraph(nodes=nodes, edges=tuple(edges))
+
+
+@pytest.mark.parametrize("graph,frame", [
+    (_fixture_graph(), MIAMI), (_grid_graph(), FRAME),
+], ids=["fixture", "grid"])
+def test_radius_query_matches_per_point_reference(graph, frame):
+    rng = np.random.default_rng(23)
+    graphs = {step: localize(graph, frame, resample_step=step)
+              for step in (2.0, 0.7, 3.3)}
+    xy = np.array([(p.x, p.y) for p in graphs[2.0].local.values()])
+    lo, hi = xy.min(axis=0) - 100.0, xy.max(axis=0) + 100.0
+    span = float(np.hypot(*(hi - lo)))
+    for k in range(200):
+        step = float(rng.choice(list(graphs)))
+        g = graphs[step]
+        cx, cy = rng.uniform(lo, hi)
+        # Every tenth radius covers the whole graph.
+        radius = span if k % 10 == 0 else float(rng.uniform(5.0, 400.0))
+        segs = segments_in_radius(g, LocalPoint(cx, cy), radius)
+        expected = sorted(
+            eid for eid in g.edge_ids
+            if point_segment_distance(cx, cy, g.local[eid[0]],
+                                      g.local[eid[1]]) <= radius)
+        assert [s.edge_id for s in segs] == expected
+        for seg in segs:
+            ref = _bits(_reference_polyline(g.local[seg.src],
+                                            g.local[seg.dst], step))
+            assert np.array_equal(seg.points.view(np.int64), ref)
+            assert np.array_equal(_bits((p.x, p.y) for p in seg.polyline),
+                                  ref)
+
+
+def test_resample_polyline_matches_per_point_reference():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        a = LocalPoint(*rng.uniform(-5000.0, 5000.0, size=2))
+        b = LocalPoint(*(np.array([a.x, a.y])
+                         + rng.uniform(-300.0, 300.0, size=2)))
+        step = float(rng.uniform(0.3, 5.0))
+        assert np.array_equal(
+            _bits((p.x, p.y) for p in resample_polyline(a, b, step)),
+            _bits(_reference_polyline(a, b, step)))
+
+
+def test_zero_length_edge_has_two_coincident_points():
+    g = localize(_grid_graph(), FRAME)
+    seg = g.segment((0, 100))
+    a = g.local[0]
+    assert seg.points.tolist() == [[a.x, a.y], [a.x, a.y]]
+    assert seg.polyline == (a, a)
+    hits = segments_in_radius(g, a, 1.0)
+    assert seg in hits
+
+
+def test_radius_covering_whole_graph_walks_occupied_cells(local):
+    # The query box spans far more cells than the index holds.
+    segs = segments_in_radius(local, LocalPoint(0.0, 0.0), 1e6)
+    assert [s.edge_id for s in segs] == sorted(local.edge_ids)
+    assert segs == [local.segment(eid) for eid in sorted(local.edge_ids)]
+
+
+def test_radius_query_far_from_every_edge_is_empty(local):
+    assert segments_in_radius(local, LocalPoint(-9e5, -9e5), 50.0) == []
+
+
+def test_segment_matches_query_and_compares_by_value(local):
+    seg = local.segment((2, 3))
+    (hit,) = [s for s in segments_in_radius(local, local.local[3], 1.0)
+              if s.edge_id == (2, 3)]
+    assert seg == hit and hash(seg) == hash(hit) == hash((2, 3))
+    assert hit.points is not seg.points
+    coarse = localize(local.graph, FRAME, resample_step=5.0).segment((2, 3))
+    assert coarse != seg
+    assert local.segment((3, 2)) != seg
+    assert len({seg, hit, coarse}) == 2
+
+
+def test_segment_points_are_read_only(local):
+    for seg in (local.segment((1, 2)),
+                *segments_in_radius(local, local.local[2], 150.0)):
+        assert not seg.points.flags.writeable
+        with pytest.raises(ValueError):
+            seg.points[0, 0] = 1.0
+
+
+def test_radius_query_allocates_per_segment_not_per_vertex():
+    g = localize(_grid_graph(), FRAME)
+    center = g.local[55]
+    segments_in_radius(g, center, 300.0)        # warm up
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        segs = segments_in_radius(g, center, 300.0)
+        added = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    vertices = sum(len(s.polyline) for s in segs)
+    assert len(segs) >= 20 and vertices >= 20 * len(segs)
+    assert added <= 2 * len(segs) + 10, (added, len(segs), vertices)

@@ -51,6 +51,20 @@ def test_world_spec_validation():
 
 
 @pytest.mark.parametrize("kwargs,message", [
+    ({"lane_width": float("nan")}, "lane width"),
+    ({"lane_width": float("inf")}, "lane width"),
+    ({"curvature_range": (float("nan"), 0.0)}, "curvature range"),
+    ({"curvature_range": (0.0, float("inf"))}, "curvature range"),
+    ({"curvature_range": (1.0, -1.0)}, "curvature range"),
+    ({"curvature_range": (-1e308, 1e308)}, "curvature range"),
+], ids=["lane-width-nan", "lane-width-inf", "curvature-nan",
+        "curvature-inf", "curvature-reversed", "curvature-span-overflows"])
+def test_world_spec_rejects_bad_geometry(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        WorldSpec(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs,message", [
     ({"n": -5}, "scene count"),
     ({"noise_sigma": float("nan")}, "noise sigma"),
     ({"noise_sigma": -0.1}, "noise sigma"),
