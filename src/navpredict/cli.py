@@ -22,6 +22,7 @@ import time
 from dataclasses import asdict
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from .geo import (BUILTIN_FRAMES, FrameMismatchError, InvalidCoordinateError,
@@ -231,8 +232,15 @@ def train(data_dir, map_source, teacher_path, variant, alpha, beta, seed,
     started = time.time()
     if data_dir is None:
         raise click.UsageError("--data or NAVPREDICT_DATA_DIR required")
-    if teacher_path is not None and map_source != "nav":
-        raise click.UsageError("--distill requires --map nav")
+    if teacher_path is not None:
+        if map_source != "nav":
+            raise click.UsageError("--distill requires --map nav")
+        # The student's widths derive from the teacher's.
+        ctx = click.get_current_context()
+        for name, flag in (("embed_width", "--d"), ("hidden", "--hidden")):
+            if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
+                raise click.UsageError(f"{flag} cannot be used with "
+                                       f"--distill")
     try:
         tcfg = distill.TrainConfig(epochs=epochs, lr=lr, seed=seed)
         scenes = scenario.read_scenes(

@@ -3,8 +3,10 @@
 Worlds come in pairs of views of the same geometry: an HD view with one
 centerline polyline per lane (plus lane connectivity), and a nav view
 where each road collapses to a single polyline, the arithmetic mean of
-its lanes. Scenes are lane-following agents sampled at 10 Hz: 20
-observed positions (2 s) and 30 future positions (3 s) for the target.
+its lanes. A generated scene holds one lane-following agent, the
+target, sampled at 10 Hz: 20 observed positions (2 s) and 30 future
+positions (3 s). Scene files may hold several agents per scene with a
+``target`` index, and :func:`read_scenes` reads them.
 
 All randomness is derived from (seed, scene_id), so generation is
 deterministic and order-independent.
@@ -41,6 +43,9 @@ FUTURE_LEN = 30     # 3 s at 10 Hz
 DT = 0.1
 
 _SAMPLE_STEP = 2.0  # polyline sampling step along road centerlines [m]
+_T = np.arange(OBSERVED_LEN + FUTURE_LEN) * DT  # step times of a path [s]
+_SPEED_RANGE = (3.0, 15.0)  # agent speeds [m/s]
+_TURN_MAX_SPEED = 12.0      # turns are drawn below this speed [m/s]
 
 # Intersection anchors are drawn in a 500 m box at least 150 m apart.
 # Past about 9 anchors the box can fill up so that no draw fits; give up
@@ -247,45 +252,53 @@ class Scene:
             raise ValueError("scene holds non-finite coordinates")
 
 
-def _lane_pos(lane: Lane, s: float) -> np.ndarray:
-    """Linear interpolation of a lane at road arc position s."""
+def _lane_pos(lane: Lane, s: np.ndarray) -> np.ndarray:
+    """Linear interpolation of a lane at road arc positions s, (n, 2)."""
     grid_pos = s / _SAMPLE_STEP
-    idx = int(math.floor(grid_pos))
-    idx = min(max(idx, 0), len(lane.points) - 2)
-    frac = grid_pos - idx
+    idx = np.clip(np.floor(grid_pos).astype(np.intp), 0, len(lane.points) - 2)
+    frac = (grid_pos - idx)[:, None]
     return lane.points[idx] + frac * (lane.points[idx + 1] - lane.points[idx])
 
 
-def _smoothstep(t: float) -> float:
-    t = min(1.0, max(0.0, t))
-    return t * t * (3.0 - 2.0 * t)
+def _blend(pa: np.ndarray, pb: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Per-step mix of two paths, weight the smoothstep of t in [0, 1]."""
+    t = np.clip(t, 0.0, 1.0)[:, None]
+    w = t * t * (3.0 - 2.0 * t)
+    return (1.0 - w) * pa + w * pb
 
 
-def _straight_track(world, rng, n_steps, speed_range):
-    """Lane-follow path of n_steps positions, or None."""
-    horizon = (n_steps - 1) * DT
+def _lane_arc(world, rng, road):
+    """Arc positions of a lane-following run along ``road``, or None.
+
+    Draws a direction and a speed, then a start that keeps the whole run
+    5 m inside the road; None (after the speed draw) when it cannot fit.
+    """
+    direction = 1.0 if rng.random() < 0.5 else -1.0
+    speed = float(rng.uniform(*_SPEED_RANGE))
+    travel = speed * _T[-1]
+    lo, hi = 5.0, world.road_lengths[road] - 5.0
+    if hi - lo < travel:
+        return None
+    if direction > 0:
+        s0 = float(rng.uniform(lo, hi - travel))
+    else:
+        s0 = float(rng.uniform(lo + travel, hi))
+    return s0 + direction * speed * _T
+
+
+def _straight_track(world, rng):
+    """Lane-follow path, or None."""
     for _ in range(20):
         road = int(rng.integers(0, len(world.road_lanes)))
-        lane_id = int(rng.choice(world.road_lanes[road]))
-        lane = world.hd_lanes[lane_id]
-        direction = 1.0 if rng.random() < 0.5 else -1.0
-        speed = float(rng.uniform(*speed_range))
-        travel = speed * horizon
-        lo, hi = 5.0, world.road_lengths[road] - 5.0
-        if hi - lo < travel:
-            continue
-        if direction > 0:
-            s0 = float(rng.uniform(lo, hi - travel))
-        else:
-            s0 = float(rng.uniform(lo + travel, hi))
-        return np.array([_lane_pos(lane, s0 + direction * speed * (i * DT))
-                         for i in range(n_steps)])
+        lane = world.hd_lanes[int(rng.choice(world.road_lanes[road]))]
+        s = _lane_arc(world, rng, road)
+        if s is not None:
+            return _lane_pos(lane, s)
     return None
 
 
-def _turn_track(world, rng, speed_range):
+def _turn_track(world, rng):
     """Path entering an intersection and continuing onto a crossing road."""
-    n_steps = OBSERVED_LEN + FUTURE_LEN
     tau = 0.5  # blend half-window [s]
     for _ in range(20):
         inter = world.intersections[int(rng.integers(0, len(world.intersections)))]
@@ -300,35 +313,27 @@ def _turn_track(world, rng, speed_range):
         lane_b = world.hd_lanes[int(rng.choice(world.road_lanes[rb]))]
         dir_a = 1.0 if rng.random() < 0.5 else -1.0
         dir_b = 1.0 if rng.random() < 0.5 else -1.0
-        speed = float(rng.uniform(speed_range[0], min(speed_range[1], 12.0)))
+        speed = float(rng.uniform(_SPEED_RANGE[0], _TURN_MAX_SPEED))
         t_turn = float(rng.uniform(2.3, 4.3))
-        t_end = (n_steps - 1) * DT
 
         sa0 = sa - dir_a * speed * t_turn
         ok_a = (5.0 < sa0 < world.road_lengths[ra] - 5.0
                 and 5.0 < sa + dir_a * speed * (tau + 0.1)
                 < world.road_lengths[ra] - 5.0)
-        sb_end = sb + dir_b * speed * (t_end - t_turn)
+        sb_end = sb + dir_b * speed * (_T[-1] - t_turn)
         ok_b = (5.0 < sb_end < world.road_lengths[rb] - 5.0
                 and 5.0 < sb - dir_b * speed * (tau + 0.1)
                 < world.road_lengths[rb] - 5.0)
         if not (ok_a and ok_b):
             continue
-
-        pos = np.empty((n_steps, 2))
-        for i in range(n_steps):
-            t = i * DT
-            pa = _lane_pos(lane_a, sa0 + dir_a * speed * t)
-            pb = _lane_pos(lane_b, sb + dir_b * speed * (t - t_turn))
-            w = _smoothstep((t - (t_turn - tau)) / (2.0 * tau))
-            pos[i] = (1.0 - w) * pa + w * pb
-        return pos
+        pa = _lane_pos(lane_a, sa0 + dir_a * speed * _T)
+        pb = _lane_pos(lane_b, sb + dir_b * speed * (_T - t_turn))
+        return _blend(pa, pb, (_T - (t_turn - tau)) / (2.0 * tau))
     return None
 
 
-def _lane_change_track(world, rng, speed_range):
+def _lane_change_track(world, rng):
     """Lane-follow path with one lateral change to an adjacent lane."""
-    n_steps = OBSERVED_LEN + FUTURE_LEN
     for _ in range(20):
         road = int(rng.integers(0, len(world.road_lanes)))
         lanes = world.road_lanes[road]
@@ -339,37 +344,27 @@ def _lane_change_track(world, rng, speed_range):
         lane2 = world.hd_lanes[lanes[i1 + 1]]
         if rng.random() < 0.5:
             lane1, lane2 = lane2, lane1
-        direction = 1.0 if rng.random() < 0.5 else -1.0
-        speed = float(rng.uniform(*speed_range))
-        horizon = (n_steps - 1) * DT
-        travel = speed * horizon
-        lo, hi = 5.0, world.road_lengths[road] - 5.0
-        if hi - lo < travel:
+        s = _lane_arc(world, rng, road)
+        if s is None:
             continue
-        s0 = float(rng.uniform(lo, hi - travel)) if direction > 0 \
-            else float(rng.uniform(lo + travel, hi))
         t0 = float(rng.uniform(1.0, 3.0))
         dur = float(rng.uniform(1.5, 2.5))
-        pos = np.empty((n_steps, 2))
-        for i in range(n_steps):
-            t = i * DT
-            s = s0 + direction * speed * t
-            w = _smoothstep((t - t0) / dur)
-            pos[i] = (1.0 - w) * _lane_pos(lane1, s) + w * _lane_pos(lane2, s)
-        return pos
+        return _blend(_lane_pos(lane1, s), _lane_pos(lane2, s),
+                      (_T - t0) / dur)
     return None
 
 
 def generate_scenes(world: MapPair, n: int, seed: int,
                     noise_sigma: float = 0.1,
-                    speed_range: tuple[float, float] = (3.0, 15.0),
                     p_turn: float = 0.35,
                     p_lane_change: float = 0.2) -> list[Scene]:
-    """Sample n scenes; scene i depends only on (seed, i).
+    """Sample n single-agent scenes; scene i depends only on (seed, i).
 
-    A scene is a turn with probability ``p_turn`` (where the world has
-    intersections), a lane change with probability ``p_lane_change``
-    and straight otherwise, so the two must sum to at most 1.
+    A scene is a turn with probability ``p_turn``, a lane change with
+    probability ``p_lane_change`` and straight otherwise, so the two must
+    sum to at most 1. A turn or lane change the world cannot hold (no
+    intersections, single-lane roads, or no fitting draw in 20 tries)
+    falls back to straight.
     """
     if n < 0:
         raise ValueError(f"scene count must be non-negative, got {n}")
@@ -390,42 +385,25 @@ def generate_scenes(world: MapPair, n: int, seed: int,
         raise ValueError("world has no road lane lists to sample scenes "
                          "from; world files do not store them, so sample "
                          "from a generated world")
-    n_steps = OBSERVED_LEN + FUTURE_LEN
     scenes = []
     for scene_id in range(n):
         rng = np.random.default_rng([seed, scene_id])
         draw = rng.random()
         pos = None
-        maneuver = "straight"
-        if draw < p_turn and world.intersections:
-            pos = _turn_track(world, rng, speed_range)
-            if pos is not None:
-                maneuver = "turn"
+        if draw < p_turn:
+            if world.intersections:
+                pos, maneuver = _turn_track(world, rng), "turn"
         elif draw < p_turn + p_lane_change:
-            pos = _lane_change_track(world, rng, speed_range)
-            if pos is not None:
-                maneuver = "lane_change"
+            pos, maneuver = _lane_change_track(world, rng), "lane_change"
         if pos is None:
-            pos = _straight_track(world, rng, n_steps, speed_range)
+            pos, maneuver = _straight_track(world, rng), "straight"
             if pos is None:
                 raise ValueError("world roads too short for any track")
-            maneuver = "straight"
         if noise_sigma > 0.0:
             pos = pos + rng.normal(0.0, noise_sigma, size=pos.shape)
-
-        n_background = int(rng.integers(0, 5))
-        tracks = []
-        for _ in range(n_background):
-            track = _straight_track(world, rng, OBSERVED_LEN, speed_range)
-            if track is None:
-                continue
-            if noise_sigma > 0.0:
-                track = track + rng.normal(0.0, noise_sigma, size=track.shape)
-            tracks.append(track)
-        target = int(rng.integers(0, len(tracks) + 1))
-        tracks.insert(target, pos[:OBSERVED_LEN])
-        scenes.append(Scene(scene_id=scene_id, agents=tracks, target=target,
-                            future=pos[OBSERVED_LEN:], maneuver=maneuver))
+        scenes.append(Scene(scene_id=scene_id, agents=[pos[:OBSERVED_LEN]],
+                            target=0, future=pos[OBSERVED_LEN:],
+                            maneuver=maneuver))
     return scenes
 
 

@@ -195,6 +195,25 @@ def test_distill_requires_nav_map(tmp_path, runner, dataset):
     assert "--map nav" in result.output + result.stderr
 
 
+@pytest.mark.parametrize("flag", [["--d", "200"], ["--hidden", "3"],
+                                  ["--d", "64"]],
+                         ids=["d", "hidden", "d-equal-to-default"])
+def test_distill_rejects_width_flags(tmp_path, runner, dataset, flag):
+    # The student's widths derive from the teacher's, so a width flag
+    # would be ignored.
+    teacher = _train(runner, dataset, tmp_path, "teacher.ckpt",
+                     "--map", "hd", "--d", "4")
+    student = tmp_path / "s.ckpt"
+    result = runner.invoke(main, [
+        "train", "--data", str(dataset), "--map", "nav",
+        "--distill", str(teacher), *flag, "--out", str(student),
+    ])
+    assert result.exit_code == 2
+    assert f"{flag[0]} cannot be used with --distill" in (
+        result.output + result.stderr)
+    assert not student.exists()
+
+
 def test_distill_rejects_nav_teacher(tmp_path, runner, dataset):
     nav_ckpt = _train(runner, dataset, tmp_path, "nav.ckpt",
                       "--map", "nav", "--d", "4")

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import numpy as np
@@ -169,6 +170,12 @@ def test_scene_shapes(scenes):
         assert 0 <= scene.target < len(scene.agents)
 
 
+def test_generated_scenes_hold_only_the_target(scenes):
+    for scene in scenes:
+        assert len(scene.agents) == 1
+        assert scene.target == 0
+
+
 def test_scene_validation():
     good = np.zeros((OBSERVED_LEN, 2))
     fut = np.zeros((FUTURE_LEN, 2))
@@ -211,6 +218,17 @@ def test_maneuver_mix(world):
     assert got == {"straight", "turn", "lane_change"}
 
 
+def test_turn_draws_fall_back_to_straight_without_intersections():
+    world = generate_world(WorldSpec(seed=1, intersection_count=0))
+    assert not world.intersections
+    turns_only = generate_scenes(world, 400, seed=0, p_turn=0.9,
+                                 p_lane_change=0.0)
+    assert {s.maneuver for s in turns_only} == {"straight"}
+    mixed = generate_scenes(world, 400, seed=0, p_turn=0.5,
+                            p_lane_change=0.5)
+    assert {s.maneuver for s in mixed} == {"straight", "lane_change"}
+
+
 def test_target_speed_within_range(scenes):
     for scene in scenes:
         track = scene.agents[scene.target]
@@ -239,6 +257,27 @@ def test_write_read_round_trip(tmp_path, scenes):
         np.testing.assert_allclose(a.future, b.future, atol=1e-6)
         for ta, tb in zip(a.agents, b.agents):
             np.testing.assert_allclose(ta, tb, atol=1e-6)
+
+
+def test_multi_agent_file_round_trips_bit_for_bit(tmp_path):
+    # Generated scenes hold one agent, but files with several still read.
+    rng = np.random.default_rng(0)
+
+    def coords(n):
+        # k / 1e6 survives the writer's 6-digit format bit for bit.
+        return rng.integers(-10**9, 10**9, size=(n, 2)) / 1e6
+
+    scene = Scene(scene_id=4, agents=[coords(OBSERVED_LEN) for _ in range(3)],
+                  target=2, future=coords(FUTURE_LEN))
+    path = tmp_path / "multi.ndjson"
+    write_scenes([scene], path)
+    (back,) = read_scenes(path)
+    assert back.scene_id == 4
+    assert back.target == 2
+    assert len(back.agents) == 3
+    for want, got in zip(scene.agents, back.agents):
+        assert np.array_equal(want, got)
+    assert np.array_equal(scene.future, back.future)
 
 
 def test_write_is_byte_deterministic(tmp_path, scenes):
@@ -361,3 +400,180 @@ def test_world_read_back_cannot_sample_scenes(tmp_path, world, monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", no_draws)
     with pytest.raises(ValueError, match="road lane lists"):
         generate_scenes(back, 1, seed=0)
+
+
+# The per-step generator that the array form replaced, kept as the
+# reference for bit-identity. It also draws the background agents and the
+# target index that generated scenes no longer hold; those draws came
+# after the target's path and noise, so the target keeps its bits.
+
+def _reference_lane_pos(lane, s):
+    grid_pos = s / 2.0
+    idx = int(math.floor(grid_pos))
+    idx = min(max(idx, 0), len(lane.points) - 2)
+    frac = grid_pos - idx
+    return lane.points[idx] + frac * (lane.points[idx + 1] - lane.points[idx])
+
+
+def _reference_smoothstep(t):
+    t = min(1.0, max(0.0, t))
+    return t * t * (3.0 - 2.0 * t)
+
+
+def _reference_straight_track(world, rng, n_steps, speed_range):
+    horizon = (n_steps - 1) * DT
+    for _ in range(20):
+        road = int(rng.integers(0, len(world.road_lanes)))
+        lane_id = int(rng.choice(world.road_lanes[road]))
+        lane = world.hd_lanes[lane_id]
+        direction = 1.0 if rng.random() < 0.5 else -1.0
+        speed = float(rng.uniform(*speed_range))
+        travel = speed * horizon
+        lo, hi = 5.0, world.road_lengths[road] - 5.0
+        if hi - lo < travel:
+            continue
+        if direction > 0:
+            s0 = float(rng.uniform(lo, hi - travel))
+        else:
+            s0 = float(rng.uniform(lo + travel, hi))
+        return np.array([
+            _reference_lane_pos(lane, s0 + direction * speed * (i * DT))
+            for i in range(n_steps)])
+    return None
+
+
+def _reference_turn_track(world, rng, speed_range):
+    n_steps = OBSERVED_LEN + FUTURE_LEN
+    tau = 0.5
+    for _ in range(20):
+        inter = world.intersections[
+            int(rng.integers(0, len(world.intersections)))]
+        members = list(inter.members)
+        ia = int(rng.integers(0, len(members)))
+        ib = int(rng.integers(0, len(members)))
+        if ia == ib:
+            continue
+        ra, sa = members[ia]
+        rb, sb = members[ib]
+        lane_a = world.hd_lanes[int(rng.choice(world.road_lanes[ra]))]
+        lane_b = world.hd_lanes[int(rng.choice(world.road_lanes[rb]))]
+        dir_a = 1.0 if rng.random() < 0.5 else -1.0
+        dir_b = 1.0 if rng.random() < 0.5 else -1.0
+        speed = float(rng.uniform(speed_range[0], min(speed_range[1], 12.0)))
+        t_turn = float(rng.uniform(2.3, 4.3))
+        t_end = (n_steps - 1) * DT
+        sa0 = sa - dir_a * speed * t_turn
+        ok_a = (5.0 < sa0 < world.road_lengths[ra] - 5.0
+                and 5.0 < sa + dir_a * speed * (tau + 0.1)
+                < world.road_lengths[ra] - 5.0)
+        sb_end = sb + dir_b * speed * (t_end - t_turn)
+        ok_b = (5.0 < sb_end < world.road_lengths[rb] - 5.0
+                and 5.0 < sb - dir_b * speed * (tau + 0.1)
+                < world.road_lengths[rb] - 5.0)
+        if not (ok_a and ok_b):
+            continue
+        pos = np.empty((n_steps, 2))
+        for i in range(n_steps):
+            t = i * DT
+            pa = _reference_lane_pos(lane_a, sa0 + dir_a * speed * t)
+            pb = _reference_lane_pos(lane_b, sb + dir_b * speed * (t - t_turn))
+            w = _reference_smoothstep((t - (t_turn - tau)) / (2.0 * tau))
+            pos[i] = (1.0 - w) * pa + w * pb
+        return pos
+    return None
+
+
+def _reference_lane_change_track(world, rng, speed_range):
+    n_steps = OBSERVED_LEN + FUTURE_LEN
+    for _ in range(20):
+        road = int(rng.integers(0, len(world.road_lanes)))
+        lanes = world.road_lanes[road]
+        if len(lanes) < 2:
+            return None
+        i1 = int(rng.integers(0, len(lanes) - 1))
+        lane1 = world.hd_lanes[lanes[i1]]
+        lane2 = world.hd_lanes[lanes[i1 + 1]]
+        if rng.random() < 0.5:
+            lane1, lane2 = lane2, lane1
+        direction = 1.0 if rng.random() < 0.5 else -1.0
+        speed = float(rng.uniform(*speed_range))
+        horizon = (n_steps - 1) * DT
+        travel = speed * horizon
+        lo, hi = 5.0, world.road_lengths[road] - 5.0
+        if hi - lo < travel:
+            continue
+        s0 = float(rng.uniform(lo, hi - travel)) if direction > 0 \
+            else float(rng.uniform(lo + travel, hi))
+        t0 = float(rng.uniform(1.0, 3.0))
+        dur = float(rng.uniform(1.5, 2.5))
+        pos = np.empty((n_steps, 2))
+        for i in range(n_steps):
+            t = i * DT
+            s = s0 + direction * speed * t
+            w = _reference_smoothstep((t - t0) / dur)
+            pos[i] = ((1.0 - w) * _reference_lane_pos(lane1, s)
+                      + w * _reference_lane_pos(lane2, s))
+        return pos
+    return None
+
+
+def _reference_scenes(world, n, seed, noise_sigma=0.1, p_turn=0.35,
+                      p_lane_change=0.2):
+    """(observed target track, future, maneuver) of each scene."""
+    speed_range = (3.0, 15.0)
+    n_steps = OBSERVED_LEN + FUTURE_LEN
+    out = []
+    for scene_id in range(n):
+        rng = np.random.default_rng([seed, scene_id])
+        draw = rng.random()
+        pos = None
+        maneuver = "straight"
+        if draw < p_turn and world.intersections:
+            pos = _reference_turn_track(world, rng, speed_range)
+            if pos is not None:
+                maneuver = "turn"
+        elif draw < p_turn + p_lane_change:
+            pos = _reference_lane_change_track(world, rng, speed_range)
+            if pos is not None:
+                maneuver = "lane_change"
+        if pos is None:
+            pos = _reference_straight_track(world, rng, n_steps, speed_range)
+            maneuver = "straight"
+        if noise_sigma > 0.0:
+            pos = pos + rng.normal(0.0, noise_sigma, size=pos.shape)
+        tracks = []
+        for _ in range(int(rng.integers(0, 5))):
+            track = _reference_straight_track(world, rng, OBSERVED_LEN,
+                                              speed_range)
+            if track is None:
+                continue
+            if noise_sigma > 0.0:
+                track = track + rng.normal(0.0, noise_sigma, size=track.shape)
+            tracks.append(track)
+        target = int(rng.integers(0, len(tracks) + 1))
+        tracks.insert(target, pos[:OBSERVED_LEN])
+        out.append((tracks[target], pos[OBSERVED_LEN:], maneuver))
+    return out
+
+
+@pytest.mark.parametrize("spec, kwargs", [
+    (WorldSpec(seed=1), {"seed": 7}),
+    (WorldSpec(seed=1), {"seed": 8, "p_turn": 0.5, "p_lane_change": 0.5}),
+    (WorldSpec(seed=1, num_roads=16, lanes_per_road=3), {"seed": 2}),
+    (WorldSpec(seed=3, curvature_range=(-0.006, 0.006)),
+     {"seed": 5, "noise_sigma": 0.0}),
+    (WorldSpec(seed=5, num_roads=3, lanes_per_road=1, intersection_count=1),
+     {"seed": 11, "noise_sigma": 0.4, "p_turn": 0.2, "p_lane_change": 0.7}),
+], ids=["criterion-7-world", "criterion-7-world-no-straight-draws",
+        "16-roads-3-lanes", "curved-noise-free", "one-lane-roads"])
+def test_scenes_match_per_step_reference(spec, kwargs):
+    world = generate_world(spec)
+    assert world.intersections
+    got = generate_scenes(world, 1000, **kwargs)
+    want = _reference_scenes(world, 1000, **kwargs)
+    assert len(got) == len(want)
+    for scene, (track, future, maneuver) in zip(got, want):
+        assert np.array_equal(scene.agents[scene.target], track)
+        assert np.array_equal(scene.future, future)
+        assert scene.maneuver == maneuver
+    assert "turn" in {m for _, _, m in want}
