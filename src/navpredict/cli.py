@@ -73,7 +73,12 @@ def _write_manifest(output_path: str, command: str, config: dict,
 
 
 def _resolve_frame(name: str, frames_config):
-    frames = load_frames(frames_config) if frames_config else BUILTIN_FRAMES
+    frames = BUILTIN_FRAMES
+    if frames_config:
+        try:
+            frames = load_frames(frames_config)
+        except (OSError, ValueError) as exc:
+            _fail(exc)
     if name not in frames:
         raise click.UsageError(
             f"unknown frame {name!r}; known: {', '.join(sorted(frames))}"
@@ -440,20 +445,20 @@ def report(csv_path, k, hist_path, hist_svg_path):
         missing = [col for col in columns if col not in header]
         if missing:
             raise ValueError(f"{csv_path}: no column {missing[0]!r}")
-        rows = []
         for number, cells in enumerate(lines, start=2):
             if len(cells) != len(header):
                 raise ValueError(f"{csv_path}: line {number} has "
                                  f"{len(cells)} cells, expected {len(header)}")
-            row = {col: float(cells[header.index(col)]) for col in columns}
-            if not all(math.isfinite(v) for v in row.values()):
-                raise ValueError(f"{csv_path}: line {number} holds a "
-                                 f"non-finite value")
-            rows.append(row)
-        rep = metrics.aggregate(rows, ks=(k,))
+        ades, fdes = ([float(cells[header.index(col)]) for cells in lines]
+                      for col in columns)
+        finite = [all(map(math.isfinite, pair)) for pair in zip(ades, fdes)]
+        if not all(finite):
+            raise ValueError(f"{csv_path}: line {finite.index(False) + 2} "
+                             f"holds a non-finite value")
+        rep = metrics.aggregate([ades], [fdes], ks=(k,))
         click.echo(metrics.format_report_table(rep))
         if hist_path or hist_svg_path:
-            hist = metrics.fde_histogram([row[f"minFDE@{k}"] for row in rows])
+            hist = metrics.fde_histogram(fdes)
             _write_histogram(hist, hist_path, hist_svg_path)
     except Exception as exc:  # noqa: BLE001
         _fail(exc)

@@ -173,17 +173,24 @@ def load_frames(path) -> dict[str, CityFrame]:
     The file holds a list of objects with keys ``name``, ``zone``,
     ``origin_easting`` and ``origin_northing``.
     """
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    frames = dict(BUILTIN_FRAMES)
-    for entry in raw:
-        frame = CityFrame(
-            name=str(entry["name"]),
-            zone=int(entry["zone"]),
-            origin_easting=float(entry["origin_easting"]),
-            origin_northing=float(entry["origin_northing"]),
-        )
-        frames[frame.name] = frame
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        frames = dict(BUILTIN_FRAMES)
+        for entry in raw:
+            frame = CityFrame(
+                name=str(entry["name"]),
+                zone=int(entry["zone"]),
+                origin_easting=float(entry["origin_easting"]),
+                origin_northing=float(entry["origin_northing"]),
+            )
+            frames[frame.name] = frame
+    except InvalidCoordinateError as exc:
+        raise InvalidCoordinateError(f"{path}: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors too.
+        raise ValueError(f"{path}: bad frames config "
+                         f"({type(exc).__name__}: {exc})") from None
     return frames
 
 

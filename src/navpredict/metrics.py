@@ -4,8 +4,18 @@ minFDE is the lowest Euclidean distance between the selected modes'
 endpoints and the ground-truth endpoint; minADE is the average
 point-wise error of the trajectory that won the minFDE selection (not
 the per-mode ADE minimizer); Miss Rate is the fraction of scenes whose
-minFDE exceeds 2 m, with a hit at exactly 2 m. For k=1 the single
-highest-confidence mode is used; ties break toward the lowest index.
+minFDE exceeds 2 m, with a hit at exactly 2 m. The k selected modes are
+the k most confident; confidence ties and distance ties both break
+toward the lowest mode index.
+
+A split is scored in one array pass for every k at once: predictions
+stack to ``(n, modes, 30, 2)``, one stable argsort orders the modes by
+confidence, the endpoints pick each k's winner, and only the winners'
+whole trajectories are measured. Every point error is
+``sqrt(dx*dx + dy*dy)`` element-wise, so no bit of a result depends on
+the BLAS kernel. The one-scene functions
+:func:`min_fde` and :func:`min_ade` call the same pass. :func:`aggregate`
+takes per-k columns of per-scene values.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ import numpy as np
 
 from .model import ModelConfig, ModelParams, PredictionSet, forward, \
     select_map_points
+from .scenario import FUTURE_LEN
 
 __all__ = [
     "MISS_DISTANCE",
@@ -61,66 +72,67 @@ class HistogramReport:
     empty: bool = False
 
 
-def _selected_modes(pred: PredictionSet, k: int) -> list[int]:
-    n_modes = pred.confidences.size
-    if k > n_modes:
-        raise ValueError(f"k={k} exceeds available modes {n_modes}")
-    # Stable sort by descending confidence; ties keep the lower index.
-    order = np.argsort(-pred.confidences, kind="stable")
-    return sorted(int(i) for i in order[:k])
+def _length(diffs: np.ndarray) -> np.ndarray:
+    """sqrt(dx*dx + dy*dy) along the last axis; squares ``diffs`` in place."""
+    diffs *= diffs
+    return np.sqrt(diffs[..., 0] + diffs[..., 1])
+
+
+def _evaluate(trajectories, confidences, futures, ks):
+    """(report, per-scene rows, winning modes ``(len(ks), n)``) of a split's
+    ``(n, modes, 30, 2)`` trajectories, in one array pass for every k."""
+    if not len(futures):
+        raise ValueError("empty split")
+    n, n_modes = confidences.shape
+    if not all(1 <= k <= n_modes for k in ks):
+        raise ValueError(f"k={tuple(ks)} outside the {n_modes} modes")
+    # Each mode's place in the descending-confidence order; ties keep order.
+    rank = np.argsort(-confidences, axis=1, kind="stable").argsort(axis=1)
+    ends = _length(trajectories[:, :, -1] - futures[:, None, -1])
+    masked = np.where(rank < np.array(ks)[:, None, None], ends, np.inf)
+    winner = masked.argmin(axis=2)                      # lowest index on ties
+    err = _length(trajectories[np.arange(n), winner] - futures)
+    fdes, ades = err[..., -1], err.mean(axis=-1)
+    keys = [f"{name}@{k}" for k in ks for name in ("minADE", "minFDE")]
+    cells = np.stack([ades, fdes], axis=1).reshape(len(keys), -1).T.tolist()
+    per_scene = [{"scene": i, **dict(zip(keys, row))}
+                 for i, row in enumerate(cells)]
+    return aggregate(ades, fdes, ks), per_scene, winner
 
 
 def min_fde(pred: PredictionSet, future: np.ndarray,
             k: int) -> tuple[float, int]:
     """(endpoint error of the best of the k selected modes, its index)."""
-    modes = _selected_modes(pred, k)
-    endpoint = future[-1]
-    best_idx = modes[0]
-    best = math.inf
-    for idx in modes:
-        dist = float(np.linalg.norm(pred.trajectories[idx][-1] - endpoint))
-        if dist < best:
-            best = dist
-            best_idx = idx
-    return best, best_idx
-
-
-def _ade(pred: PredictionSet, future: np.ndarray, idx: int) -> float:
-    return float(np.linalg.norm(pred.trajectories[idx] - future,
-                                axis=1).mean())
+    _, rows, winner = _evaluate(pred.trajectories[None],
+                                pred.confidences[None], future[None], (k,))
+    return rows[0][f"minFDE@{k}"], int(winner[0, 0])
 
 
 def min_ade(pred: PredictionSet, future: np.ndarray, k: int) -> float:
     """Average point-wise error of the minFDE-winning trajectory."""
-    return _ade(pred, future, min_fde(pred, future, k)[1])
+    return _evaluate(pred.trajectories[None], pred.confidences[None],
+                     future[None], (k,))[1][0][f"minADE@{k}"]
 
 
-def miss_rate(min_fdes) -> float:
-    """Fraction of scenes whose minFDE exceeds the 2 m radius."""
-    values = list(min_fdes)
-    if not values:
+def miss_rate(min_fdes):
+    """Fraction of scenes whose minFDE exceeds 2 m, along the last axis."""
+    values = np.asarray(min_fdes, dtype=float)
+    if values.shape[-1] == 0:
         raise ValueError("empty split")
-    return sum(1 for v in values if v > MISS_DISTANCE) / len(values)
+    return np.count_nonzero(values > MISS_DISTANCE, axis=-1) / values.shape[-1]
 
 
-def aggregate(per_scene: list[dict], ks=DEFAULT_KS) -> MetricReport:
-    """Split means of ``minADE@k`` and ``minFDE@k`` and the miss rate.
+def aggregate(min_ades, min_fdes, ks=DEFAULT_KS) -> MetricReport:
+    """Split means of minADE and minFDE and the miss rate, per k.
 
-    ``per_scene`` holds one row per scene, as :func:`evaluate_predictions`
-    returns them or as read back from its CSV dump.
+    ``min_ades`` and ``min_fdes`` are ``(len(ks), n)`` columns of per-scene
+    values, as :func:`evaluate_predictions` computes them or its CSV holds.
     """
-    if not per_scene:
-        raise ValueError("empty split")
-    values = {}
-    for k in ks:
-        fdes = [row[f"minFDE@{k}"] for row in per_scene]
-        values[k] = {
-            "minADE": float(np.mean([row[f"minADE@{k}"]
-                                     for row in per_scene])),
-            "minFDE": float(np.mean(fdes)),
-            "MR": miss_rate(fdes),
-        }
-    return MetricReport(scene_count=len(per_scene), values=values)
+    rates = miss_rate(min_fdes)
+    values = {k: {"minADE": float(a), "minFDE": float(f), "MR": float(mr)}
+              for k, a, f, mr in zip(ks, np.mean(min_ades, axis=1),
+                                     np.mean(min_fdes, axis=1), rates)}
+    return MetricReport(scene_count=np.shape(min_fdes)[1], values=values)
 
 
 def evaluate_predictions(preds: list[PredictionSet],
@@ -129,29 +141,24 @@ def evaluate_predictions(preds: list[PredictionSet],
     """Aggregate metrics over a split, plus per-scene rows for CSV dumps."""
     if len(preds) != len(futures):
         raise ValueError("predictions and futures differ in length")
-    per_scene = []
-    for i, (pred, future) in enumerate(zip(preds, futures)):
-        row = {"scene": i}
-        for k in ks:
-            fde, idx = min_fde(pred, future, k)
-            row[f"minADE@{k}"] = _ade(pred, future, idx)
-            row[f"minFDE@{k}"] = fde
-        per_scene.append(row)
-    return aggregate(per_scene, ks), per_scene
+    return _evaluate(np.array([p.trajectories for p in preds]),
+                     np.array([p.confidences for p in preds]),
+                     np.array(futures), ks)[:2]
 
 
 def evaluate_model(params: ModelParams, config: ModelConfig, scenes,
                    map_points, ks=DEFAULT_KS):
     """Run the model over a split and aggregate the metric report."""
-    preds = []
-    futures = []
-    for scene in scenes:
+    # Filled scene by scene: no PredictionSet outlives its forward pass.
+    trajectories = np.empty((len(scenes), config.k, FUTURE_LEN, 2))
+    confidences = np.empty((len(scenes), config.k))
+    for i, scene in enumerate(scenes):
         observed = scene.agents[scene.target]
         pts = select_map_points(map_points, observed[-1], config.map_radius)
         pred, _xi, _cache = forward(observed, pts, params)
-        preds.append(pred)
-        futures.append(scene.future)
-    return evaluate_predictions(preds, futures, ks=ks)
+        trajectories[i], confidences[i] = pred.trajectories, pred.confidences
+    return _evaluate(trajectories, confidences,
+                     np.array([scene.future for scene in scenes]), ks)[:2]
 
 
 def _silverman_bandwidth(values: np.ndarray) -> float:

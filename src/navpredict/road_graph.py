@@ -281,7 +281,7 @@ def save_graph(g: NavGraph, path):
 def load_graph(path) -> NavGraph:
     """Read a graph written by :func:`save_graph`."""
     nodes: dict[int, GeoPoint] = {}
-    edges: list[EdgeId] = []
+    edges: dict[EdgeId, None] = {}       # insertion-ordered set
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -290,10 +290,15 @@ def load_graph(path) -> NavGraph:
             parts = line.split()
             try:
                 if parts[0] == "N" and len(parts) == 4:
-                    nodes[int(parts[1])] = GeoPoint(float(parts[2]),
-                                                    float(parts[3]))
+                    nid = int(parts[1])
+                    if nid in nodes:
+                        raise ValueError(f"repeated node {nid}")
+                    nodes[nid] = GeoPoint(float(parts[2]), float(parts[3]))
                 elif parts[0] == "E" and len(parts) == 3:
-                    edges.append((int(parts[1]), int(parts[2])))
+                    edge = (int(parts[1]), int(parts[2]))
+                    if edge in edges:
+                        raise ValueError(f"repeated edge {edge}")
+                    edges[edge] = None
                 else:
                     raise ValueError("unrecognized record")
             except ValueError as exc:

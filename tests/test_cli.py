@@ -83,6 +83,48 @@ def test_ingest_malformed_osm_reports_error_code(tmp_path, runner):
     assert "error code=parse-error" in result.stderr
 
 
+@pytest.mark.parametrize("command", ["ingest", "query"])
+@pytest.mark.parametrize("text,code", [
+    ('[{"name": "x", "zone": 17, "origin_northing": 0}]', "invalid-input"),
+    ('[{"name": "x", "zone": 17, "origin_easting": "nan", '
+     '"origin_northing": 0}]', "invalid-coordinate"),
+    ('[{"name": ', "invalid-input"),
+], ids=["missing-key", "nan-origin", "broken-json"])
+def test_malformed_frames_config_reports_error_code(tmp_path, runner,
+                                                    command, text, code):
+    config = tmp_path / "frames.json"
+    config.write_text(text)
+    graph = tmp_path / "g.txt"
+    graph.write_text("N 1 25.0 -80.0\n")
+    args = {
+        "ingest": ["ingest", str(FIXTURE), "--out", str(graph)],
+        "query": ["query", "--graph", str(graph), "--x", "0", "--y", "0",
+                  "--radius", "10"],
+    }[command]
+    result = runner.invoke(main, [*args, "--frame", "x",
+                                  "--frames-config", str(config)])
+    assert result.exit_code == 1
+    assert f"error code={code}" in result.stderr
+    assert str(config) in result.stderr
+
+
+@pytest.mark.parametrize("text,line", [
+    ("N 1 25.77 -80.19\nN 1 25.78 -80.19\n", 2),
+    ("N 1 25.77 -80.19\nN 2 25.78 -80.19\nE 1 2\nE 1 2\n", 4),
+], ids=["node", "edge"])
+def test_query_repeated_record_is_graph_format_error(tmp_path, runner, text,
+                                                     line):
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    result = runner.invoke(main, [
+        "query", "--graph", str(graph), "--frame", "miami",
+        "--x", "0", "--y", "0", "--radius", "10",
+    ])
+    assert result.exit_code == 1
+    assert "error code=graph-format" in result.stderr
+    assert f"{graph}:{line}: " in result.stderr
+
+
 def test_ingest_empty_osm_succeeds(tmp_path, runner):
     empty = tmp_path / "empty.osm"
     empty.write_text('<?xml version="1.0"?><osm></osm>')

@@ -5,6 +5,8 @@ import pytest
 
 from navpredict.metrics import (
     MISS_DISTANCE,
+    _evaluate,
+    aggregate,
     evaluate_predictions,
     fde_histogram,
     format_report_table,
@@ -166,21 +168,108 @@ def test_evaluate_predictions_aggregates():
     assert report.values[6]["minFDE"] <= report.values[1]["minFDE"]
 
 
-def test_evaluate_predictions_selects_modes_once(monkeypatch):
-    from navpredict import metrics
+# The per-scene loop that the split pass replaced, kept as its reference.
+def _reference_selected_modes(pred, k):
+    order = np.argsort(-pred.confidences, kind="stable")
+    return sorted(int(i) for i in order[:k])
 
-    original = metrics._selected_modes
-    calls = []
 
-    def counting(pred, k):
-        calls.append(k)
-        return original(pred, k)
+def _reference_min_fde(pred, future, k):
+    modes = _reference_selected_modes(pred, k)
+    best_idx, best = modes[0], math.inf
+    for idx in modes:
+        dist = float(np.linalg.norm(pred.trajectories[idx][-1] - future[-1]))
+        if dist < best:
+            best, best_idx = dist, idx
+    return best, best_idx
 
-    monkeypatch.setattr(metrics, "_selected_modes", counting)
-    rng = np.random.default_rng(3)
-    preds, futures = zip(*[_random_instance(rng) for _ in range(5)])
-    evaluate_predictions(list(preds), list(futures), ks=(1, 3, 6))
-    assert sorted(calls) == [1] * 5 + [3] * 5 + [6] * 5
+
+def _reference_ade(pred, future, idx):
+    return float(np.linalg.norm(pred.trajectories[idx] - future,
+                                axis=1).mean())
+
+
+def _split(preds, futures, ks):
+    """(report, per-scene rows, winners) of one pass over a stacked split."""
+    return _evaluate(np.array([p.trajectories for p in preds]),
+                     np.array([p.confidences for p in preds]),
+                     np.array(futures), ks)
+
+
+def test_split_pass_matches_per_scene_reference():
+    # Tolerance: the reference's endpoint norm is a BLAS dot product, whose
+    # last bit may differ from sqrt(dx*dx + dy*dy); minADE's arithmetic
+    # is unchanged and must match bit for bit.
+    rng = np.random.default_rng(11)
+    preds, futures = zip(*[_random_instance(rng) for _ in range(2000)])
+    ks = (1, 3, 6)
+    report, rows, winners = _split(preds, futures, ks)
+    assert list(rows[0]) == ["scene", "minADE@1", "minFDE@1", "minADE@3",
+                             "minFDE@3", "minADE@6", "minFDE@6"]
+    for j, k in enumerate(ks):
+        ref_ades = []
+        for i, (pred, future) in enumerate(zip(preds, futures)):
+            ref_fde, ref_idx = _reference_min_fde(pred, future, k)
+            ref_ades.append(_reference_ade(pred, future, ref_idx))
+            win = int(winners[j, i])
+            fde = rows[i][f"minFDE@{k}"]
+            assert abs(fde - ref_fde) <= 2 * np.spacing(ref_fde)
+            assert rows[i][f"minADE@{k}"] == _reference_ade(pred, future, win)
+            if win != ref_idx:
+                assert win in _reference_selected_modes(pred, k)
+                other = np.linalg.norm(pred.trajectories[win][-1]
+                                       - future[-1])
+                assert abs(other - ref_fde) <= 2 * np.spacing(ref_fde)
+        assert report.values[k]["minADE"] == float(np.mean(ref_ades))
+
+
+def test_split_min_fde_is_exact_sqrt_of_brute_force_winner():
+    rng = np.random.default_rng(12)
+    preds, futures = zip(*[_random_instance(rng) for _ in range(2000)])
+    _, rows = evaluate_predictions(list(preds), list(futures), ks=(1, 3, 6))
+    for k in (1, 3, 6):
+        expect = [_brute_fde(p, f, k)[0] for p, f in zip(preds, futures)]
+        assert [r[f"minFDE@{k}"] for r in rows] == expect
+
+
+def test_split_pass_confidence_and_distance_ties():
+    # Endpoints of modes 0-2 lie exactly 5 m from the true endpoint, mode
+    # 3's on it; mode 0 strays 1 m on each axis before its endpoint.
+    traj = np.zeros((4, FUTURE_LEN, 2))
+    traj[:3, -1] = [[4.0, 3.0], [3.0, 4.0], [-3.0, -4.0]]
+    traj[0, :-1] = 1.0
+    future = np.zeros((FUTURE_LEN, 2))
+    # Confidence ties: modes 1 and 2 rank first, then 0 and 3, so k=1
+    # selects {1}, k=2 {1, 2} and k=3 {0, 1, 2}.
+    tied = PredictionSet(traj, np.array([0.2, 0.3, 0.3, 0.2]))
+    # Here 0 and 3 rank first: k=1 selects {0}, k=2 {0, 3}.
+    other = PredictionSet(traj, np.array([0.3, 0.2, 0.2, 0.3]))
+    _, rows, winners = _split([tied, other], [future, future], (1, 2, 3, 4))
+    assert winners.tolist() == [[1, 0], [1, 3], [0, 3], [3, 3]]
+    straying = _reference_ade(tied, future, 0)
+    expect = {1: [(5.0, 5.0 / FUTURE_LEN), (5.0, straying)],
+              2: [(5.0, 5.0 / FUTURE_LEN), (0.0, 0.0)],
+              3: [(5.0, straying), (0.0, 0.0)],
+              4: [(0.0, 0.0), (0.0, 0.0)]}
+    for k, scenes in expect.items():
+        assert [(r[f"minFDE@{k}"], r[f"minADE@{k}"]) for r in rows] == scenes
+
+
+def test_k_below_one_rejected():
+    pred = PredictionSet(np.zeros((2, FUTURE_LEN, 2)),
+                         np.array([0.5, 0.5]))
+    with pytest.raises(ValueError):
+        min_fde(pred, np.zeros((FUTURE_LEN, 2)), 0)
+
+
+def test_aggregate_reads_per_k_columns():
+    report = aggregate([[1.0, 3.0, 2.0], [0.5, 0.5, 0.5]],
+                       [[2.0, 4.0, 3.0], [1.0, 1.0, 2.5]], ks=(1, 6))
+    assert report.scene_count == 3
+    assert report.values[1] == {"minADE": 2.0, "minFDE": 3.0, "MR": 2 / 3}
+    assert report.values[6] == {"minADE": 0.5, "minFDE": 1.5, "MR": 1 / 3}
+    with pytest.raises(ValueError):
+        aggregate([[]], [[]], ks=(6,))
 
 
 def test_evaluate_model_stationary_scene_all_zero():

@@ -1,6 +1,7 @@
 import gc
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -226,6 +227,19 @@ def test_load_rejects_wrong_field_count(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("N 1 0.0\n")
     with pytest.raises(GraphFormatError):
+        load_graph(path)
+
+
+@pytest.mark.parametrize("text,line,what", [
+    ("N 1 25.0 -80.0\nN 2 25.0 -80.1\nN 1 26.0 -80.0\n", 3, "node 1"),
+    ("N 1 25.0 -80.0\nN 2 25.0 -80.1\nE 1 2\nE 2 1\nE 1 2\n", 5,
+     "edge (1, 2)"),
+], ids=["node", "edge"])
+def test_load_rejects_repeated_record(tmp_path, text, line, what):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(GraphFormatError, match=f":{line}: .*repeated "
+                                               f"{re.escape(what)}"):
         load_graph(path)
 
 
