@@ -4,7 +4,9 @@ Subcommands: ingest, gen, train, eval, query, report. Every command
 takes all randomness from an explicit ``--seed`` and, run single
 threaded with identical flags, produces byte-identical primary outputs.
 A run manifest (command, config snapshot, seed, paths, version,
-duration) is written atomically next to every primary output.
+duration) is written atomically next to every primary output. A command
+exits 0 on success, 2 on a usage error that click reports, and 1 with
+``error code=<name> msg=<message>`` on stderr on any other failure.
 
 The modules that use numpy are imported inside the commands, not here,
 so that ``--threads`` sets the thread-pool variables before numpy loads
@@ -41,7 +43,7 @@ def _fail(exc: BaseException):
         (FrameMismatchError, "frame-mismatch"),
         (InvalidCoordinateError, "invalid-coordinate"),
         (model.NumericError, "numeric-error"),
-        (FileNotFoundError, "io-error"),
+        (OSError, "io-error"),
         (ValueError, "invalid-input"),
     )
     code = "internal-error"
@@ -73,12 +75,7 @@ def _write_manifest(output_path: str, command: str, config: dict,
 
 
 def _resolve_frame(name: str, frames_config):
-    frames = BUILTIN_FRAMES
-    if frames_config:
-        try:
-            frames = load_frames(frames_config)
-        except (OSError, ValueError) as exc:
-            _fail(exc)
+    frames = load_frames(frames_config) if frames_config else BUILTIN_FRAMES
     if name not in frames:
         raise click.UsageError(
             f"unknown frame {name!r}; known: {', '.join(sorted(frames))}"
@@ -86,15 +83,25 @@ def _resolve_frame(name: str, frames_config):
     return frames[name]
 
 
-@click.group()
+class _ErrorBoundary(click.Group):
+    """Sends every command failure that is not click's own to _fail."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:  # noqa: BLE001 - the one reporting point
+            _fail(exc)
+
+
+@click.group(cls=_ErrorBoundary)
 @click.version_option(version=__version__)
-@click.option("--threads", default=None, type=int,
+@click.option("--threads", default=None, type=click.IntRange(min=1),
               help="Cap numeric thread pools (use 1 for byte-stable runs).")
 def main(threads):
     """Navigation-map road graphs and map-aware trajectory prediction."""
     if threads is not None:
-        if threads < 1:
-            raise click.UsageError("--threads must be >= 1")
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
             os.environ[var] = str(threads)
@@ -109,7 +116,7 @@ def main(threads):
 @click.argument("osm_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--frame", "frame_name", required=True,
               help="City frame for projection sanity checks.")
-@click.option("--frames-config", type=click.Path(exists=True),
+@click.option("--frames-config", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Extra city frames (JSON).")
 @click.option("--out", "out_path", required=True, type=click.Path())
 def ingest(osm_path, frame_name, frames_config, out_path):
@@ -118,15 +125,12 @@ def ingest(osm_path, frame_name, frames_config, out_path):
 
     started = time.time()
     frame = _resolve_frame(frame_name, frames_config)
-    try:
-        with open(osm_path, "rb") as fh:
-            nodes, ways = osm_ingest.parse_osm(fh)
-        graph = osm_ingest.build_nav_graph(nodes, ways)
-        # Localizing validates that every node projects into the frame.
-        road_graph.localize(graph, frame)
-        road_graph.save_graph(graph, out_path)
-    except Exception as exc:  # noqa: BLE001 - single reporting point
-        _fail(exc)
+    with open(osm_path, "rb") as fh:
+        nodes, ways = osm_ingest.parse_osm(fh)
+    graph = osm_ingest.build_nav_graph(nodes, ways)
+    # Localizing validates that every node projects into the frame.
+    road_graph.localize(graph, frame)
+    road_graph.save_graph(graph, out_path)
     _write_manifest(out_path, "ingest",
                     {"frame": frame.name, "zone": frame.zone},
                     None, [osm_path], started)
@@ -161,32 +165,29 @@ def gen(out_dir, n, seed, roads, lanes, lane_width, curvature,
     from . import scenario
 
     started = time.time()
-    try:
-        if not (math.isfinite(train_fraction)
-                and 0.0 <= train_fraction <= 1.0):
-            raise ValueError(f"--split must be a train fraction in [0, 1], "
-                             f"got {train_fraction}")
-        spec = scenario.WorldSpec(
-            seed=seed, num_roads=roads, lanes_per_road=lanes,
-            lane_width=lane_width, curvature_range=tuple(curvature),
-            intersection_count=intersections,
+    if not (math.isfinite(train_fraction)
+            and 0.0 <= train_fraction <= 1.0):
+        raise ValueError(f"--split must be a train fraction in [0, 1], "
+                         f"got {train_fraction}")
+    spec = scenario.WorldSpec(
+        seed=seed, num_roads=roads, lanes_per_road=lanes,
+        lane_width=lane_width, curvature_range=tuple(curvature),
+        intersection_count=intersections,
+    )
+    world = scenario.generate_world(spec)
+    scenes = scenario.generate_scenes(
+        world, n, seed=seed, noise_sigma=noise, p_turn=p_turn,
+        p_lane_change=p_lane_change,
+    )
+    os.makedirs(out_dir, exist_ok=True)
+    scenario.write_world(world, *_world_paths(out_dir))
+    splits = {"train": [], "val": []}
+    for scene in scenes:
+        splits[_split_of(scene.scene_id, train_fraction)].append(scene)
+    for name, subset in splits.items():
+        scenario.write_scenes(
+            subset, os.path.join(out_dir, f"scenes_{name}.ndjson")
         )
-        world = scenario.generate_world(spec)
-        scenes = scenario.generate_scenes(
-            world, n, seed=seed, noise_sigma=noise, p_turn=p_turn,
-            p_lane_change=p_lane_change,
-        )
-        os.makedirs(out_dir, exist_ok=True)
-        scenario.write_world(world, *_world_paths(out_dir))
-        splits = {"train": [], "val": []}
-        for scene in scenes:
-            splits[_split_of(scene.scene_id, train_fraction)].append(scene)
-        for name, subset in splits.items():
-            scenario.write_scenes(
-                subset, os.path.join(out_dir, f"scenes_{name}.ndjson")
-            )
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
     config = {
         "world": asdict(spec), "n": n, "noise": noise, "p_turn": p_turn,
         "p_lane_change": p_lane_change, "train_fraction": train_fraction,
@@ -200,8 +201,8 @@ def gen(out_dir, n, seed, roads, lanes, lane_width, curvature,
 def _data_dir_option():
     return click.option(
         "--data", "data_dir", type=click.Path(exists=True, file_okay=False),
-        default=lambda: os.environ.get("NAVPREDICT_DATA_DIR"),
-        required=False, help="Dataset directory (or $NAVPREDICT_DATA_DIR).",
+        envvar="NAVPREDICT_DATA_DIR", required=True,
+        help="Dataset directory (or $NAVPREDICT_DATA_DIR).",
     )
 
 
@@ -235,8 +236,6 @@ def train(data_dir, map_source, teacher_path, variant, alpha, beta, seed,
     from . import model as model_mod
 
     started = time.time()
-    if data_dir is None:
-        raise click.UsageError("--data or NAVPREDICT_DATA_DIR required")
     if teacher_path is not None:
         if map_source != "nav":
             raise click.UsageError("--distill requires --map nav")
@@ -246,37 +245,32 @@ def train(data_dir, map_source, teacher_path, variant, alpha, beta, seed,
             if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
                 raise click.UsageError(f"{flag} cannot be used with "
                                        f"--distill")
-    try:
-        tcfg = distill.TrainConfig(epochs=epochs, lr=lr, seed=seed)
-        scenes = scenario.read_scenes(
-            os.path.join(data_dir, "scenes_train.ndjson")
+    tcfg = distill.TrainConfig(epochs=epochs, lr=lr, seed=seed)
+    scenes = scenario.read_scenes(
+        os.path.join(data_dir, "scenes_train.ndjson")
+    )
+    world = scenario.read_world(*_world_paths(data_dir))
+    if teacher_path is not None:
+        dcfg = distill.DistillConfig(alpha=alpha, beta=beta,
+                                     variant=variant)
+        result = distill.train_student(
+            scenes, world, model_mod.load_checkpoint(teacher_path),
+            dcfg, tcfg, map_radius=map_radius,
         )
-        world = scenario.read_world(*_world_paths(data_dir))
-        if teacher_path is not None:
-            dcfg = distill.DistillConfig(alpha=alpha, beta=beta,
-                                         variant=variant)
-            result = distill.train_student(
-                scenes, world, model_mod.load_checkpoint(teacher_path),
-                dcfg, tcfg, map_radius=map_radius,
-            )
-        else:
-            config = model_mod.ModelConfig(
-                d=embed_width, hidden=hidden, map_radius=map_radius,
-                map_source=map_source,
-            )
-            result = distill.train(
-                scenes, scenario.view_points(world, map_source), config, tcfg,
-            )
-        model_mod.save_checkpoint(out_path, result.params, result.config)
-        with open(out_path + ".loss.csv", "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write("epoch,smoothed_loss\n")
-            for epoch, value in enumerate(result.loss_curve, start=1):
-                fh.write(f"{epoch},{value:.9f}\n")
-    except click.UsageError:
-        raise
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
+    else:
+        config = model_mod.ModelConfig(
+            d=embed_width, hidden=hidden, map_radius=map_radius,
+            map_source=map_source,
+        )
+        result = distill.train(
+            scenes, scenario.view_points(world, map_source), config, tcfg,
+        )
+    model_mod.save_checkpoint(out_path, result.params, result.config)
+    with open(out_path + ".loss.csv", "w", encoding="utf-8",
+              newline="\n") as fh:
+        fh.write("epoch,smoothed_loss\n")
+        for epoch, value in enumerate(result.loss_curve, start=1):
+            fh.write(f"{epoch},{value:.9f}\n")
     config_snapshot = asdict(result.config)
     config_snapshot.update({"epochs": epochs, "lr": lr, "alpha": alpha,
                             "beta": beta, "variant": variant,
@@ -363,44 +357,38 @@ def eval_cmd(data_dir, ckpt_path, split, json_path, csv_path, hist_path,
     from . import model as model_mod
 
     started = time.time()
-    if data_dir is None:
-        raise click.UsageError("--data or NAVPREDICT_DATA_DIR required")
-    try:
-        params, config = model_mod.load_checkpoint(ckpt_path)
-        scenes = scenario.read_scenes(
-            os.path.join(data_dir, f"scenes_{split}.ndjson")
+    params, config = model_mod.load_checkpoint(ckpt_path)
+    scenes = scenario.read_scenes(
+        os.path.join(data_dir, f"scenes_{split}.ndjson")
+    )
+    world = scenario.read_world(*_world_paths(data_dir))
+    report, per_scene = metrics.evaluate_model(
+        params, config, scenes,
+        scenario.view_points(world, config.map_source),
+    )
+    click.echo(metrics.format_report_table(report))
+    if json_path:
+        with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(report.as_dict(), fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        _write_manifest(json_path, "eval",
+                        {"split": split, "ckpt": ckpt_path}, None,
+                        [data_dir, ckpt_path], started)
+    if csv_path:
+        _write_per_scene_csv(csv_path, per_scene)
+    if hist_path or hist_svg_path:
+        hist = metrics.fde_histogram(
+            [row["minFDE@6"] for row in per_scene]
         )
-        world = scenario.read_world(*_world_paths(data_dir))
-        report, per_scene = metrics.evaluate_model(
-            params, config, scenes,
-            scenario.view_points(world, config.map_source),
-        )
-        click.echo(metrics.format_report_table(report))
-        if json_path:
-            with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-                json.dump(report.as_dict(), fh, indent=1, sort_keys=True)
-                fh.write("\n")
-            _write_manifest(json_path, "eval",
-                            {"split": split, "ckpt": ckpt_path}, None,
-                            [data_dir, ckpt_path], started)
-        if csv_path:
-            _write_per_scene_csv(csv_path, per_scene)
-        if hist_path or hist_svg_path:
-            hist = metrics.fde_histogram(
-                [row["minFDE@6"] for row in per_scene]
-            )
-            _write_histogram(hist, hist_path, hist_svg_path)
-    except click.UsageError:
-        raise
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
+        _write_histogram(hist, hist_path, hist_svg_path)
 
 
 @main.command()
 @click.option("--graph", "graph_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--frame", "frame_name", required=True)
-@click.option("--frames-config", type=click.Path(exists=True), default=None)
+@click.option("--frames-config", type=click.Path(exists=True, dir_okay=False),
+              default=None)
 @click.option("--x", required=True, type=float)
 @click.option("--y", required=True, type=float)
 @click.option("--radius", required=True, type=float)
@@ -411,19 +399,16 @@ def query(graph_path, frame_name, frames_config, x, y, radius, step):
     from . import road_graph
 
     frame = _resolve_frame(frame_name, frames_config)
-    try:
-        graph = road_graph.load_graph(graph_path)
-        local = road_graph.localize(graph, frame, resample_step=step)
-        segments = road_graph.segments_in_radius(
-            local, LocalPoint(x, y), radius
-        )
-        click.echo("src,dst,polyline")
-        for seg in segments:
-            poly = ";".join(f"{px:.6f} {py:.6f}"
-                            for px, py in seg.points.tolist())
-            click.echo(f"{seg.src},{seg.dst},{poly}")
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
+    graph = road_graph.load_graph(graph_path)
+    local = road_graph.localize(graph, frame, resample_step=step)
+    segments = road_graph.segments_in_radius(
+        local, LocalPoint(x, y), radius
+    )
+    click.echo("src,dst,polyline")
+    for seg in segments:
+        poly = ";".join(f"{px:.6f} {py:.6f}"
+                        for px, py in seg.points.tolist())
+        click.echo(f"{seg.src},{seg.dst},{poly}")
 
 
 @main.command()
@@ -437,31 +422,30 @@ def report(csv_path, k, hist_path, hist_svg_path):
     """Summarize a per-scene CSV: metric table and error histogram."""
     from . import metrics
 
-    try:
-        with open(csv_path, encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            lines = [line.strip().split(",") for line in fh if line.strip()]
-        columns = [f"minADE@{k}", f"minFDE@{k}"]
-        missing = [col for col in columns if col not in header]
-        if missing:
-            raise ValueError(f"{csv_path}: no column {missing[0]!r}")
-        for number, cells in enumerate(lines, start=2):
-            if len(cells) != len(header):
-                raise ValueError(f"{csv_path}: line {number} has "
-                                 f"{len(cells)} cells, expected {len(header)}")
-        ades, fdes = ([float(cells[header.index(col)]) for cells in lines]
-                      for col in columns)
-        finite = [all(map(math.isfinite, pair)) for pair in zip(ades, fdes)]
-        if not all(finite):
-            raise ValueError(f"{csv_path}: line {finite.index(False) + 2} "
+    with open(csv_path, encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        # Numbered by file line, blank lines included.
+        lines = [(number, line.strip().split(","))
+                 for number, line in enumerate(fh, start=2) if line.strip()]
+    columns = [f"minADE@{k}", f"minFDE@{k}"]
+    missing = [col for col in columns if col not in header]
+    if missing:
+        raise ValueError(f"{csv_path}: no column {missing[0]!r}")
+    for number, cells in lines:
+        if len(cells) != len(header):
+            raise ValueError(f"{csv_path}: line {number} has "
+                             f"{len(cells)} cells, expected {len(header)}")
+    ades, fdes = ([float(cells[header.index(col)]) for _, cells in lines]
+                  for col in columns)
+    for (number, _), ade, fde in zip(lines, ades, fdes):
+        if not (math.isfinite(ade) and math.isfinite(fde)):
+            raise ValueError(f"{csv_path}: line {number} "
                              f"holds a non-finite value")
-        rep = metrics.aggregate([ades], [fdes], ks=(k,))
-        click.echo(metrics.format_report_table(rep))
-        if hist_path or hist_svg_path:
-            hist = metrics.fde_histogram(fdes)
-            _write_histogram(hist, hist_path, hist_svg_path)
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
+    rep = metrics.aggregate([ades], [fdes], ks=(k,))
+    click.echo(metrics.format_report_table(rep))
+    if hist_path or hist_svg_path:
+        hist = metrics.fde_histogram(fdes)
+        _write_histogram(hist, hist_path, hist_svg_path)
 
 
 if __name__ == "__main__":

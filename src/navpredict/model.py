@@ -521,38 +521,51 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig):
 def load_checkpoint(path):
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    Raises ``ValueError`` on an unknown version, a layout that does not
-    match the config, a truncated payload, bytes after the payload and
-    non-finite parameter values.
+    Raises ``ValueError`` naming ``path`` on a header that is not a JSON
+    object, lacks a key or holds a mistyped field, an unknown version, a
+    layout that does not match the config, a truncated payload, bytes
+    after the payload and non-finite parameter values.
     """
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        header = json.loads(header_line.decode("utf-8"))
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(
-                f"unsupported checkpoint version {header.get('version')}"
+    try:
+        with open(path, "rb") as fh:
+            header_line = fh.readline()
+            header = json.loads(header_line.decode("utf-8"))
+            if not isinstance(header, dict):
+                raise ValueError("checkpoint header is not a JSON object")
+            if header.get("version") != CHECKPOINT_VERSION:
+                raise ValueError(
+                    f"unsupported checkpoint version {header.get('version')}"
+                )
+            cfg = header["config"]
+            config = ModelConfig(
+                d=int(cfg["d"]), k=int(cfg["k"]), hidden=int(cfg["hidden"]),
+                map_radius=float(cfg["map_radius"]),
+                map_source=str(cfg["map_source"]),
             )
-        cfg = header["config"]
-        config = ModelConfig(
-            d=int(cfg["d"]), k=int(cfg["k"]), hidden=int(cfg["hidden"]),
-            map_radius=float(cfg["map_radius"]),
-            map_source=str(cfg["map_source"]),
-        )
-        shapes = _shapes(config)
-        expected = [[name, list(shape)]
-                    for name, shape in zip(PARAM_FIELDS, shapes)]
-        if header["shapes"] != expected:
-            raise ValueError(f"checkpoint layout {header['shapes']} does "
-                             f"not match its config, expected {expected}")
-        nbytes = 8 * sum(map(math.prod, shapes))
-        payload = fh.read(nbytes)
-        if len(payload) != nbytes:
-            raise ValueError(f"checkpoint truncated: payload has "
-                             f"{len(payload)} bytes, expected {nbytes}")
-        if fh.read(1):
-            raise ValueError("checkpoint has trailing bytes after its "
-                             "payload")
-    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    if not np.isfinite(flat).all():
-        raise ValueError("checkpoint payload holds non-finite values")
+            shapes = _shapes(config)
+            expected = [[name, list(shape)]
+                        for name, shape in zip(PARAM_FIELDS, shapes)]
+            if header["shapes"] != expected:
+                raise ValueError(f"checkpoint layout {header['shapes']} does "
+                                 f"not match its config, expected {expected}")
+            nbytes = 8 * sum(map(math.prod, shapes))
+            payload = fh.read(nbytes)
+            if len(payload) != nbytes:
+                raise ValueError(f"checkpoint truncated: payload has "
+                                 f"{len(payload)} bytes, expected {nbytes}")
+            if fh.read(1):
+                raise ValueError("checkpoint has trailing bytes after its "
+                                 "payload")
+        flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+        if not np.isfinite(flat).all():
+            raise ValueError("checkpoint payload holds non-finite values")
+    except KeyError as exc:
+        raise ValueError(f"{path}: checkpoint header has no key "
+                         f"{exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"{path}: checkpoint header has a mistyped field "
+                         f"({exc})") from exc
+    except ValueError as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors too.
+        raise ValueError(f"{path}: {exc}") from exc
     return ModelParams(flat, shapes), config

@@ -279,9 +279,12 @@ def save_graph(g: NavGraph, path):
 
 
 def load_graph(path) -> NavGraph:
-    """Read a graph written by :func:`save_graph`."""
+    """Read a graph written by :func:`save_graph`.
+
+    ``E`` lines may come before the ``N`` lines of their nodes.
+    """
     nodes: dict[int, GeoPoint] = {}
-    edges: dict[EdgeId, None] = {}       # insertion-ordered set
+    edges: dict[EdgeId, int] = {}        # insertion-ordered, edge -> line
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -298,11 +301,17 @@ def load_graph(path) -> NavGraph:
                     edge = (int(parts[1]), int(parts[2]))
                     if edge in edges:
                         raise ValueError(f"repeated edge {edge}")
-                    edges[edge] = None
+                    if edge[0] == edge[1]:
+                        raise ValueError(f"self-loop edge at node {edge[0]}")
+                    edges[edge] = lineno
                 else:
                     raise ValueError("unrecognized record")
             except ValueError as exc:
                 raise GraphFormatError(
                     f"{path}:{lineno}: bad graph line {line!r} ({exc})"
                 ) from exc
+    for (src, dst), lineno in edges.items():
+        if src not in nodes or dst not in nodes:
+            raise GraphFormatError(f"{path}:{lineno}: edge ({src}, {dst}) "
+                                   f"references missing node")
     return NavGraph(nodes=nodes, edges=tuple(edges))

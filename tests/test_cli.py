@@ -111,7 +111,9 @@ def test_malformed_frames_config_reports_error_code(tmp_path, runner,
 @pytest.mark.parametrize("text,line", [
     ("N 1 25.77 -80.19\nN 1 25.78 -80.19\n", 2),
     ("N 1 25.77 -80.19\nN 2 25.78 -80.19\nE 1 2\nE 1 2\n", 4),
-], ids=["node", "edge"])
+    ("N 1 25.0 -80.2\nE 1 2\n", 2),
+    ("N 1 25.0 -80.2\nE 1 1\n", 2),
+], ids=["node", "edge", "missing-node", "self-loop"])
 def test_query_repeated_record_is_graph_format_error(tmp_path, runner, text,
                                                      line):
     graph = tmp_path / "g.txt"
@@ -281,6 +283,36 @@ def test_eval_histogram_outputs(tmp_path, runner, dataset):
     assert svg.read_text().startswith("<svg")
 
 
+_CKPT_CONFIG = {"d": 4, "k": 6, "hidden": 4, "map_radius": 50.0,
+                "map_source": "hd"}
+
+
+@pytest.mark.parametrize("command", ["eval", "distill"])
+@pytest.mark.parametrize("header", [
+    b'{"version": 2,',
+    b"[1, 2]",
+    b'{"version": 2}',
+    json.dumps({"version": 2, "config": _CKPT_CONFIG}).encode(),
+    json.dumps({"version": 2, "config": dict(_CKPT_CONFIG, d=None),
+                "shapes": []}).encode(),
+], ids=["not-json", "not-object", "no-config", "no-shapes", "mistyped"])
+def test_malformed_checkpoint_header_is_invalid_input(tmp_path, runner,
+                                                      dataset, command,
+                                                      header):
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(header + b"\n")
+    args = {
+        "eval": ["eval", "--data", str(dataset), "--ckpt", str(ckpt)],
+        "distill": ["train", "--data", str(dataset), "--map", "nav",
+                    "--distill", str(ckpt), "--epochs", "1",
+                    "--out", str(tmp_path / "s.ckpt")],
+    }[command]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert "error code=invalid-input" in result.stderr
+    assert str(ckpt) in result.stderr
+
+
 def test_eval_missing_checkpoint(tmp_path, runner, dataset):
     result = runner.invoke(main, [
         "eval", "--data", str(dataset),
@@ -320,6 +352,55 @@ def test_report_from_csv(tmp_path, runner, dataset):
 def test_threads_option_validated(runner):
     result = runner.invoke(main, ["--threads", "0", "gen", "--out", "x"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--map", "none", "--out", "m.ckpt"],
+    ["eval", "--ckpt", __file__],
+], ids=["train", "eval"])
+def test_missing_data_dir_is_usage_error(runner, monkeypatch, command):
+    monkeypatch.delenv("NAVPREDICT_DATA_DIR", raising=False)
+    result = runner.invoke(main, command)
+    assert result.exit_code == 2
+    assert "--data" in result.output + result.stderr
+
+
+@pytest.mark.parametrize("case,exit_code,message", [
+    ("gen-out-file", 1, "error code=io-error"),
+    ("eval-json-dir", 1, "error code=io-error"),
+    ("frames-config-dir", 2, "is a directory"),   # click checks the kind
+], ids=["gen-out-file", "eval-json-dir", "frames-config-dir"])
+def test_os_errors_are_io_errors(tmp_path, runner, dataset, case, exit_code,
+                                 message):
+    a_file = tmp_path / "file"
+    a_file.write_text("")
+    ckpt = _train(runner, dataset, tmp_path, "m.ckpt", "--map", "none")
+    args = {
+        "gen-out-file": ["gen", "--out", str(a_file), "--n", "5"],
+        "eval-json-dir": ["eval", "--data", str(dataset), "--ckpt",
+                          str(ckpt), "--json", str(tmp_path)],
+        "frames-config-dir": ["ingest", str(FIXTURE), "--frame", "miami",
+                              "--frames-config", str(tmp_path),
+                              "--out", str(tmp_path / "g.txt")],
+    }[case]
+    result = runner.invoke(main, args)
+    assert result.exit_code == exit_code
+    assert message in result.stderr
+
+
+def test_standalone_failure_exits_1_without_traceback(tmp_path):
+    # CliRunner catches what standalone mode would print, so run the
+    # module as a program.
+    src = pathlib.Path(navpredict.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-m", "navpredict.cli", "query",
+         "--graph", str(FIXTURE), "--frame", "miami",
+         "--x", "0", "--y", "0", "--radius", "10"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1
+    assert "error code=graph-format" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 _THREADS_PROBE = """
@@ -411,13 +492,18 @@ def test_report_missing_column_is_invalid_input(tmp_path, runner):
     assert "minADE@6" in result.stderr
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_report_non_finite_value_is_invalid_input(tmp_path, runner, value):
-    csv_path = _per_scene_csv(
-        tmp_path, f"scene,minADE@6,minFDE@6\n0,1.0,1.5\n1,{value},2.5\n")
+@pytest.mark.parametrize("rows,line", [
+    ("0,1.0,1.5\n1,nan,2.5\n", 3),
+    ("0,1.0,1.5\n1,inf,2.5\n", 3),
+    ("\n\n0,nan,1.5\n", 4),
+], ids=["nan", "inf", "after-blank-lines"])
+def test_report_non_finite_value_is_invalid_input(tmp_path, runner, rows,
+                                                  line):
+    csv_path = _per_scene_csv(tmp_path, "scene,minADE@6,minFDE@6\n" + rows)
     result = runner.invoke(main, ["report", "--csv", str(csv_path)])
     assert result.exit_code == 1
     assert "error code=invalid-input" in result.stderr
+    assert f"line {line} holds a non-finite value" in result.stderr
     assert "minFDE" not in result.stdout
 
 

@@ -231,15 +231,18 @@ def test_load_rejects_wrong_field_count(tmp_path):
 
 
 @pytest.mark.parametrize("text,line,what", [
-    ("N 1 25.0 -80.0\nN 2 25.0 -80.1\nN 1 26.0 -80.0\n", 3, "node 1"),
+    ("N 1 25.0 -80.0\nN 2 25.0 -80.1\nN 1 26.0 -80.0\n", 3,
+     "repeated node 1"),
     ("N 1 25.0 -80.0\nN 2 25.0 -80.1\nE 1 2\nE 2 1\nE 1 2\n", 5,
-     "edge (1, 2)"),
-], ids=["node", "edge"])
+     "repeated edge (1, 2)"),
+    ("E 1 2\nN 1 25.0 -80.0\n", 1, "edge (1, 2) references missing node"),
+    ("N 1 25.0 -80.0\nE 1 1\n", 2, "self-loop edge at node 1"),
+], ids=["node", "edge", "missing-node", "self-loop"])
 def test_load_rejects_repeated_record(tmp_path, text, line, what):
     path = tmp_path / "bad.txt"
     path.write_text(text)
-    with pytest.raises(GraphFormatError, match=f":{line}: .*repeated "
-                                               f"{re.escape(what)}"):
+    with pytest.raises(GraphFormatError,
+                       match=f":{line}: .*{re.escape(what)}"):
         load_graph(path)
 
 
