@@ -3,10 +3,10 @@
 Trains, on one fixed world, a map-free model, a plain nav-view model, an
 HD-view teacher and a nav-view student distilled from that teacher, each
 with the same budget and several training seeds, then reports the
-seed-averaged validation minFDE@6 per variant. The expected qualitative
-ordering is HD <= distilled <= nav <= map-free: maps help, lane-level
-maps help most, and distillation recovers part of the gap for models
-that only see the road-level view.
+seed-averaged validation minFDE@6 per variant. The outer ordering holds
+and is asserted: the nav and HD models each beat map-free. The paper's
+middle ordering, HD <= distilled <= nav, is not resolved at three
+training seeds; criterion 7 prints an inversion there as a warning.
 """
 
 from __future__ import annotations

@@ -431,16 +431,21 @@ def report(csv_path, k, hist_path, hist_svg_path):
     missing = [col for col in columns if col not in header]
     if missing:
         raise ValueError(f"{csv_path}: no column {missing[0]!r}")
+    ades, fdes = [], []
     for number, cells in lines:
         if len(cells) != len(header):
             raise ValueError(f"{csv_path}: line {number} has "
                              f"{len(cells)} cells, expected {len(header)}")
-    ades, fdes = ([float(cells[header.index(col)]) for _, cells in lines]
-                  for col in columns)
-    for (number, _), ade, fde in zip(lines, ades, fdes):
+        try:
+            ade, fde = (float(cells[header.index(col)]) for col in columns)
+        except ValueError as exc:
+            raise ValueError(f"{csv_path}: line {number} holds a value "
+                             f"that is not a number ({exc})") from None
         if not (math.isfinite(ade) and math.isfinite(fde)):
             raise ValueError(f"{csv_path}: line {number} "
                              f"holds a non-finite value")
+        ades.append(ade)
+        fdes.append(fde)
     rep = metrics.aggregate([ades], [fdes], ks=(k,))
     click.echo(metrics.format_report_table(rep))
     if hist_path or hist_svg_path:

@@ -178,9 +178,12 @@ def load_frames(path) -> dict[str, CityFrame]:
             raw = json.load(fh)
         frames = dict(BUILTIN_FRAMES)
         for entry in raw:
+            if type(entry["zone"]) is not int:
+                raise ValueError(f"zone must be an integer, got "
+                                 f"{entry['zone']!r}")
             frame = CityFrame(
                 name=str(entry["name"]),
-                zone=int(entry["zone"]),
+                zone=entry["zone"],
                 origin_easting=float(entry["origin_easting"]),
                 origin_northing=float(entry["origin_northing"]),
             )

@@ -37,7 +37,6 @@ __all__ = [
     "min_ade",
     "miss_rate",
     "aggregate",
-    "evaluate_predictions",
     "evaluate_model",
     "fde_histogram",
     "format_report_table",
@@ -126,24 +125,13 @@ def aggregate(min_ades, min_fdes, ks=DEFAULT_KS) -> MetricReport:
     """Split means of minADE and minFDE and the miss rate, per k.
 
     ``min_ades`` and ``min_fdes`` are ``(len(ks), n)`` columns of per-scene
-    values, as :func:`evaluate_predictions` computes them or its CSV holds.
+    values, as the split pass computes them or the per-scene CSV holds.
     """
     rates = miss_rate(min_fdes)
     values = {k: {"minADE": float(a), "minFDE": float(f), "MR": float(mr)}
               for k, a, f, mr in zip(ks, np.mean(min_ades, axis=1),
                                      np.mean(min_fdes, axis=1), rates)}
     return MetricReport(scene_count=np.shape(min_fdes)[1], values=values)
-
-
-def evaluate_predictions(preds: list[PredictionSet],
-                         futures: list[np.ndarray],
-                         ks=DEFAULT_KS) -> tuple[MetricReport, list[dict]]:
-    """Aggregate metrics over a split, plus per-scene rows for CSV dumps."""
-    if len(preds) != len(futures):
-        raise ValueError("predictions and futures differ in length")
-    return _evaluate(np.array([p.trajectories for p in preds]),
-                     np.array([p.confidences for p in preds]),
-                     np.array(futures), ks)[:2]
 
 
 def evaluate_model(params: ModelParams, config: ModelConfig, scenes,

@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .scenario import FUTURE_LEN, OBSERVED_LEN
+from .scenario import FUTURE_LEN, OBSERVED_LEN, _json_int
 
 __all__ = [
     "ModelConfig",
@@ -55,7 +55,6 @@ __all__ = [
     "distill_loss",
     "loss_and_grads",
     "select_map_points",
-    "vector_to_params",
     "zeros_like_params",
     "save_checkpoint",
     "load_checkpoint",
@@ -191,11 +190,6 @@ def zeros_like_params(params: ModelParams) -> ModelParams:
     return ModelParams(np.zeros_like(params.flat), params.shapes)
 
 
-def vector_to_params(vec: np.ndarray, config: ModelConfig) -> ModelParams:
-    """Parameters holding a copy of ``vec`` (``PARAM_FIELDS`` order)."""
-    return ModelParams(np.array(vec, dtype=np.float64), _shapes(config))
-
-
 # Per-point arrays of one step: the map encoder's activations, then the
 # gradients and ReLU mask of its backward pass.
 _MAP_ROWS = ("zk", "keys", "zv", "values", "dkeys", "dvalues", "mask")
@@ -273,7 +267,7 @@ def decode(xi: np.ndarray, last_pos: np.ndarray, params: ModelParams):
     trajectories = last_pos + np.cumsum(steps, axis=1)
     logits = params.wconf @ xi + params.bconf
     confidences = _softmax(logits)
-    return PredictionSet(trajectories, confidences), (logits,)
+    return PredictionSet(trajectories, confidences)
 
 
 def select_map_points(points: np.ndarray, center: np.ndarray,
@@ -333,9 +327,9 @@ def _forward_in_frame(observed, map_points, params, map_out=None):
     keys, values, map_cache = encode_map(map_points @ rot, last_pos, params,
                                          out=map_out)
     xi, fuse_cache = fuse(h_a, keys, values)
-    local, dec_cache = decode(xi, last_pos, params)
+    local = decode(xi, last_pos, params)
     cache = ((rot, local), h_a, keys, values, xi,
-             agent_cache, map_cache, fuse_cache, dec_cache)
+             agent_cache, map_cache, fuse_cache)
     return xi, cache
 
 
@@ -433,7 +427,7 @@ def loss_and_grads(observed: np.ndarray, map_points: np.ndarray,
     xi, cache = _forward_in_frame(observed, map_points, params,
                                   map_out=rows[:4])
     ((rot, pred), h_a, keys, values, _xi,
-     agent_cache, map_cache, fuse_cache, _dec_cache) = cache
+     agent_cache, map_cache, fuse_cache) = cache
     x, z1, a1 = agent_cache
     feats, zk, zv = map_cache
     # The loss is taken in the agent frame; a rotation keeps distances,
@@ -537,8 +531,12 @@ def load_checkpoint(path):
                     f"unsupported checkpoint version {header.get('version')}"
                 )
             cfg = header["config"]
+            if type(cfg["map_radius"]) not in (int, float):
+                raise ValueError(f"map_radius must be a number, got "
+                                 f"{cfg['map_radius']!r}")
             config = ModelConfig(
-                d=int(cfg["d"]), k=int(cfg["k"]), hidden=int(cfg["hidden"]),
+                d=_json_int(cfg["d"], "d"), k=_json_int(cfg["k"], "k"),
+                hidden=_json_int(cfg["hidden"], "hidden"),
                 map_radius=float(cfg["map_radius"]),
                 map_source=str(cfg["map_source"]),
             )

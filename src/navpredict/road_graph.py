@@ -45,22 +45,34 @@ class GraphFormatError(ValueError):
     """A serialized graph file violates the line format."""
 
 
+class _EdgeError(ValueError):
+    """An edge breaks a NavGraph rule; ``index`` is its place in ``edges``."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 @dataclass(frozen=True)
 class NavGraph:
-    """Directed road graph in geographic coordinates."""
+    """Directed road graph in geographic coordinates.
+
+    Each edge joins two distinct nodes, and no edge repeats.
+    """
 
     nodes: dict[int, GeoPoint]
     edges: tuple[EdgeId, ...]
 
     def __post_init__(self):
         seen = set()
-        for src, dst in self.edges:
+        for index, (src, dst) in enumerate(self.edges):
             if src not in self.nodes or dst not in self.nodes:
-                raise ValueError(f"edge ({src}, {dst}) references missing node")
+                raise _EdgeError(index, f"edge ({src}, {dst}) references "
+                                        f"missing node")
             if src == dst:
-                raise ValueError(f"self-loop edge at node {src}")
+                raise _EdgeError(index, f"self-loop edge at node {src}")
             if (src, dst) in seen:
-                raise ValueError(f"duplicate edge ({src}, {dst})")
+                raise _EdgeError(index, f"repeated edge ({src}, {dst})")
             seen.add((src, dst))
 
 
@@ -110,10 +122,6 @@ class LocalNavGraph:
 
     def __post_init__(self):
         _check_positive("resample step", self.resample_step)
-
-    @property
-    def edge_ids(self) -> tuple[EdgeId, ...]:
-        return self.graph.edges
 
     def _check_edge(self, edge_id: EdgeId):
         if edge_id not in self._edge_set:
@@ -165,12 +173,12 @@ def _resample_chords(ends: np.ndarray, step: float) -> list[np.ndarray]:
     return [points[lo:hi] for lo, hi in zip(starts.tolist(), stops.tolist())]
 
 
-def _segments(g: LocalNavGraph, edge_ids) -> list[RoadSegment]:
+def _segments(g: LocalNavGraph, eids) -> list[RoadSegment]:
     local = g.local
     ends = np.array([(local[src].x, local[src].y, local[dst].x, local[dst].y)
-                     for src, dst in edge_ids]).reshape(-1, 4)
+                     for src, dst in eids]).reshape(-1, 4)
     return [RoadSegment(eid, eid[0], eid[1], points) for eid, points
-            in zip(edge_ids, _resample_chords(ends, g.resample_step))]
+            in zip(eids, _resample_chords(ends, g.resample_step))]
 
 
 def _check_positive(name: str, value: float):
@@ -281,10 +289,12 @@ def save_graph(g: NavGraph, path):
 def load_graph(path) -> NavGraph:
     """Read a graph written by :func:`save_graph`.
 
-    ``E`` lines may come before the ``N`` lines of their nodes.
+    ``E`` lines may come before the ``N`` lines of their nodes. The edges
+    are checked by :class:`NavGraph` once the whole file has been read.
     """
     nodes: dict[int, GeoPoint] = {}
-    edges: dict[EdgeId, int] = {}        # insertion-ordered, edge -> line
+    edges: list[EdgeId] = []
+    edge_lines: list[int] = []           # the file line of each edge
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -298,20 +308,16 @@ def load_graph(path) -> NavGraph:
                         raise ValueError(f"repeated node {nid}")
                     nodes[nid] = GeoPoint(float(parts[2]), float(parts[3]))
                 elif parts[0] == "E" and len(parts) == 3:
-                    edge = (int(parts[1]), int(parts[2]))
-                    if edge in edges:
-                        raise ValueError(f"repeated edge {edge}")
-                    if edge[0] == edge[1]:
-                        raise ValueError(f"self-loop edge at node {edge[0]}")
-                    edges[edge] = lineno
+                    edges.append((int(parts[1]), int(parts[2])))
+                    edge_lines.append(lineno)
                 else:
                     raise ValueError("unrecognized record")
             except ValueError as exc:
                 raise GraphFormatError(
                     f"{path}:{lineno}: bad graph line {line!r} ({exc})"
                 ) from exc
-    for (src, dst), lineno in edges.items():
-        if src not in nodes or dst not in nodes:
-            raise GraphFormatError(f"{path}:{lineno}: edge ({src}, {dst}) "
-                                   f"references missing node")
-    return NavGraph(nodes=nodes, edges=tuple(edges))
+    try:
+        return NavGraph(nodes=nodes, edges=tuple(edges))
+    except _EdgeError as exc:
+        raise GraphFormatError(
+            f"{path}:{edge_lines[exc.index]}: {exc}") from exc

@@ -57,6 +57,16 @@ class SceneFormatError(ValueError):
     """A scene file record is malformed; message names the record index."""
 
 
+def _json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer, else ``ValueError`` naming it.
+
+    ``int()`` would truncate 4.7, and read ``true`` as 1 and ``"3"`` as 3.
+    """
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class WorldSpec:
     """Parameters of a generated world."""
@@ -435,9 +445,9 @@ def read_scenes(path) -> list[Scene]:
                 agents = [np.asarray(a, dtype=np.float64)
                           for a in obj["agents"]]
                 scene = Scene(
-                    scene_id=int(obj["scene_id"]),
+                    scene_id=_json_int(obj["scene_id"], "scene_id"),
                     agents=agents,
-                    target=int(obj["target"]),
+                    target=_json_int(obj["target"], "target"),
                     future=np.asarray(obj["future"], dtype=np.float64),
                 )
             except (json.JSONDecodeError, KeyError, ValueError,
@@ -501,9 +511,12 @@ def read_world(hd_path, nav_path) -> MapPair:
     road lane lists and road lengths of the result are empty.
     """
     hd_lanes = _read_view(hd_path, lambda obj: [
-        Lane(lane_id=int(entry["id"]), road=int(entry["road"]),
-             index=int(entry["index"]), points=_polyline(entry),
-             successors=[int(s) for s in entry["successors"]])
+        Lane(lane_id=_json_int(entry["id"], "lane id"),
+             road=_json_int(entry["road"], "road"),
+             index=_json_int(entry["index"], "lane index"),
+             points=_polyline(entry),
+             successors=[_json_int(s, "successor")
+                         for s in entry["successors"]])
         for entry in obj["lanes"]
     ])
     nav_roads = _read_view(nav_path, lambda obj: [

@@ -136,11 +136,11 @@ def test_criterion_3_gradient_correctness():
             up = vec.copy(); up[i] += h
             dn = vec.copy(); dn[i] -= h
             lu, _, _ = M.loss_and_grads(observed, map_points, future,
-                                        M.vector_to_params(up, cfg),
+                                        M.ModelParams(up, params.shapes),
                                         alpha=1.0, teacher_embedding=teacher,
                                         beta=1.0)
             ld, _, _ = M.loss_and_grads(observed, map_points, future,
-                                        M.vector_to_params(dn, cfg),
+                                        M.ModelParams(dn, params.shapes),
                                         alpha=1.0, teacher_embedding=teacher,
                                         beta=1.0)
             fd[i] = (lu - ld) / (2 * h)
@@ -230,7 +230,7 @@ def test_criterion_6_map_api_correctness():
         got = {s.edge_id for s in
                segments_in_radius(local, LocalPoint(cx, cy), r)}
         expected = {
-            eid for eid in local.edge_ids
+            eid for eid in local.graph.edges
             if point_segment_distance(
                 cx, cy, local.local[eid[0]], local.local[eid[1]]) <= r
         }
@@ -239,7 +239,7 @@ def test_criterion_6_map_api_correctness():
     # successor/predecessor duality, exhaustively over all edge pairs
     duality = all(
         (f in successors(local, e)) == (e in predecessors(local, f))
-        for e in local.edge_ids for f in local.edge_ids
+        for e in local.graph.edges for f in local.graph.edges
     )
 
     resample_ok = (

@@ -4,11 +4,13 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import navpredict
 from navpredict.cli import main
+from navpredict.model import PARAM_FIELDS, ModelConfig, init_params
 
 FIXTURE = pathlib.Path(__file__).parent / "data" / "fixture.osm"
 
@@ -89,7 +91,12 @@ def test_ingest_malformed_osm_reports_error_code(tmp_path, runner):
     ('[{"name": "x", "zone": 17, "origin_easting": "nan", '
      '"origin_northing": 0}]', "invalid-coordinate"),
     ('[{"name": ', "invalid-input"),
-], ids=["missing-key", "nan-origin", "broken-json"])
+    ('[{"name": "x", "zone": 17.9, "origin_easting": 0, '
+     '"origin_northing": 0}]', "invalid-input"),
+    ('[{"name": "x", "zone": true, "origin_easting": 0, '
+     '"origin_northing": 0}]', "invalid-input"),
+], ids=["missing-key", "nan-origin", "broken-json", "fractional-zone",
+        "bool-zone"])
 def test_malformed_frames_config_reports_error_code(tmp_path, runner,
                                                     command, text, code):
     config = tmp_path / "frames.json"
@@ -287,20 +294,37 @@ _CKPT_CONFIG = {"d": 4, "k": 6, "hidden": 4, "map_radius": 50.0,
                 "map_source": "hd"}
 
 
+def _checkpoint(header_config, **layout):
+    """Checkpoint bytes whose header config is ``header_config`` and whose
+    shapes and payload are those of ``_CKPT_CONFIG`` updated by ``layout``:
+    ``int()`` and ``float()`` of the header would read a valid model."""
+    params = init_params(ModelConfig(**dict(_CKPT_CONFIG, **layout)),
+                         np.random.default_rng(0))
+    header = {"version": 2, "config": dict(_CKPT_CONFIG, **header_config),
+              "shapes": [[name, list(shape)] for name, shape
+                         in zip(PARAM_FIELDS, params.shapes)]}
+    return (json.dumps(header).encode() + b"\n"
+            + params.flat.astype("<f8").tobytes())
+
+
 @pytest.mark.parametrize("command", ["eval", "distill"])
-@pytest.mark.parametrize("header", [
-    b'{"version": 2,',
-    b"[1, 2]",
-    b'{"version": 2}',
-    json.dumps({"version": 2, "config": _CKPT_CONFIG}).encode(),
+@pytest.mark.parametrize("content", [
+    b'{"version": 2,\n',
+    b"[1, 2]\n",
+    b'{"version": 2}\n',
+    json.dumps({"version": 2, "config": _CKPT_CONFIG}).encode() + b"\n",
     json.dumps({"version": 2, "config": dict(_CKPT_CONFIG, d=None),
-                "shapes": []}).encode(),
-], ids=["not-json", "not-object", "no-config", "no-shapes", "mistyped"])
+                "shapes": []}).encode() + b"\n",
+    _checkpoint({"d": 4.7}),
+    _checkpoint({"hidden": True}, hidden=1),
+    _checkpoint({"map_radius": "50"}),
+], ids=["not-json", "not-object", "no-config", "no-shapes", "mistyped",
+        "fractional-d", "bool-hidden", "string-radius"])
 def test_malformed_checkpoint_header_is_invalid_input(tmp_path, runner,
                                                       dataset, command,
-                                                      header):
+                                                      content):
     ckpt = tmp_path / "bad.ckpt"
-    ckpt.write_bytes(header + b"\n")
+    ckpt.write_bytes(content)
     args = {
         "eval": ["eval", "--data", str(dataset), "--ckpt", str(ckpt)],
         "distill": ["train", "--data", str(dataset), "--map", "nav",
@@ -443,20 +467,28 @@ def test_gen_too_many_intersections_is_invalid_input(tmp_path, runner):
 
 
 def test_corrupt_world_is_invalid_input(tmp_path, runner, dataset):
-    data = tmp_path / "data"
-    data.mkdir()
-    for name in ("world_hd.json", "world_nav.json", "scenes_train.ndjson"):
-        (data / name).write_bytes((dataset / name).read_bytes())
-    nav = json.loads((data / "world_nav.json").read_text())
-    del nav["roads"][0]["points"]
-    (data / "world_nav.json").write_text(json.dumps(nav))
-    result = runner.invoke(main, [
-        "train", "--data", str(data), "--map", "nav", "--epochs", "1",
-        "--out", str(tmp_path / "m.ckpt"),
-    ])
-    assert result.exit_code == 1
-    assert "error code=invalid-input" in result.stderr
-    assert "world_nav.json" in result.stderr
+    corruptions = [
+        ("world_nav.json", lambda view: view["roads"][0].pop("points")),
+        ("world_hd.json", lambda view: view["lanes"][0].update(id=0.9)),
+        ("world_hd.json",
+         lambda view: view["lanes"][0].update(successors=[99.5])),
+    ]
+    for case, (corrupt_name, corrupt) in enumerate(corruptions):
+        data = tmp_path / f"data{case}"
+        data.mkdir()
+        for name in ("world_hd.json", "world_nav.json",
+                     "scenes_train.ndjson"):
+            (data / name).write_bytes((dataset / name).read_bytes())
+        view = json.loads((data / corrupt_name).read_text())
+        corrupt(view)
+        (data / corrupt_name).write_text(json.dumps(view))
+        result = runner.invoke(main, [
+            "train", "--data", str(data), "--map", "nav", "--epochs", "1",
+            "--out", str(tmp_path / "m.ckpt"),
+        ])
+        assert result.exit_code == 1
+        assert "error code=invalid-input" in result.stderr
+        assert corrupt_name in result.stderr
 
 
 def test_non_finite_scene_is_scene_format_error(tmp_path, runner, dataset):
@@ -478,6 +510,30 @@ def test_non_finite_scene_is_scene_format_error(tmp_path, runner, dataset):
     assert "record 1" in result.stderr
 
 
+@pytest.mark.parametrize("field,value", [
+    ("scene_id", 1.5), ("scene_id", True), ("target", 0.7), ("target", "0"),
+])
+def test_non_integer_scene_field_is_scene_format_error(tmp_path, runner,
+                                                       dataset, field,
+                                                       value):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("world_hd.json", "world_nav.json"):
+        (data / name).write_bytes((dataset / name).read_bytes())
+    lines = (dataset / "scenes_train.ndjson").read_text().splitlines()
+    record = json.loads(lines[1])
+    record[field] = value
+    lines[1] = json.dumps(record)
+    (data / "scenes_train.ndjson").write_text("\n".join(lines) + "\n")
+    result = runner.invoke(main, [
+        "train", "--data", str(data), "--map", "none", "--epochs", "1",
+        "--out", str(tmp_path / "m.ckpt"),
+    ])
+    assert result.exit_code == 1
+    assert "error code=scene-format" in result.stderr
+    assert "record 1" in result.stderr
+
+
 def _per_scene_csv(tmp_path, text):
     path = tmp_path / "per_scene.csv"
     path.write_text(text)
@@ -492,18 +548,19 @@ def test_report_missing_column_is_invalid_input(tmp_path, runner):
     assert "minADE@6" in result.stderr
 
 
-@pytest.mark.parametrize("rows,line", [
-    ("0,1.0,1.5\n1,nan,2.5\n", 3),
-    ("0,1.0,1.5\n1,inf,2.5\n", 3),
-    ("\n\n0,nan,1.5\n", 4),
-], ids=["nan", "inf", "after-blank-lines"])
+@pytest.mark.parametrize("rows,line,fault", [
+    ("0,1.0,1.5\n1,nan,2.5\n", 3, "a non-finite value"),
+    ("0,1.0,1.5\n1,inf,2.5\n", 3, "a non-finite value"),
+    ("\n\n0,nan,1.5\n", 4, "a non-finite value"),
+    ("0,abc,1.5\n", 2, "a value that is not a number"),
+], ids=["nan", "inf", "after-blank-lines", "not-a-number"])
 def test_report_non_finite_value_is_invalid_input(tmp_path, runner, rows,
-                                                  line):
+                                                  line, fault):
     csv_path = _per_scene_csv(tmp_path, "scene,minADE@6,minFDE@6\n" + rows)
     result = runner.invoke(main, ["report", "--csv", str(csv_path)])
     assert result.exit_code == 1
     assert "error code=invalid-input" in result.stderr
-    assert f"line {line} holds a non-finite value" in result.stderr
+    assert f"{csv_path}: line {line} holds {fault}" in result.stderr
     assert "minFDE" not in result.stdout
 
 

@@ -7,7 +7,6 @@ from navpredict.metrics import (
     MISS_DISTANCE,
     _evaluate,
     aggregate,
-    evaluate_predictions,
     fde_histogram,
     format_report_table,
     min_ade,
@@ -25,6 +24,13 @@ def _random_instance(rng, k=6):
     )
     future = rng.normal(0.0, 5.0, size=(FUTURE_LEN, 2))
     return pred, future
+
+
+def _split(preds, futures, ks=(1, 6)):
+    """(report, per-scene rows, winners) of one pass over a stacked split."""
+    return _evaluate(np.array([p.trajectories for p in preds]),
+                     np.array([p.confidences for p in preds]),
+                     np.array(futures), ks)
 
 
 def _brute_fde(pred, future, k):
@@ -152,10 +158,10 @@ def test_miss_rate_boundary():
         miss_rate([])
 
 
-def test_evaluate_predictions_aggregates():
+def test_split_pass_aggregates():
     rng = np.random.default_rng(1)
     preds, futures = zip(*[_random_instance(rng) for _ in range(40)])
-    report, rows = evaluate_predictions(list(preds), list(futures))
+    report, rows, _ = _split(preds, futures)
     assert report.scene_count == 40
     assert set(report.values) == {1, 6}
     for k in (1, 6):
@@ -189,13 +195,6 @@ def _reference_ade(pred, future, idx):
                                 axis=1).mean())
 
 
-def _split(preds, futures, ks):
-    """(report, per-scene rows, winners) of one pass over a stacked split."""
-    return _evaluate(np.array([p.trajectories for p in preds]),
-                     np.array([p.confidences for p in preds]),
-                     np.array(futures), ks)
-
-
 def test_split_pass_matches_per_scene_reference():
     # Tolerance: the reference's endpoint norm is a BLAS dot product, whose
     # last bit may differ from sqrt(dx*dx + dy*dy); minADE's arithmetic
@@ -226,7 +225,7 @@ def test_split_pass_matches_per_scene_reference():
 def test_split_min_fde_is_exact_sqrt_of_brute_force_winner():
     rng = np.random.default_rng(12)
     preds, futures = zip(*[_random_instance(rng) for _ in range(2000)])
-    _, rows = evaluate_predictions(list(preds), list(futures), ks=(1, 3, 6))
+    _, rows, _ = _split(preds, futures, (1, 3, 6))
     for k in (1, 3, 6):
         expect = [_brute_fde(p, f, k)[0] for p, f in zip(preds, futures)]
         assert [r[f"minFDE@{k}"] for r in rows] == expect
@@ -290,13 +289,9 @@ def test_evaluate_model_stationary_scene_all_zero():
             assert value == 0.0
 
 
-def test_evaluate_predictions_validates_lengths():
-    rng = np.random.default_rng(2)
-    pred, future = _random_instance(rng)
+def test_split_pass_rejects_empty_split():
     with pytest.raises(ValueError):
-        evaluate_predictions([pred], [])
-    with pytest.raises(ValueError):
-        evaluate_predictions([], [])
+        _split([], [])
 
 
 def test_histogram_restricted_to_misses():
@@ -359,7 +354,7 @@ def test_histogram_rejects_bad_bin_width():
 def test_report_table_layout():
     rng = np.random.default_rng(4)
     preds, futures = zip(*[_random_instance(rng) for _ in range(5)])
-    report, _ = evaluate_predictions(list(preds), list(futures))
+    report, _, _ = _split(preds, futures)
     text = format_report_table(report)
     lines = text.splitlines()
     assert lines[0].split() == ["k", "minADE", "minFDE", "MR"]

@@ -9,6 +9,7 @@ from navpredict.model import (
     HEADING_MIN_DISPLACEMENT,
     PARAM_FIELDS,
     ModelConfig,
+    ModelParams,
     Workspace,
     distill_loss,
     forward,
@@ -18,7 +19,6 @@ from navpredict.model import (
     model_loss,
     save_checkpoint,
     select_map_points,
-    vector_to_params,
     zeros_like_params,
 )
 from navpredict.benchmark import BenchmarkSpec
@@ -66,18 +66,18 @@ def test_param_vector_round_trip():
     rng = np.random.default_rng(0)
     params = init_params(SMALL, rng)
     vec = params.flat
-    back = vector_to_params(vec, SMALL)
+    back = ModelParams(vec.copy(), params.shapes)
     for name in PARAM_FIELDS:
         np.testing.assert_array_equal(getattr(params, name),
                                       getattr(back, name))
     with pytest.raises(ValueError):
-        vector_to_params(vec[:-1], SMALL)
-    # Fields are views of the flat buffer; vector_to_params copies.
+        ModelParams(vec[:-1].copy(), params.shapes)
+    # Fields are views of the flat buffer; the round trip copied it.
     assert not np.shares_memory(back.flat, vec)
     params.w2[1, 2] = 7.5
     params.bconf += 1.0
-    np.testing.assert_array_equal(vector_to_params(params.flat, SMALL).w2,
-                                  params.w2)
+    np.testing.assert_array_equal(
+        ModelParams(params.flat.copy(), params.shapes).w2, params.w2)
     assert params.flat[-1] == params.bconf[-1]
     with pytest.raises(AttributeError):
         params.w1 = np.zeros_like(params.w1)
@@ -234,7 +234,7 @@ def test_gradients_match_finite_differences(n_map):
 
     def f(v):
         loss, _, _ = loss_and_grads(observed, map_points, future,
-                                    vector_to_params(v, cfg))
+                                    ModelParams(v, params.shapes))
         return loss
 
     _, grads, _ = loss_and_grads(observed, map_points, future, params)
@@ -253,7 +253,7 @@ def test_gradients_with_distillation_match_finite_differences():
 
     def f(v):
         loss, _, _ = loss_and_grads(
-            observed, map_points, future, vector_to_params(v, cfg),
+            observed, map_points, future, ModelParams(v, params.shapes),
             alpha=0.7, teacher_embedding=teacher, beta=1.3)
         return loss
 

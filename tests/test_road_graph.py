@@ -71,7 +71,7 @@ def test_graph_validation_self_loop():
 
 def test_graph_validation_duplicate_edge():
     nodes = {1: GeoPoint(0, 0), 2: GeoPoint(0, 0.001)}
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match="repeated"):
         NavGraph(nodes=nodes, edges=((1, 2), (1, 2)))
 
 
@@ -143,7 +143,7 @@ def test_radius_query_matches_brute_force(local):
         got = {s.edge_id for s in
                segments_in_radius(local, LocalPoint(cx, cy), r)}
         expected = {
-            eid for eid in local.edge_ids
+            eid for eid in local.graph.edges
             if point_segment_distance(
                 cx, cy, local.local[eid[0]], local.local[eid[1]]) <= r
         }
@@ -305,7 +305,7 @@ def test_radius_query_matches_per_point_reference(graph, frame):
         radius = span if k % 10 == 0 else float(rng.uniform(5.0, 400.0))
         segs = segments_in_radius(g, LocalPoint(cx, cy), radius)
         expected = sorted(
-            eid for eid in g.edge_ids
+            eid for eid in g.graph.edges
             if point_segment_distance(cx, cy, g.local[eid[0]],
                                       g.local[eid[1]]) <= radius)
         assert [s.edge_id for s in segs] == expected
@@ -342,8 +342,8 @@ def test_zero_length_edge_has_two_coincident_points():
 def test_radius_covering_whole_graph_walks_occupied_cells(local):
     # The query box spans far more cells than the index holds.
     segs = segments_in_radius(local, LocalPoint(0.0, 0.0), 1e6)
-    assert [s.edge_id for s in segs] == sorted(local.edge_ids)
-    assert segs == [local.segment(eid) for eid in sorted(local.edge_ids)]
+    assert [s.edge_id for s in segs] == sorted(local.graph.edges)
+    assert segs == [local.segment(eid) for eid in sorted(local.graph.edges)]
 
 
 def test_radius_query_far_from_every_edge_is_empty(local):
