@@ -181,6 +181,11 @@ def load_frames(path) -> dict[str, CityFrame]:
             if type(entry["zone"]) is not int:
                 raise ValueError(f"zone must be an integer, got "
                                  f"{entry['zone']!r}")
+            # float() would also read "580000.5" and true as numbers.
+            for key in ("origin_easting", "origin_northing"):
+                if type(entry[key]) not in (int, float):
+                    raise ValueError(f"{key} must be a number, got "
+                                     f"{entry[key]!r}")
             frame = CityFrame(
                 name=str(entry["name"]),
                 zone=entry["zone"],

@@ -1,12 +1,13 @@
 """Synthetic world and dataset generation.
 
-Worlds come in pairs of views of the same geometry: an HD view with one
-centerline polyline per lane (plus lane connectivity), and a nav view
-where each road collapses to a single polyline, the arithmetic mean of
-its lanes. A generated scene holds one lane-following agent, the
-target, sampled at 10 Hz: 20 observed positions (2 s) and 30 future
-positions (3 s). Scene files may hold several agents per scene with a
-``target`` index, and :func:`read_scenes` reads them.
+Worlds come in pairs of views of the same geometry. The HD view holds
+one ``(lanes, n, 2)`` array per road: its lane centerlines, sampled on
+the road's 2 m arc-length grid. The nav view holds one ``(n, 2)``
+polyline per road, the arithmetic mean of its lanes. A generated scene
+holds one lane-following agent, the target, sampled at 10 Hz: 20
+observed positions (2 s) and 30 future positions (3 s). Scene files
+may hold several agents per scene with a ``target`` index, and
+:func:`read_scenes` reads them.
 
 All randomness is derived from (seed, scene_id), so generation is
 deterministic and order-independent.
@@ -14,16 +15,15 @@ deterministic and order-independent.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "WorldSpec",
-    "Lane",
-    "Intersection",
     "MapPair",
     "Scene",
     "SceneFormatError",
@@ -47,9 +47,9 @@ _T = np.arange(OBSERVED_LEN + FUTURE_LEN) * DT  # step times of a path [s]
 _SPEED_RANGE = (3.0, 15.0)  # agent speeds [m/s]
 _TURN_MAX_SPEED = 12.0      # turns are drawn below this speed [m/s]
 
-# Intersection anchors are drawn in a 500 m box at least 150 m apart.
-# Past about 9 anchors the box can fill up so that no draw fits; give up
-# when this many draws in a row for one anchor are all too close.
+# The anchors of intersections are drawn in a 500 m box at least 150 m
+# apart. Past about 9 anchors the box can fill up so that no draw fits;
+# give up when this many draws in a row for one anchor are all too close.
 _MAX_ANCHOR_DRAWS = 10_000
 
 
@@ -65,6 +65,31 @@ def _json_int(value, name: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+_POINTS_SHAPE = {2: "(n, 2)", 3: "(lanes, n, 2)"}
+_JSON_NUMBER = frozenset((int, float))
+
+
+def _points(value, ndim: int) -> np.ndarray:
+    """Parsed JSON ``value`` as a float64 array of points.
+
+    ``ndim`` 2 asks for ``(n, 2)``, 3 for ``(lanes, n, 2)``. Another
+    shape, a value that is not a JSON number (``np.asarray`` would read
+    ``"1.5"`` as 1.5 and ``true`` as 1.0) and a non-finite value raise
+    ``ValueError``.
+    """
+    points = np.asarray(value, dtype=np.float64)
+    if points.ndim != ndim or points.shape[-1] != 2:
+        raise ValueError(f"points must be {_POINTS_SHAPE[ndim]}, "
+                         f"got {points.shape}")
+    for _ in range(ndim - 1):
+        value = itertools.chain.from_iterable(value)
+    if not _JSON_NUMBER.issuperset(map(type, value)):
+        raise ValueError("points hold values that are not JSON numbers")
+    if not np.isfinite(points).all():
+        raise ValueError("points hold non-finite values")
+    return points
 
 
 @dataclass(frozen=True)
@@ -93,31 +118,17 @@ class WorldSpec:
 
 
 @dataclass
-class Lane:
-    """One HD lane centerline, sampled on its road's arc-length grid."""
-
-    lane_id: int
-    road: int
-    index: int
-    points: np.ndarray                      # (n, 2)
-    successors: list[int] = field(default_factory=list)
-
-
-@dataclass
-class Intersection:
-    point: np.ndarray                       # (2,)
-    members: list[tuple[int, float]]        # (road index, arc position)
-
-
-@dataclass
 class MapPair:
-    """HD view and nav view of the same world."""
+    """HD view and nav view of the same world.
 
-    hd_lanes: list[Lane]
+    An intersection is the list of its ``(road, arc position)`` members.
+    ``intersections`` is None for a world read from files, which do not
+    store them.
+    """
+
+    hd_roads: list[np.ndarray]              # one (lanes, n, 2) array per road
     nav_roads: list[np.ndarray]             # one (n, 2) polyline per road
-    intersections: list[Intersection] = field(default_factory=list)
-    road_lanes: list[list[int]] = field(default_factory=list)
-    road_lengths: list[float] = field(default_factory=list)
+    intersections: list[list[tuple[int, float]]] | None
 
 
 def _road_points(anchor, theta0, curvature, s_anchor, s_grid):
@@ -139,9 +150,9 @@ def generate_world(spec: WorldSpec) -> MapPair:
     """Build a deterministic world of arc/line roads with parallel lanes."""
     rng = np.random.default_rng(spec.seed)
     if spec.num_roads == 0:
-        return MapPair(hd_lanes=[], nav_roads=[])
+        return MapPair(hd_roads=[], nav_roads=[], intersections=[])
 
-    # Intersection anchor points, spread out with a minimum separation.
+    # Anchors of the intersections, at least 150 m apart.
     ipoints = []
     while len(ipoints) < spec.intersection_count:
         for _ in range(_MAX_ANCHOR_DRAWS):
@@ -156,12 +167,12 @@ def generate_world(spec: WorldSpec) -> MapPair:
                 f"{_MAX_ANCHOR_DRAWS} draws; use fewer intersections"
             )
 
-    hd_lanes: list[Lane] = []
+    hd_roads: list[np.ndarray] = []
     nav_roads: list[np.ndarray] = []
-    road_lanes: list[list[int]] = []
-    road_lengths: list[float] = []
-    intersections = [Intersection(point=p, members=[]) for p in ipoints]
+    intersections: list[list[tuple[int, float]]] = [[] for _ in ipoints]
     first_heading: dict[int, float] = {}
+    n_lanes = spec.lanes_per_road
+    offsets = (np.arange(n_lanes) - (n_lanes - 1) / 2.0) * spec.lane_width
 
     for r in range(spec.num_roads):
         length = float(rng.uniform(500.0, 800.0))
@@ -186,43 +197,24 @@ def generate_world(spec: WorldSpec) -> MapPair:
         _center, theta = _road_points(anchor, theta0, curvature,
                                       s_anchor, s_grid)
         normals = np.stack([-np.sin(theta), np.cos(theta)], axis=1)
-
-        lane_ids = []
-        lane_arrays = []
-        for i in range(spec.lanes_per_road):
-            offset = (i - (spec.lanes_per_road - 1) / 2.0) * spec.lane_width
-            pts = _center + offset * normals
-            lane = Lane(lane_id=len(hd_lanes), road=r, index=i, points=pts)
-            lane_ids.append(lane.lane_id)
-            lane_arrays.append(pts)
-            hd_lanes.append(lane)
-        # Nav polyline is the arithmetic mean of the road's lanes.
-        nav_roads.append(np.mean(lane_arrays, axis=0))
-        road_lanes.append(lane_ids)
-        road_lengths.append(float(s_grid[-1]))
+        lanes = _center + offsets[:, None, None] * normals
+        hd_roads.append(lanes)
+        nav_roads.append(lanes.mean(axis=0))
         if inter_idx is not None:
-            intersections[inter_idx].members.append((r, s_anchor))
+            intersections[inter_idx].append((r, s_anchor))
 
-    # Lane connectivity across intersections: every lane of one member
-    # road can continue onto any lane of the other member roads.
-    for inter in intersections:
-        for ra, _sa in inter.members:
-            for rb, _sb in inter.members:
-                if ra == rb:
-                    continue
-                for la in road_lanes[ra]:
-                    hd_lanes[la].successors.extend(road_lanes[rb])
-
-    intersections = [i for i in intersections if len(i.members) >= 2]
-    return MapPair(hd_lanes=hd_lanes, nav_roads=nav_roads,
-                   intersections=intersections, road_lanes=road_lanes,
-                   road_lengths=road_lengths)
+    intersections = [m for m in intersections if len(m) >= 2]
+    return MapPair(hd_roads=hd_roads, nav_roads=nav_roads,
+                   intersections=intersections)
 
 
 def view_points(world: MapPair, source: str) -> np.ndarray:
-    """All map polyline points of one view, concatenated to (n, 2)."""
+    """All map polyline points of one view, concatenated to (n, 2).
+
+    The HD view is road-major: every lane of road 0, then of road 1, ...
+    """
     if source == "hd":
-        polys = [lane.points for lane in world.hd_lanes]
+        polys = [lanes.reshape(-1, 2) for lanes in world.hd_roads]
     elif source == "nav":
         polys = world.nav_roads
     elif source == "none":
@@ -262,12 +254,17 @@ class Scene:
             raise ValueError("scene holds non-finite coordinates")
 
 
-def _lane_pos(lane: Lane, s: np.ndarray) -> np.ndarray:
-    """Linear interpolation of a lane at road arc positions s, (n, 2)."""
+def _lane_pos(lane: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Linear interpolation of an (n, 2) lane at road arc positions s."""
     grid_pos = s / _SAMPLE_STEP
-    idx = np.clip(np.floor(grid_pos).astype(np.intp), 0, len(lane.points) - 2)
+    idx = np.clip(np.floor(grid_pos).astype(np.intp), 0, len(lane) - 2)
     frac = (grid_pos - idx)[:, None]
-    return lane.points[idx] + frac * (lane.points[idx + 1] - lane.points[idx])
+    return lane[idx] + frac * (lane[idx + 1] - lane[idx])
+
+
+def _road_length(lanes: np.ndarray) -> float:
+    """Arc length of a road from its (lanes, n, 2) grid [m]."""
+    return (lanes.shape[1] - 1) * _SAMPLE_STEP
 
 
 def _blend(pa: np.ndarray, pb: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -277,16 +274,17 @@ def _blend(pa: np.ndarray, pb: np.ndarray, t: np.ndarray) -> np.ndarray:
     return (1.0 - w) * pa + w * pb
 
 
-def _lane_arc(world, rng, road):
-    """Arc positions of a lane-following run along ``road``, or None.
+def _lane_arc(rng, length):
+    """Arc positions of a lane-following run along a road, or None.
 
     Draws a direction and a speed, then a start that keeps the whole run
-    5 m inside the road; None (after the speed draw) when it cannot fit.
+    5 m inside a road of ``length``; None (after the speed draw) when it
+    cannot fit.
     """
     direction = 1.0 if rng.random() < 0.5 else -1.0
     speed = float(rng.uniform(*_SPEED_RANGE))
     travel = speed * _T[-1]
-    lo, hi = 5.0, world.road_lengths[road] - 5.0
+    lo, hi = 5.0, length - 5.0
     if hi - lo < travel:
         return None
     if direction > 0:
@@ -297,11 +295,11 @@ def _lane_arc(world, rng, road):
 
 
 def _straight_track(world, rng):
-    """Lane-follow path, or None."""
+    """A lane-following path, or None."""
     for _ in range(20):
-        road = int(rng.integers(0, len(world.road_lanes)))
-        lane = world.hd_lanes[int(rng.choice(world.road_lanes[road]))]
-        s = _lane_arc(world, rng, road)
+        lanes = world.hd_roads[int(rng.integers(0, len(world.hd_roads)))]
+        lane = lanes[int(rng.choice(len(lanes)))]
+        s = _lane_arc(rng, _road_length(lanes))
         if s is not None:
             return _lane_pos(lane, s)
     return None
@@ -311,29 +309,29 @@ def _turn_track(world, rng):
     """Path entering an intersection and continuing onto a crossing road."""
     tau = 0.5  # blend half-window [s]
     for _ in range(20):
-        inter = world.intersections[int(rng.integers(0, len(world.intersections)))]
-        members = list(inter.members)
+        members = world.intersections[
+            int(rng.integers(0, len(world.intersections)))]
         ia = int(rng.integers(0, len(members)))
         ib = int(rng.integers(0, len(members)))
         if ia == ib:
             continue
         ra, sa = members[ia]
         rb, sb = members[ib]
-        lane_a = world.hd_lanes[int(rng.choice(world.road_lanes[ra]))]
-        lane_b = world.hd_lanes[int(rng.choice(world.road_lanes[rb]))]
+        lanes_a, lanes_b = world.hd_roads[ra], world.hd_roads[rb]
+        lane_a = lanes_a[int(rng.choice(len(lanes_a)))]
+        lane_b = lanes_b[int(rng.choice(len(lanes_b)))]
         dir_a = 1.0 if rng.random() < 0.5 else -1.0
         dir_b = 1.0 if rng.random() < 0.5 else -1.0
         speed = float(rng.uniform(_SPEED_RANGE[0], _TURN_MAX_SPEED))
         t_turn = float(rng.uniform(2.3, 4.3))
 
+        len_a, len_b = _road_length(lanes_a), _road_length(lanes_b)
         sa0 = sa - dir_a * speed * t_turn
-        ok_a = (5.0 < sa0 < world.road_lengths[ra] - 5.0
-                and 5.0 < sa + dir_a * speed * (tau + 0.1)
-                < world.road_lengths[ra] - 5.0)
+        ok_a = (5.0 < sa0 < len_a - 5.0
+                and 5.0 < sa + dir_a * speed * (tau + 0.1) < len_a - 5.0)
         sb_end = sb + dir_b * speed * (_T[-1] - t_turn)
-        ok_b = (5.0 < sb_end < world.road_lengths[rb] - 5.0
-                and 5.0 < sb - dir_b * speed * (tau + 0.1)
-                < world.road_lengths[rb] - 5.0)
+        ok_b = (5.0 < sb_end < len_b - 5.0
+                and 5.0 < sb - dir_b * speed * (tau + 0.1) < len_b - 5.0)
         if not (ok_a and ok_b):
             continue
         pa = _lane_pos(lane_a, sa0 + dir_a * speed * _T)
@@ -343,18 +341,16 @@ def _turn_track(world, rng):
 
 
 def _lane_change_track(world, rng):
-    """Lane-follow path with one lateral change to an adjacent lane."""
+    """A lane-following path with one lateral change to an adjacent lane."""
     for _ in range(20):
-        road = int(rng.integers(0, len(world.road_lanes)))
-        lanes = world.road_lanes[road]
+        lanes = world.hd_roads[int(rng.integers(0, len(world.hd_roads)))]
         if len(lanes) < 2:
             return None
         i1 = int(rng.integers(0, len(lanes) - 1))
-        lane1 = world.hd_lanes[lanes[i1]]
-        lane2 = world.hd_lanes[lanes[i1 + 1]]
+        lane1, lane2 = lanes[i1], lanes[i1 + 1]
         if rng.random() < 0.5:
             lane1, lane2 = lane2, lane1
-        s = _lane_arc(world, rng, road)
+        s = _lane_arc(rng, _road_length(lanes))
         if s is None:
             continue
         t0 = float(rng.uniform(1.0, 3.0))
@@ -388,11 +384,10 @@ def generate_scenes(world: MapPair, n: int, seed: int,
                          f"to at most 1")
     if n == 0:
         return []
-    if not world.hd_lanes:
-        raise ValueError("world has no lanes")
-    if not world.road_lanes or len(world.road_lengths) != len(
-            world.road_lanes):
-        raise ValueError("world has no road lane lists to sample scenes "
+    if not world.hd_roads:
+        raise ValueError("world has no roads")
+    if world.intersections is None:
+        raise ValueError("world has no intersections to sample scenes "
                          "from; world files do not store them, so sample "
                          "from a generated world")
     scenes = []
@@ -442,13 +437,11 @@ def read_scenes(path) -> list[Scene]:
                 continue
             try:
                 obj = json.loads(line)
-                agents = [np.asarray(a, dtype=np.float64)
-                          for a in obj["agents"]]
                 scene = Scene(
                     scene_id=_json_int(obj["scene_id"], "scene_id"),
-                    agents=agents,
+                    agents=[_points(a, 2) for a in obj["agents"]],
                     target=_json_int(obj["target"], "target"),
-                    future=np.asarray(obj["future"], dtype=np.float64),
+                    future=_points(obj["future"], 2),
                 )
             except (json.JSONDecodeError, KeyError, ValueError,
                     TypeError) as exc:
@@ -459,32 +452,31 @@ def read_scenes(path) -> list[Scene]:
     return scenes
 
 
+def _write_view(path, rows):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write('{"roads":[\n' + ",\n".join(rows) + "\n]}\n")
+
+
 def write_world(world: MapPair, hd_path, nav_path):
-    """Write the two map views as deterministic JSON files."""
-    with open(hd_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write('{"lanes":[\n')
-        rows = []
-        for lane in world.hd_lanes:
-            succ = ",".join(str(s) for s in lane.successors)
-            rows.append(
-                f'{{"id":{lane.lane_id},"road":{lane.road},'
-                f'"index":{lane.index},"successors":[{succ}],'
-                f'"points":{_fmt_track(lane.points)}}}'
-            )
-        fh.write(",\n".join(rows))
-        fh.write("\n]}\n")
-    with open(nav_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write('{"roads":[\n')
-        rows = [f'{{"points":{_fmt_track(poly)}}}' for poly in world.nav_roads]
-        fh.write(",\n".join(rows))
-        fh.write("\n]}\n")
+    """Write the two map views as deterministic JSON files.
+
+    Both hold ``{"roads": [...]}``, one entry per road: ``{"lanes": ...}``
+    with the road's lane polylines in the HD file, ``{"points": ...}`` in
+    the nav file.
+    """
+    _write_view(hd_path, [
+        '{"lanes":[' + ",".join(_fmt_track(lane) for lane in lanes) + "]}"
+        for lanes in world.hd_roads
+    ])
+    _write_view(nav_path, [f'{{"points":{_fmt_track(poly)}}}'
+                           for poly in world.nav_roads])
 
 
 def _read_view(path, build):
     """``build`` applied to the JSON object in ``path``.
 
-    A missing key, a malformed value, points that are not ``(n, 2)`` or
-    non-finite points raise ``ValueError`` naming the file.
+    A missing key or a malformed value raises ``ValueError`` naming the
+    file.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -495,31 +487,17 @@ def _read_view(path, build):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _polyline(entry) -> np.ndarray:
-    points = np.asarray(entry["points"], dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise ValueError(f"points must be (n, 2), got {points.shape}")
-    if not np.isfinite(points).all():
-        raise ValueError("points hold non-finite values")
-    return points
-
-
 def read_world(hd_path, nav_path) -> MapPair:
     """Read the two map views written by :func:`write_world`.
 
-    The files hold lanes and road polylines only, so the intersections,
-    road lane lists and road lengths of the result are empty.
+    The files hold no intersections, so the result's are None and
+    :func:`generate_scenes` rejects it.
     """
-    hd_lanes = _read_view(hd_path, lambda obj: [
-        Lane(lane_id=_json_int(entry["id"], "lane id"),
-             road=_json_int(entry["road"], "road"),
-             index=_json_int(entry["index"], "lane index"),
-             points=_polyline(entry),
-             successors=[_json_int(s, "successor")
-                         for s in entry["successors"]])
-        for entry in obj["lanes"]
+    hd_roads = _read_view(hd_path, lambda obj: [
+        _points(road["lanes"], 3) for road in obj["roads"]
     ])
     nav_roads = _read_view(nav_path, lambda obj: [
-        _polyline(entry) for entry in obj["roads"]
+        _points(road["points"], 2) for road in obj["roads"]
     ])
-    return MapPair(hd_lanes=hd_lanes, nav_roads=nav_roads)
+    return MapPair(hd_roads=hd_roads, nav_roads=nav_roads,
+                   intersections=None)

@@ -88,15 +88,19 @@ def test_ingest_malformed_osm_reports_error_code(tmp_path, runner):
 @pytest.mark.parametrize("command", ["ingest", "query"])
 @pytest.mark.parametrize("text,code", [
     ('[{"name": "x", "zone": 17, "origin_northing": 0}]', "invalid-input"),
-    ('[{"name": "x", "zone": 17, "origin_easting": "nan", '
+    ('[{"name": "x", "zone": 17, "origin_easting": NaN, '
      '"origin_northing": 0}]', "invalid-coordinate"),
     ('[{"name": ', "invalid-input"),
     ('[{"name": "x", "zone": 17.9, "origin_easting": 0, '
      '"origin_northing": 0}]', "invalid-input"),
     ('[{"name": "x", "zone": true, "origin_easting": 0, '
      '"origin_northing": 0}]', "invalid-input"),
+    ('[{"name": "x", "zone": 17, "origin_easting": "580000.5", '
+     '"origin_northing": 0}]', "invalid-input"),
+    ('[{"name": "x", "zone": 17, "origin_easting": 0, '
+     '"origin_northing": true}]', "invalid-input"),
 ], ids=["missing-key", "nan-origin", "broken-json", "fractional-zone",
-        "bool-zone"])
+        "bool-zone", "string-origin", "bool-origin"])
 def test_malformed_frames_config_reports_error_code(tmp_path, runner,
                                                     command, text, code):
     config = tmp_path / "frames.json"
@@ -469,9 +473,13 @@ def test_gen_too_many_intersections_is_invalid_input(tmp_path, runner):
 def test_corrupt_world_is_invalid_input(tmp_path, runner, dataset):
     corruptions = [
         ("world_nav.json", lambda view: view["roads"][0].pop("points")),
-        ("world_hd.json", lambda view: view["lanes"][0].update(id=0.9)),
+        ("world_nav.json",
+         lambda view: view["roads"][1]["points"][3].__setitem__(0, True)),
         ("world_hd.json",
-         lambda view: view["lanes"][0].update(successors=[99.5])),
+         lambda view: view["roads"][0]["lanes"][1][5].__setitem__(1, True)),
+        # the top-level key of the older lane-record HD format
+        ("world_hd.json",
+         lambda view: view.__setitem__("lanes", view.pop("roads"))),
     ]
     for case, (corrupt_name, corrupt) in enumerate(corruptions):
         data = tmp_path / f"data{case}"
@@ -492,22 +500,24 @@ def test_corrupt_world_is_invalid_input(tmp_path, runner, dataset):
 
 
 def test_non_finite_scene_is_scene_format_error(tmp_path, runner, dataset):
+    # Also a point that is a JSON string or bool, not a number.
     ckpt = _train(runner, dataset, tmp_path, "m.ckpt", "--map", "none")
     data = tmp_path / "data"
     data.mkdir()
     for name in ("world_hd.json", "world_nav.json"):
         (data / name).write_bytes((dataset / name).read_bytes())
     lines = (dataset / "scenes_val.ndjson").read_text().splitlines()
-    record = json.loads(lines[1])
-    record["agents"][0][7][1] = float("nan")
-    lines[1] = json.dumps(record)
-    (data / "scenes_val.ndjson").write_text("\n".join(lines) + "\n")
-    result = runner.invoke(main, [
-        "eval", "--data", str(data), "--ckpt", str(ckpt),
-    ])
-    assert result.exit_code == 1
-    assert "error code=scene-format" in result.stderr
-    assert "record 1" in result.stderr
+    for value in (float("nan"), "1.5", True):
+        record = json.loads(lines[1])
+        record["agents"][0][7][1] = value
+        bad = [lines[0], json.dumps(record), *lines[2:]]
+        (data / "scenes_val.ndjson").write_text("\n".join(bad) + "\n")
+        result = runner.invoke(main, [
+            "eval", "--data", str(data), "--ckpt", str(ckpt),
+        ])
+        assert result.exit_code == 1, value
+        assert "error code=scene-format" in result.stderr
+        assert "record 1" in result.stderr
 
 
 @pytest.mark.parametrize("field,value", [

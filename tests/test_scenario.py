@@ -90,64 +90,60 @@ def test_generate_zero_scenes_from_any_world():
 def test_world_shapes(world):
     spec = WorldSpec(seed=3)
     assert len(world.nav_roads) == spec.num_roads
-    assert len(world.hd_lanes) == spec.num_roads * spec.lanes_per_road
-    assert len(world.road_lanes) == spec.num_roads
-    for r, lane_ids in enumerate(world.road_lanes):
-        for lid in lane_ids:
-            assert world.hd_lanes[lid].road == r
+    assert len(world.hd_roads) == spec.num_roads
+    for lanes, nav in zip(world.hd_roads, world.nav_roads):
+        assert lanes.shape == (spec.lanes_per_road, *nav.shape)
 
 
 def test_world_generation_is_deterministic():
     a = generate_world(WorldSpec(seed=9))
     b = generate_world(WorldSpec(seed=9))
-    for la, lb in zip(a.hd_lanes, b.hd_lanes):
-        np.testing.assert_array_equal(la.points, lb.points)
+    for la, lb in zip(a.hd_roads, b.hd_roads):
+        np.testing.assert_array_equal(la, lb)
     for pa, pb in zip(a.nav_roads, b.nav_roads):
         np.testing.assert_array_equal(pa, pb)
 
 
 def test_nav_view_is_mean_of_lanes(world):
-    for r, lane_ids in enumerate(world.road_lanes):
-        stacked = np.stack([world.hd_lanes[i].points for i in lane_ids])
-        np.testing.assert_allclose(world.nav_roads[r],
-                                   stacked.mean(axis=0), atol=1e-12)
+    for lanes, nav in zip(world.hd_roads, world.nav_roads):
+        np.testing.assert_allclose(nav, lanes.mean(axis=0), atol=1e-12)
 
 
 def test_adjacent_lanes_separated_by_lane_width(world):
     width = WorldSpec(seed=3).lane_width
-    for lane_ids in world.road_lanes:
-        for a, b in zip(lane_ids, lane_ids[1:]):
-            gap = np.linalg.norm(
-                world.hd_lanes[a].points - world.hd_lanes[b].points, axis=1
-            )
+    for lanes in world.hd_roads:
+        for a, b in zip(lanes, lanes[1:]):
+            gap = np.linalg.norm(a - b, axis=1)
             np.testing.assert_allclose(gap, width, atol=1e-9)
 
 
 def test_lane_points_spacing_close_to_sample_step(world):
-    for lane in world.hd_lanes:
-        gaps = np.linalg.norm(np.diff(lane.points, axis=0), axis=1)
+    for lane in (lane for lanes in world.hd_roads for lane in lanes):
+        gaps = np.linalg.norm(np.diff(lane, axis=0), axis=1)
         # arc-length parameterized at 2 m on the road centerline; lane
         # offsets stretch/shrink this slightly on curved roads
         assert np.all(gaps > 1.5)
         assert np.all(gaps < 2.5)
 
 
+def _nav_at_arc(world, road, s):
+    """Linear interpolation of a road's nav polyline at arc position s."""
+    poly = world.nav_roads[road]
+    i = min(int(s // 2.0), len(poly) - 2)
+    return poly[i] + (s / 2.0 - i) * (poly[i + 1] - poly[i])
+
+
 def test_intersections_have_two_members_and_cross_widely(world):
     assert world.intersections
-    for inter in world.intersections:
-        assert len(inter.members) >= 2
-        # both member roads pass within a couple meters of the point
-        for road, s in inter.members:
-            nav = world.nav_roads[road]
-            d = np.linalg.norm(nav - inter.point, axis=1).min()
-            assert d < 3.0
-
-
-def test_lane_successors_link_intersecting_roads(world):
-    inter = world.intersections[0]
-    (ra, _), (rb, _) = inter.members[:2]
-    for la in world.road_lanes[ra]:
-        assert set(world.road_lanes[rb]) <= set(world.hd_lanes[la].successors)
+    for members in world.intersections:
+        assert len(members) >= 2
+        # every two member roads meet, within a couple of meters, at
+        # their arc positions
+        for ra, sa in members:
+            for rb, sb in members:
+                d = np.linalg.norm(_nav_at_arc(world, ra, sa)
+                                   - _nav_at_arc(world, rb, sb))
+                assert d < 3.0
 
 
 def test_view_points(world):
@@ -155,7 +151,9 @@ def test_view_points(world):
     nav = view_points(world, "nav")
     none = view_points(world, "none")
     assert hd.shape[1] == 2 and nav.shape[1] == 2
-    assert hd.shape[0] == sum(len(l.points) for l in world.hd_lanes)
+    # road-major: every lane of road 0, then every lane of road 1, ...
+    assert np.array_equal(hd, np.concatenate(
+        [lane for lanes in world.hd_roads for lane in lanes]))
     assert nav.shape[0] == sum(len(p) for p in world.nav_roads)
     assert none.shape == (0, 2)
     with pytest.raises(ValueError):
@@ -320,15 +318,12 @@ def test_world_write_read_round_trip(tmp_path, world):
     nav_path = tmp_path / "world_nav.json"
     write_world(world, hd_path, nav_path)
     back = read_world(hd_path, nav_path)
-    lanes, roads = back.hd_lanes, back.nav_roads
-    assert len(lanes) == len(world.hd_lanes)
-    for a, b in zip(world.hd_lanes, lanes):
-        assert a.lane_id == b.lane_id
-        assert a.road == b.road
-        assert a.successors == b.successors
-        np.testing.assert_allclose(a.points, b.points, atol=1e-6)
-    assert len(roads) == len(world.nav_roads)
-    for a, b in zip(world.nav_roads, roads):
+    assert back.intersections is None
+    assert len(back.hd_roads) == len(world.hd_roads)
+    for a, b in zip(world.hd_roads, back.hd_roads):
+        np.testing.assert_allclose(a, b, atol=1e-6)
+    assert len(back.nav_roads) == len(world.nav_roads)
+    for a, b in zip(world.nav_roads, back.nav_roads):
         np.testing.assert_allclose(a, b, atol=1e-6)
     # reconstructed views feed the model the same way
     for source in ("hd", "nav", "none"):
@@ -346,6 +341,8 @@ def test_world_write_read_round_trip(tmp_path, world):
      "non-finite"),
     (lambda obj: obj["roads"][0]["points"][0].__setitem__(0, float("inf")),
      "non-finite"),
+    (lambda obj: obj["roads"][2]["points"][6].__setitem__(1, "1.5"),
+     "not JSON numbers"),
 ])
 def test_read_world_rejects_corrupt_nav_view(tmp_path, world, corrupt,
                                              message):
@@ -360,14 +357,40 @@ def test_read_world_rejects_corrupt_nav_view(tmp_path, world, corrupt,
     assert str(nav_path) in str(info.value)
 
 
-def test_read_world_rejects_corrupt_hd_view(tmp_path, world):
+def _as_lane_records(obj):
+    """Rewrite an HD view in place into the older lane-record format."""
+    lanes = [(r, i, lane) for r, road in enumerate(obj.pop("roads"))
+             for i, lane in enumerate(road["lanes"])]
+    obj["lanes"] = [{"id": n, "road": r, "index": i, "successors": [],
+                     "points": lane} for n, (r, i, lane) in enumerate(lanes)]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda obj: obj.pop("roads"), "missing key 'roads'"),
+    (lambda obj: obj["roads"][1].pop("lanes"), "missing key 'lanes'"),
+    (lambda obj: obj["roads"][0]["lanes"][1].pop(), "inhomogeneous"),
+    (lambda obj: obj["roads"][0].update(lanes=[[[1.0, 2.0, 3.0]]]),
+     r"\(lanes, n, 2\)"),
+    (lambda obj: obj["roads"][0].update(lanes=[[1.0, 2.0]]),
+     r"\(lanes, n, 2\)"),
+    (lambda obj: obj["roads"][3]["lanes"][1][4].__setitem__(1, float("nan")),
+     "non-finite"),
+    (lambda obj: obj["roads"][0]["lanes"][0][0].__setitem__(0, float("inf")),
+     "non-finite"),
+    (lambda obj: obj["roads"][2]["lanes"][0][7].__setitem__(0, True),
+     "not JSON numbers"),
+    (_as_lane_records, "missing key 'roads'"),
+], ids=["missing-roads", "missing-lanes", "ragged-lanes", "last-axis-3",
+        "lanes-2d", "nan", "inf", "bool-point", "lane-records"])
+def test_read_world_rejects_corrupt_hd_view(tmp_path, world, corrupt,
+                                            message):
     hd_path = tmp_path / "world_hd.json"
     nav_path = tmp_path / "world_nav.json"
     write_world(world, hd_path, nav_path)
     obj = json.loads(hd_path.read_text())
-    del obj["lanes"][2]["successors"]
+    corrupt(obj)
     hd_path.write_text(json.dumps(obj))
-    with pytest.raises(ValueError, match="missing key 'successors'") as info:
+    with pytest.raises(ValueError, match=message) as info:
         read_world(hd_path, nav_path)
     assert str(hd_path) in str(info.value)
 
@@ -380,14 +403,14 @@ def test_too_many_intersections_rejected_quickly():
 
 
 def test_empty_world_rejected_for_scenes():
-    empty = MapPair(hd_lanes=[], nav_roads=[])
-    with pytest.raises(ValueError):
+    empty = MapPair(hd_roads=[], nav_roads=[], intersections=[])
+    with pytest.raises(ValueError, match="no roads"):
         generate_scenes(empty, 1, seed=0)
 
 
 def test_world_read_back_cannot_sample_scenes(tmp_path, world, monkeypatch):
-    # World files store the two map views but not the per-road lane lists
-    # that scene sampling draws from; the error names them, before any
+    # World files store the two map views but not the intersections that
+    # scene sampling draws turns from; the error names them, before any
     # random draw.
     hd_path = tmp_path / "world_hd.json"
     nav_path = tmp_path / "world_nav.json"
@@ -398,7 +421,7 @@ def test_world_read_back_cannot_sample_scenes(tmp_path, world, monkeypatch):
         raise AssertionError("rng created before the world was checked")
 
     monkeypatch.setattr(np.random, "default_rng", no_draws)
-    with pytest.raises(ValueError, match="road lane lists"):
+    with pytest.raises(ValueError, match="intersections"):
         generate_scenes(back, 1, seed=0)
 
 
@@ -410,9 +433,13 @@ def test_world_read_back_cannot_sample_scenes(tmp_path, world, monkeypatch):
 def _reference_lane_pos(lane, s):
     grid_pos = s / 2.0
     idx = int(math.floor(grid_pos))
-    idx = min(max(idx, 0), len(lane.points) - 2)
+    idx = min(max(idx, 0), len(lane) - 2)
     frac = grid_pos - idx
-    return lane.points[idx] + frac * (lane.points[idx + 1] - lane.points[idx])
+    return lane[idx] + frac * (lane[idx + 1] - lane[idx])
+
+
+def _reference_road_length(world, road):
+    return (world.hd_roads[road].shape[1] - 1) * 2.0
 
 
 def _reference_smoothstep(t):
@@ -423,13 +450,13 @@ def _reference_smoothstep(t):
 def _reference_straight_track(world, rng, n_steps, speed_range):
     horizon = (n_steps - 1) * DT
     for _ in range(20):
-        road = int(rng.integers(0, len(world.road_lanes)))
-        lane_id = int(rng.choice(world.road_lanes[road]))
-        lane = world.hd_lanes[lane_id]
+        road = int(rng.integers(0, len(world.hd_roads)))
+        lane_index = int(rng.choice(len(world.hd_roads[road])))
+        lane = world.hd_roads[road][lane_index]
         direction = 1.0 if rng.random() < 0.5 else -1.0
         speed = float(rng.uniform(*speed_range))
         travel = speed * horizon
-        lo, hi = 5.0, world.road_lengths[road] - 5.0
+        lo, hi = 5.0, _reference_road_length(world, road) - 5.0
         if hi - lo < travel:
             continue
         if direction > 0:
@@ -446,30 +473,29 @@ def _reference_turn_track(world, rng, speed_range):
     n_steps = OBSERVED_LEN + FUTURE_LEN
     tau = 0.5
     for _ in range(20):
-        inter = world.intersections[
+        members = world.intersections[
             int(rng.integers(0, len(world.intersections)))]
-        members = list(inter.members)
         ia = int(rng.integers(0, len(members)))
         ib = int(rng.integers(0, len(members)))
         if ia == ib:
             continue
         ra, sa = members[ia]
         rb, sb = members[ib]
-        lane_a = world.hd_lanes[int(rng.choice(world.road_lanes[ra]))]
-        lane_b = world.hd_lanes[int(rng.choice(world.road_lanes[rb]))]
+        lane_a = world.hd_roads[ra][int(rng.choice(len(world.hd_roads[ra])))]
+        lane_b = world.hd_roads[rb][int(rng.choice(len(world.hd_roads[rb])))]
         dir_a = 1.0 if rng.random() < 0.5 else -1.0
         dir_b = 1.0 if rng.random() < 0.5 else -1.0
         speed = float(rng.uniform(speed_range[0], min(speed_range[1], 12.0)))
         t_turn = float(rng.uniform(2.3, 4.3))
         t_end = (n_steps - 1) * DT
         sa0 = sa - dir_a * speed * t_turn
-        ok_a = (5.0 < sa0 < world.road_lengths[ra] - 5.0
+        ok_a = (5.0 < sa0 < _reference_road_length(world, ra) - 5.0
                 and 5.0 < sa + dir_a * speed * (tau + 0.1)
-                < world.road_lengths[ra] - 5.0)
+                < _reference_road_length(world, ra) - 5.0)
         sb_end = sb + dir_b * speed * (t_end - t_turn)
-        ok_b = (5.0 < sb_end < world.road_lengths[rb] - 5.0
+        ok_b = (5.0 < sb_end < _reference_road_length(world, rb) - 5.0
                 and 5.0 < sb - dir_b * speed * (tau + 0.1)
-                < world.road_lengths[rb] - 5.0)
+                < _reference_road_length(world, rb) - 5.0)
         if not (ok_a and ok_b):
             continue
         pos = np.empty((n_steps, 2))
@@ -486,20 +512,20 @@ def _reference_turn_track(world, rng, speed_range):
 def _reference_lane_change_track(world, rng, speed_range):
     n_steps = OBSERVED_LEN + FUTURE_LEN
     for _ in range(20):
-        road = int(rng.integers(0, len(world.road_lanes)))
-        lanes = world.road_lanes[road]
+        road = int(rng.integers(0, len(world.hd_roads)))
+        lanes = world.hd_roads[road]
         if len(lanes) < 2:
             return None
         i1 = int(rng.integers(0, len(lanes) - 1))
-        lane1 = world.hd_lanes[lanes[i1]]
-        lane2 = world.hd_lanes[lanes[i1 + 1]]
+        lane1 = lanes[i1]
+        lane2 = lanes[i1 + 1]
         if rng.random() < 0.5:
             lane1, lane2 = lane2, lane1
         direction = 1.0 if rng.random() < 0.5 else -1.0
         speed = float(rng.uniform(*speed_range))
         horizon = (n_steps - 1) * DT
         travel = speed * horizon
-        lo, hi = 5.0, world.road_lengths[road] - 5.0
+        lo, hi = 5.0, _reference_road_length(world, road) - 5.0
         if hi - lo < travel:
             continue
         s0 = float(rng.uniform(lo, hi - travel)) if direction > 0 \
