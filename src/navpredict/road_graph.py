@@ -9,7 +9,8 @@ query surface of a lane-level HD map API.
 
 from __future__ import annotations
 
-import functools
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -35,6 +36,11 @@ __all__ = [
 EdgeId = tuple[int, int]
 
 _GRID_CELL = 100.0  # meters; index cell size
+_NO_EDGES = np.empty(0, dtype=np.int64)
+# Relative width of the band around a query radius in which the scalar
+# hit test decides: far wider than the last-bit gap between np.hypot and
+# math.hypot.
+_BORDER_BAND = 1e-9
 
 
 class UnknownEdgeError(KeyError):
@@ -76,24 +82,38 @@ class NavGraph:
             seen.add((src, dst))
 
 
-@dataclass(frozen=True, eq=False)
 class RoadSegment:
     """One directed edge with its resampled centerline.
 
     ``points`` is a read-only ``(n+1, 2)`` float64 array of the resampled
-    chord. ``polyline`` holds the same values as ``LocalPoint``s; it is
-    built on first access. Two segments are equal iff their edge ids and
-    every coordinate match.
+    chord. ``src`` and ``dst`` are the two parts of ``edge_id``.
+    ``polyline`` holds the same values as ``points`` as ``LocalPoint``s;
+    it is built on first access. Two segments are equal iff their edge ids
+    and every coordinate match.
     """
 
-    edge_id: EdgeId
-    src: int
-    dst: int
-    points: np.ndarray
+    __slots__ = ("edge_id", "points", "_polyline")
 
-    @functools.cached_property
+    def __init__(self, edge_id: EdgeId, points: np.ndarray):
+        self.edge_id = edge_id
+        self.points = points
+
+    @property
+    def src(self) -> int:
+        return self.edge_id[0]
+
+    @property
+    def dst(self) -> int:
+        return self.edge_id[1]
+
+    @property
     def polyline(self) -> tuple[LocalPoint, ...]:
-        return tuple(LocalPoint(x, y) for x, y in self.points.tolist())
+        try:
+            return self._polyline
+        except AttributeError:
+            self._polyline = tuple(LocalPoint(x, y)
+                                   for x, y in self.points.tolist())
+            return self._polyline
 
     def __eq__(self, other):
         if not isinstance(other, RoadSegment):
@@ -104,24 +124,58 @@ class RoadSegment:
     def __hash__(self):
         return hash(self.edge_id)
 
+    def __repr__(self):
+        return f"RoadSegment(edge_id={self.edge_id!r}, points={self.points!r})"
+
+
+def _index_field():
+    # Built by __post_init__ from the other fields, which determine it.
+    return field(init=False, repr=False, compare=False)
+
 
 @dataclass
 class LocalNavGraph:
-    """A NavGraph projected into a city frame, ready for queries."""
+    """A NavGraph projected into a city frame, ready for queries.
+
+    Construction builds the index. ``_edges`` holds the edge ids in
+    ascending order, so an edge's position is found by bisection; row i of
+    ``_ends`` is edge i's chord as ``x0 y0 x1 y1`` and ``_intervals[i]``
+    its resample interval count. ``_grid`` maps each 100 m cell to the
+    ascending positions of the edges whose bounding box touches it.
+    ``_edge_set`` answers membership: a set lookup, which the walks make
+    once per step, is one memory access cheaper than a dict lookup.
+    """
 
     graph: NavGraph
     frame: CityFrame
     local: dict[int, LocalPoint]
     resample_step: float = 2.0
-    _out: dict[int, list[EdgeId]] = field(default_factory=dict, repr=False)
-    _in: dict[int, list[EdgeId]] = field(default_factory=dict, repr=False)
-    _grid: dict[tuple[int, int], list[EdgeId]] = field(
-        default_factory=dict, repr=False
-    )
-    _edge_set: set[EdgeId] = field(default_factory=set, repr=False)
+    _out: dict[int, list[EdgeId]] = _index_field()
+    _in: dict[int, list[EdgeId]] = _index_field()
+    _edges: list[EdgeId] = _index_field()
+    _edge_set: set[EdgeId] = _index_field()
+    _ends: np.ndarray = _index_field()
+    _intervals: np.ndarray = _index_field()
+    _grid: dict[tuple[int, int], np.ndarray] = _index_field()
 
     def __post_init__(self):
         _check_positive("resample step", self.resample_step)
+        self._edge_set = set(self.graph.edges)
+        self._out = {}
+        self._in = {}
+        for eid in self.graph.edges:
+            self._out.setdefault(eid[0], []).append(eid)
+            self._in.setdefault(eid[1], []).append(eid)
+        self._edges = edges = sorted(self.graph.edges)
+        local = self.local
+        coords = itertools.chain.from_iterable(
+            (local[src].x, local[src].y, local[dst].x, local[dst].y)
+            for src, dst in edges)
+        self._ends = ends = np.fromiter(coords, float,
+                                        4 * len(edges)).reshape(-1, 4)
+        self._intervals = _interval_counts(ends[:, 2:] - ends[:, :2],
+                                           self.resample_step)
+        self._grid = _grid_index(ends)
 
     def _check_edge(self, edge_id: EdgeId):
         if edge_id not in self._edge_set:
@@ -129,7 +183,28 @@ class LocalNavGraph:
 
     def segment(self, edge_id: EdgeId) -> RoadSegment:
         self._check_edge(edge_id)
-        return _segments(self, [edge_id])[0]
+        position = bisect.bisect_left(self._edges, edge_id)
+        return _segments(self, np.array([position]))[0]
+
+
+def _grid_index(ends: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
+    """Cell -> ascending positions of the chords whose box touches it."""
+    lo = np.floor(np.minimum(ends[:, :2], ends[:, 2:]) / _GRID_CELL)
+    hi = np.floor(np.maximum(ends[:, :2], ends[:, 2:]) / _GRID_CELL)
+    lo = lo.astype(np.int64)
+    span = hi.astype(np.int64) - lo + 1          # cells along x and along y
+    counts = span[:, 0] * span[:, 1]
+    position = np.repeat(np.arange(len(ends)), counts)
+    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    cx = lo[position, 0] + k // span[position, 1]
+    cy = lo[position, 1] + k % span[position, 1]
+    # lexsort is stable, so the positions within a cell stay ascending.
+    order = np.lexsort((cy, cx))
+    cx, cy, position = cx[order], cy[order], position[order]
+    first = np.flatnonzero(np.diff(cx, prepend=cx[:1] - 1)
+                           | np.diff(cy, prepend=cy[:1] - 1))
+    return dict(zip(zip(cx[first].tolist(), cy[first].tolist()),
+                    np.split(position, first[1:])))
 
 
 def resample_polyline(src: LocalPoint, dst: LocalPoint,
@@ -141,13 +216,24 @@ def resample_polyline(src: LocalPoint, dst: LocalPoint,
     the two coincident endpoints.
     """
     _check_positive("resample step", step)
-    (points,) = _resample_chords(np.array([[src.x, src.y, dst.x, dst.y]]),
-                                 step)
+    ends = np.array([[src.x, src.y, dst.x, dst.y]])
+    (points,) = _resample_chords(
+        ends, _interval_counts(ends[:, 2:] - ends[:, :2], step))
     return [LocalPoint(x, y) for x, y in points.tolist()]
 
 
-def _resample_chords(ends: np.ndarray, step: float) -> list[np.ndarray]:
-    """Resample chords given as ``(k, 4)`` rows ``x0 y0 x1 y1`` in one pass.
+def _interval_counts(deltas: np.ndarray, step: float) -> np.ndarray:
+    """n = max(1, ceil(length / step)) per ``(k, 2)`` chord delta row."""
+    # math.hypot, not np.hypot: the two can differ in the last bit, which
+    # moves n when length / step sits on an integer. Mapping over the
+    # columns, not over .tolist(), holds no list of every delta.
+    lengths = np.fromiter(map(math.hypot, deltas[:, 0], deltas[:, 1]),
+                          float, len(deltas))
+    return np.maximum(1.0, np.ceil(lengths / step)).astype(np.int64)
+
+
+def _resample_chords(ends: np.ndarray, n: np.ndarray) -> list[np.ndarray]:
+    """Resample ``(k, 4)`` chord rows ``x0 y0 x1 y1`` into ``n`` intervals.
 
     Point i of a chord with n intervals is ``p0 + (p1 - p0) * (i / n)``,
     each operation rounded once, in that order. Returns one ``(n+1, 2)``
@@ -157,11 +243,6 @@ def _resample_chords(ends: np.ndarray, step: float) -> list[np.ndarray]:
         return []
     origins = ends[:, :2]
     deltas = ends[:, 2:] - origins
-    # math.hypot, not np.hypot: the two can differ in the last bit, which
-    # moves n when length / step sits on an integer.
-    lengths = np.fromiter(map(math.hypot, *deltas.T.tolist()), float,
-                          len(ends))
-    n = np.maximum(1.0, np.ceil(lengths / step)).astype(np.int64)
     counts = n + 1
     stops = np.cumsum(counts)
     starts = stops - counts
@@ -173,12 +254,12 @@ def _resample_chords(ends: np.ndarray, step: float) -> list[np.ndarray]:
     return [points[lo:hi] for lo, hi in zip(starts.tolist(), stops.tolist())]
 
 
-def _segments(g: LocalNavGraph, eids) -> list[RoadSegment]:
-    local = g.local
-    ends = np.array([(local[src].x, local[src].y, local[dst].x, local[dst].y)
-                     for src, dst in eids]).reshape(-1, 4)
-    return [RoadSegment(eid, eid[0], eid[1], points) for eid, points
-            in zip(eids, _resample_chords(ends, g.resample_step))]
+def _segments(g: LocalNavGraph, positions: np.ndarray) -> list[RoadSegment]:
+    """The segments of the edges at ascending ``positions`` of the index."""
+    edges = g._edges
+    chords = _resample_chords(g._ends[positions], g._intervals[positions])
+    return [RoadSegment(edges[p], points)
+            for p, points in zip(positions.tolist(), chords)]
 
 
 def _check_positive(name: str, value: float):
@@ -194,21 +275,8 @@ def localize(g: NavGraph, frame: CityFrame,
              resample_step: float = 2.0) -> LocalNavGraph:
     """Project every node into the frame and build the spatial index."""
     local = {nid: geo_to_local(p, frame) for nid, p in g.nodes.items()}
-    lg = LocalNavGraph(graph=g, frame=frame, local=local,
-                       resample_step=resample_step)
-    lg._edge_set = set(g.edges)
-    for eid in g.edges:
-        src, dst = eid
-        lg._out.setdefault(src, []).append(eid)
-        lg._in.setdefault(dst, []).append(eid)
-        a = local[src]
-        b = local[dst]
-        cx0, cy0 = _cell(min(a.x, b.x), min(a.y, b.y))
-        cx1, cy1 = _cell(max(a.x, b.x), max(a.y, b.y))
-        for cx in range(cx0, cx1 + 1):
-            for cy in range(cy0, cy1 + 1):
-                lg._grid.setdefault((cx, cy), []).append(eid)
-    return lg
+    return LocalNavGraph(graph=g, frame=frame, local=local,
+                         resample_step=resample_step)
 
 
 def point_segment_distance(px: float, py: float, a: LocalPoint,
@@ -226,36 +294,60 @@ def point_segment_distance(px: float, py: float, a: LocalPoint,
     return math.hypot(apx - t * abx, apy - t * aby)
 
 
+def _chord_distances(px: float, py: float, ends: np.ndarray) -> np.ndarray:
+    """:func:`point_segment_distance` to each ``(k, 4)`` chord row.
+
+    The same operations in the same order, with ``t = 0`` on a
+    zero-length chord, except that ``np.hypot`` can differ from
+    ``math.hypot`` in the last bit.
+    """
+    ax, ay, bx, by = ends.T
+    abx = bx - ax
+    aby = by - ay
+    apx = px - ax
+    apy = py - ay
+    denom = abx * abx + aby * aby
+    t = np.divide(apx * abx + apy * aby, denom, out=np.zeros_like(denom),
+                  where=denom != 0.0)
+    t = np.minimum(1.0, np.maximum(0.0, t))
+    return np.hypot(apx - t * abx, apy - t * aby)
+
+
 def segments_in_radius(g: LocalNavGraph, center: LocalPoint,
                        radius: float) -> list[RoadSegment]:
     """All edges whose chord comes within ``radius`` of ``center``.
 
-    Distance is measured to the straight src-dst chord; results carry
-    the resampled polyline and are ordered by edge id for determinism.
+    Distance is measured to the straight src-dst chord, as by
+    :func:`point_segment_distance`; results carry the resampled polyline
+    and are ordered by edge id for determinism.
     """
     _check_positive("radius", radius)
     cx0, cy0 = _cell(center.x - radius, center.y - radius)
     cx1, cy1 = _cell(center.x + radius, center.y + radius)
     n_cells = (cx1 - cx0 + 1) * (cy1 - cy0 + 1)
     if n_cells <= len(g._grid):
-        buckets = (g._grid.get((cx, cy), ())
+        buckets = [g._grid.get((cx, cy), _NO_EDGES)
                    for cx in range(cx0, cx1 + 1)
-                   for cy in range(cy0, cy1 + 1))
+                   for cy in range(cy0, cy1 + 1)]
     else:
         # The query box covers more cells than the index holds; walking
         # the occupied cells directly is cheaper.
-        buckets = (bucket for (cx, cy), bucket in g._grid.items()
-                   if cx0 <= cx <= cx1 and cy0 <= cy <= cy1)
-    hits = set()
-    for bucket in buckets:
-        for eid in bucket:
-            if eid in hits:
-                continue
-            a = g.local[eid[0]]
-            b = g.local[eid[1]]
-            if point_segment_distance(center.x, center.y, a, b) <= radius:
-                hits.add(eid)
-    return _segments(g, sorted(hits))
+        buckets = [bucket for (cx, cy), bucket in g._grid.items()
+                   if cx0 <= cx <= cx1 and cy0 <= cy <= cy1]
+    # Ascending and without repeats, which is edge-id order. np.unique
+    # does the same, slower on a few hundred positions.
+    candidates = np.sort(np.concatenate([_NO_EDGES, *buckets]))
+    candidates = candidates[np.diff(candidates, prepend=-1) != 0]
+    distance = _chord_distances(center.x, center.y, g._ends[candidates])
+    inside = distance <= radius
+    # Where the two hypots could disagree about the border, the scalar
+    # test decides, so membership is exactly point_segment_distance's.
+    for i in np.flatnonzero(
+            np.abs(distance - radius) <= _BORDER_BAND * radius).tolist():
+        src, dst = g._edges[candidates[i]]
+        inside[i] = point_segment_distance(
+            center.x, center.y, g.local[src], g.local[dst]) <= radius
+    return _segments(g, candidates[inside])
 
 
 def successors(g: LocalNavGraph, edge_id: EdgeId) -> set[EdgeId]:

@@ -75,9 +75,10 @@ def _points(value, ndim: int) -> np.ndarray:
     """Parsed JSON ``value`` as a float64 array of points.
 
     ``ndim`` 2 asks for ``(n, 2)``, 3 for ``(lanes, n, 2)``. Another
-    shape, a value that is not a JSON number (``np.asarray`` would read
-    ``"1.5"`` as 1.5 and ``true`` as 1.0) and a non-finite value raise
-    ``ValueError``.
+    shape and a value that is not a JSON number (``np.asarray`` would read
+    ``"1.5"`` as 1.5 and ``true`` as 1.0) raise ``ValueError``. Finiteness
+    is the caller's check: :class:`Scene` makes it for scenes,
+    :func:`read_world` for worlds.
     """
     points = np.asarray(value, dtype=np.float64)
     if points.ndim != ndim or points.shape[-1] != 2:
@@ -87,8 +88,6 @@ def _points(value, ndim: int) -> np.ndarray:
         value = itertools.chain.from_iterable(value)
     if not _JSON_NUMBER.issuperset(map(type, value)):
         raise ValueError("points hold values that are not JSON numbers")
-    if not np.isfinite(points).all():
-        raise ValueError("points hold non-finite values")
     return points
 
 
@@ -472,15 +471,19 @@ def write_world(world: MapPair, hd_path, nav_path):
                            for poly in world.nav_roads])
 
 
-def _read_view(path, build):
-    """``build`` applied to the JSON object in ``path``.
+def _read_view(path, key: str, ndim: int) -> list[np.ndarray]:
+    """The ``key`` points of each road in the view file ``path``.
 
-    A missing key or a malformed value raises ``ValueError`` naming the
-    file.
+    A missing key or a malformed or non-finite value raises
+    ``ValueError`` naming the file.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            return build(json.load(fh))
+            roads = [_points(road[key], ndim)
+                     for road in json.load(fh)["roads"]]
+        if not all(np.isfinite(points).all() for points in roads):
+            raise ValueError("points hold non-finite values")
+        return roads
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -490,14 +493,20 @@ def _read_view(path, build):
 def read_world(hd_path, nav_path) -> MapPair:
     """Read the two map views written by :func:`write_world`.
 
-    The files hold no intersections, so the result's are None and
-    :func:`generate_scenes` rejects it.
+    The views must describe the same roads: as many in each file, and
+    each road's nav polyline as long as its lanes. The files hold no
+    intersections, so the result's are None and :func:`generate_scenes`
+    rejects it.
     """
-    hd_roads = _read_view(hd_path, lambda obj: [
-        _points(road["lanes"], 3) for road in obj["roads"]
-    ])
-    nav_roads = _read_view(nav_path, lambda obj: [
-        _points(road["points"], 2) for road in obj["roads"]
-    ])
+    hd_roads = _read_view(hd_path, "lanes", 3)
+    nav_roads = _read_view(nav_path, "points", 2)
+    if len(hd_roads) != len(nav_roads):
+        raise ValueError(f"{hd_path} holds {len(hd_roads)} roads but "
+                         f"{nav_path} holds {len(nav_roads)}")
+    for road, (lanes, nav) in enumerate(zip(hd_roads, nav_roads)):
+        if lanes.shape[1:] != nav.shape:
+            raise ValueError(f"road {road} has {lanes.shape[1]} points per "
+                             f"lane in {hd_path} but {len(nav)} in "
+                             f"{nav_path}")
     return MapPair(hd_roads=hd_roads, nav_roads=nav_roads,
                    intersections=None)

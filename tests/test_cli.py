@@ -499,6 +499,25 @@ def test_corrupt_world_is_invalid_input(tmp_path, runner, dataset):
         assert corrupt_name in result.stderr
 
 
+def test_world_views_of_different_roads_are_invalid_input(tmp_path, runner,
+                                                         dataset):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("world_hd.json", "scenes_train.ndjson"):
+        (data / name).write_bytes((dataset / name).read_bytes())
+    view = json.loads((dataset / "world_nav.json").read_text())
+    view["roads"].pop()
+    (data / "world_nav.json").write_text(json.dumps(view))
+    result = runner.invoke(main, [
+        "train", "--data", str(data), "--map", "nav", "--epochs", "1",
+        "--out", str(tmp_path / "m.ckpt"),
+    ])
+    assert result.exit_code == 1
+    assert "error code=invalid-input" in result.stderr
+    assert "world_hd.json" in result.stderr
+    assert "world_nav.json" in result.stderr
+
+
 def test_non_finite_scene_is_scene_format_error(tmp_path, runner, dataset):
     # Also a point that is a JSON string or bool, not a number.
     ckpt = _train(runner, dataset, tmp_path, "m.ckpt", "--map", "none")

@@ -317,6 +317,33 @@ def test_radius_query_matches_per_point_reference(graph, frame):
                                   ref)
 
 
+@pytest.mark.parametrize("graph,frame", [
+    (_fixture_graph(), MIAMI), (_grid_graph(), FRAME),
+], ids=["fixture", "grid"])
+def test_radius_equal_to_an_edge_distance_keeps_that_edge(graph, frame):
+    # The radius is the scalar distance to the picked edge, so the edge
+    # sits exactly on the border, where np.hypot and math.hypot can part.
+    g = localize(graph, frame)
+    rng = np.random.default_rng(31)
+    edges = sorted(g.graph.edges)
+    zero_length = [eid for eid in edges
+                   if g.local[eid[0]] == g.local[eid[1]]]
+    for k in range(300):
+        pool = zero_length if zero_length and k % 7 == 0 else edges
+        eid = pool[rng.integers(len(pool))]
+        a, b = g.local[eid[0]], g.local[eid[1]]
+        # Every fifth centre lies so far off that the query box covers
+        # more cells than the index holds.
+        offset = 20000.0 if k % 5 == 0 else 150.0
+        cx, cy = np.array([a.x, a.y]) + rng.uniform(-offset, offset, size=2)
+        radius = point_segment_distance(cx, cy, a, b)
+        got = [s.edge_id for s in
+               segments_in_radius(g, LocalPoint(cx, cy), radius)]
+        assert eid in got
+        assert got == [e for e in edges if point_segment_distance(
+            cx, cy, g.local[e[0]], g.local[e[1]]) <= radius]
+
+
 def test_resample_polyline_matches_per_point_reference():
     rng = np.random.default_rng(5)
     for _ in range(200):

@@ -343,6 +343,10 @@ def test_world_write_read_round_trip(tmp_path, world):
      "non-finite"),
     (lambda obj: obj["roads"][2]["points"][6].__setitem__(1, "1.5"),
      "not JSON numbers"),
+    # A nav view that does not describe the HD view's roads.
+    (lambda obj: obj["roads"].pop(), r"holds \d+ roads but .* holds \d+"),
+    (lambda obj: obj["roads"][1]["points"].pop(),
+     r"road 1 has \d+ points per lane in .* but \d+ in"),
 ])
 def test_read_world_rejects_corrupt_nav_view(tmp_path, world, corrupt,
                                              message):
