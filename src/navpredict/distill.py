@@ -108,11 +108,12 @@ def train(scenes: list[Scene], map_points: np.ndarray,
     """SGD with momentum over per-scene winner-takes-all losses.
 
     With a teacher, the frozen teacher runs forward once per scene on its
-    own (HD) map view before the first epoch; its embeddings are the fixed
-    targets of the weighted distillation term. Each step writes its
-    gradients and activations into one ``model.Workspace``, sized for the
-    largest per-scene map set and reused for the whole run, and updates
-    ``params.flat`` in place. The loop is single-threaded and
+    own (HD) map view before the first epoch, through
+    ``model.forward_batch`` in blocks of ``model.FORWARD_BLOCK`` scenes;
+    its embeddings are the fixed targets of the weighted distillation
+    term. Each step writes its gradients and activations into one
+    ``model.Workspace``, sized for the largest per-scene map set and
+    reused for the whole run, and updates ``params.flat`` in place. The loop is single-threaded and
     bit-reproducible for a fixed seed.
     """
     if not scenes:
@@ -142,10 +143,13 @@ def train(scenes: list[Scene], map_points: np.ndarray,
             raise ValueError("teacher given without its map view")
         teacher_maps = prepare_map_inputs(scenes, teacher_map_points,
                                           t_config.map_radius)
-        xi_teachers = [
-            m.forward(scene.agents[scene.target], t_map, t_params)[1]
-            for scene, t_map in zip(scenes, teacher_maps)
-        ]
+        xi_teachers = np.empty((len(scenes), t_config.d))
+        for lo in range(0, len(scenes), m.FORWARD_BLOCK):
+            block = slice(lo, lo + m.FORWARD_BLOCK)
+            observed = np.array([scene.agents[scene.target]
+                                 for scene in scenes[block]])
+            xi_teachers[block] = m.forward_batch(
+                observed, teacher_maps[block], t_params)[2]
 
     alpha = dcfg.alpha if dcfg is not None else 1.0
     beta = dcfg.beta if dcfg is not None else 0.0

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelConfig, ModelParams, PredictionSet, forward, \
-    select_map_points
+from .model import FORWARD_BLOCK, ModelConfig, ModelParams, PredictionSet, \
+    forward_batch, select_map_points
 from .scenario import FUTURE_LEN
 
 __all__ = [
@@ -136,15 +136,23 @@ def aggregate(min_ades, min_fdes, ks=DEFAULT_KS) -> MetricReport:
 
 def evaluate_model(params: ModelParams, config: ModelConfig, scenes,
                    map_points, ks=DEFAULT_KS):
-    """Run the model over a split and aggregate the metric report."""
-    # Filled scene by scene: no PredictionSet outlives its forward pass.
+    """Run the model over a split and aggregate the metric report.
+
+    The split runs through ``forward_batch`` in blocks of
+    ``FORWARD_BLOCK`` scenes, so only one block's map sets are alive at
+    a time.
+    """
     trajectories = np.empty((len(scenes), config.k, FUTURE_LEN, 2))
     confidences = np.empty((len(scenes), config.k))
-    for i, scene in enumerate(scenes):
-        observed = scene.agents[scene.target]
-        pts = select_map_points(map_points, observed[-1], config.map_radius)
-        pred, _xi, _cache = forward(observed, pts, params)
-        trajectories[i], confidences[i] = pred.trajectories, pred.confidences
+    for lo in range(0, len(scenes), FORWARD_BLOCK):
+        block = slice(lo, lo + FORWARD_BLOCK)
+        observed = np.array([scene.agents[scene.target]
+                             for scene in scenes[block]])
+        map_sets = [select_map_points(map_points, track[-1],
+                                      config.map_radius)
+                    for track in observed]
+        trajectories[block], confidences[block], _xi = forward_batch(
+            observed, map_sets, params)
     return _evaluate(trajectories, confidences,
                      np.array([scene.future for scene in scenes]), ks)[:2]
 

@@ -51,6 +51,7 @@ __all__ = [
     "fuse",
     "decode",
     "forward",
+    "forward_batch",
     "model_loss",
     "distill_loss",
     "loss_and_grads",
@@ -59,6 +60,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "CHECKPOINT_VERSION",
+    "FORWARD_BLOCK",
     "HEADING_LAG",
     "HEADING_MIN_DISPLACEMENT",
 ]
@@ -72,6 +74,11 @@ CHECKPOINT_VERSION = 2
 # target counts as stationary and its frame keeps the world axes.
 HEADING_LAG = 5
 HEADING_MIN_DISPLACEMENT = 0.1
+
+# Scenes per ``forward_batch`` call in the split passes: enough to spread
+# the per-call numpy cost, few enough that a block's map sets and
+# intermediates stay small next to the model.
+FORWARD_BLOCK = 32
 
 _N_DELTA_FEATURES = 2 * (OBSERVED_LEN - 1)
 
@@ -214,17 +221,32 @@ class Workspace:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max()
+    """Softmax along the last axis."""
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _matvec(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``w @ x`` for each vector along ``x``'s last axis.
+
+    Every vector takes the matrix-vector BLAS call that ``w @ x`` makes
+    for one, so a batch gets the bits of one-vector calls. One vector
+    skips the stacking views, which cost a one-scene forward about a
+    microsecond.
+    """
+    if x.ndim == 1:
+        return w @ x
+    return np.matmul(w, x[..., None])[..., 0]
 
 
 def encode_agent(observed: np.ndarray, params: ModelParams):
-    """Observed (OBSERVED_LEN, 2) track -> agent embedding of width d."""
-    x = (observed[1:] - observed[:-1]).ravel()
-    z1 = params.w1 @ x + params.b1
+    """Observed (..., OBSERVED_LEN, 2) tracks -> agent embeddings (..., d)."""
+    x = (observed[..., 1:, :] - observed[..., :-1, :]).reshape(
+        observed.shape[:-2] + (_N_DELTA_FEATURES,))
+    z1 = _matvec(params.w1, x) + params.b1
     a1 = np.maximum(z1, 0.0)
-    h_a = params.w2 @ a1 + params.b2
+    h_a = _matvec(params.w2, a1) + params.b2
     return h_a, (x, z1, a1)
 
 
@@ -261,11 +283,12 @@ def fuse(h_a: np.ndarray, keys: np.ndarray, values: np.ndarray):
 
 
 def decode(xi: np.ndarray, last_pos: np.ndarray, params: ModelParams):
-    """Embedding -> k trajectories (cumulative steps) and confidences."""
-    u = np.einsum("koj,j->ko", params.wdec, xi) + params.bdec
-    steps = u.reshape(params.wdec.shape[0], FUTURE_LEN, 2)
-    trajectories = last_pos + np.cumsum(steps, axis=1)
-    logits = params.wconf @ xi + params.bconf
+    """Embeddings (..., d) -> k trajectories (cumulative steps) and
+    confidences each, ``(..., k, FUTURE_LEN, 2)`` and ``(..., k)``."""
+    u = np.einsum("koj,...j->...ko", params.wdec, xi) + params.bdec
+    steps = u.reshape(u.shape[:-1] + (FUTURE_LEN, 2))
+    trajectories = last_pos[..., None, None, :] + np.cumsum(steps, axis=-2)
+    logits = _matvec(params.wconf, xi) + params.bconf
     confidences = _softmax(logits)
     return PredictionSet(trajectories, confidences)
 
@@ -345,6 +368,45 @@ def forward(observed: np.ndarray, map_points: np.ndarray,
     rot, local = cache[0]
     pred = PredictionSet(local.trajectories @ rot.T, local.confidences)
     return pred, xi, cache
+
+
+def forward_batch(observed: np.ndarray, map_sets, params: ModelParams):
+    """``forward`` over n scenes, without caches.
+
+    ``observed`` is ``(n, OBSERVED_LEN, 2)`` and ``map_sets`` holds each
+    scene's ``(m, 2)`` map points. Returns the trajectories ``(n, k,
+    FUTURE_LEN, 2)``, the confidences ``(n, k)`` and the embeddings
+    ``(n, d)``; each scene's rows equal ``forward``'s outputs bit for bit.
+
+    Only the map encoder and the fusion run scene by scene, because the
+    order of their additions depends on the size of the map set. The
+    heading frames, both rotations, the agent encoder and the decoder run
+    once over the batch, through calls that add in the same order per
+    scene as the one-scene calls. A batch holds its whole intermediates,
+    so callers pass blocks of ``FORWARD_BLOCK`` scenes.
+    """
+    if observed.ndim != 3 or len(map_sets) != observed.shape[0]:
+        raise ValueError(f"expected (n, {OBSERVED_LEN}, 2) tracks and n map "
+                         f"sets, got {observed.shape} and {len(map_sets)}")
+    rots = np.empty((observed.shape[0], 2, 2))
+    for i, track in enumerate(observed):
+        rots[i] = _heading_rotation(track)
+    observed = np.matmul(observed, rots)
+    last_pos = observed[:, -1]
+    h_a, _agent_cache = encode_agent(observed, params)
+    xi = h_a.copy()
+    map_out = np.empty((4, max(map(len, map_sets), default=0),
+                        params.wk.shape[0]))
+    for i, points in enumerate(map_sets):
+        if len(points):
+            keys, values, _map_cache = encode_map(
+                points @ rots[i], last_pos[i], params,
+                out=map_out[:, :len(points)])
+            xi[i] = fuse(h_a[i], keys, values)[0]
+    local = decode(xi, last_pos, params)
+    trajectories = np.matmul(local.trajectories,
+                             rots.swapaxes(1, 2)[:, None])
+    return trajectories, local.confidences, xi
 
 
 def model_loss(pred: PredictionSet, future: np.ndarray):

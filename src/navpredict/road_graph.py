@@ -354,14 +354,18 @@ def successors(g: LocalNavGraph, edge_id: EdgeId) -> set[EdgeId]:
     """Edges continuing from this edge's destination, minus the U-turn."""
     g._check_edge(edge_id)
     src, dst = edge_id
-    return {eid for eid in g._out.get(dst, ()) if eid != (dst, src)}
+    walk = set(g._out.get(dst, ()))
+    walk.discard((dst, src))
+    return walk
 
 
 def predecessors(g: LocalNavGraph, edge_id: EdgeId) -> set[EdgeId]:
     """Edges arriving at this edge's source, minus the U-turn."""
     g._check_edge(edge_id)
     src, dst = edge_id
-    return {eid for eid in g._in.get(src, ()) if eid != (dst, src)}
+    walk = set(g._in.get(src, ()))
+    walk.discard((dst, src))
+    return walk
 
 
 def save_graph(g: NavGraph, path):

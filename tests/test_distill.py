@@ -291,20 +291,29 @@ def test_training_matches_reference_loop_bitwise(world, scenes, variant,
 def test_teacher_runs_once_per_scene(world, scenes, monkeypatch):
     t_cfg = M.ModelConfig(d=4, k=3, hidden=8, map_source="hd")
     teacher = train_teacher(scenes, world, t_cfg, TrainConfig(epochs=1, seed=1))
-    original = M.forward
-    teacher_calls = []
+    # The teacher's scenes are counted by their observed tracks through
+    # both entry points, the one-scene and the batched forward.
+    original, original_batch = M.forward, M.forward_batch
+    teacher_tracks = []
 
     def counting_forward(observed, map_points, params):
         if params is teacher.params:
-            teacher_calls.append(id(observed))
+            teacher_tracks.append(observed.tobytes())
         return original(observed, map_points, params)
 
+    def counting_forward_batch(observed, map_sets, params):
+        if params is teacher.params:
+            teacher_tracks.extend(track.tobytes() for track in observed)
+        return original_batch(observed, map_sets, params)
+
     monkeypatch.setattr(M, "forward", counting_forward)
+    monkeypatch.setattr(M, "forward_batch", counting_forward_batch)
     train_student(scenes, world, (teacher.params, t_cfg),
                   DistillConfig(variant="shared"),
                   TrainConfig(epochs=3, seed=0))
-    assert len(teacher_calls) == len(scenes)
-    assert len(set(teacher_calls)) == len(scenes)
+    expected = [scene.agents[scene.target].tobytes() for scene in scenes]
+    assert sorted(teacher_tracks) == sorted(expected)
+    assert len(set(teacher_tracks)) == len(scenes)
 
 
 def test_non_finite_gradient_raises_before_update(world, scenes,

@@ -289,6 +289,40 @@ def test_evaluate_model_stationary_scene_all_zero():
             assert value == 0.0
 
 
+def test_evaluate_model_matches_per_scene_forward_loop():
+    # 33 scenes: one whole block of FORWARD_BLOCK and one of a scene.
+    from navpredict.metrics import evaluate_model
+    from navpredict.model import (FORWARD_BLOCK, ModelConfig, forward,
+                                  init_params, select_map_points)
+    from navpredict.scenario import (WorldSpec, generate_scenes,
+                                     generate_world, view_points)
+
+    world = generate_world(WorldSpec(seed=2))
+    scenes = generate_scenes(world, FORWARD_BLOCK + 1, seed=4)
+    cfg = ModelConfig(d=8, k=6, hidden=8, map_source="hd")
+    params = init_params(cfg, np.random.default_rng(0))
+    points = view_points(world, "hd")
+    preds = []
+    for scene in scenes:
+        observed = scene.agents[scene.target]
+        pts = select_map_points(points, observed[-1], cfg.map_radius)
+        preds.append(forward(observed, pts, params)[0])
+    expected = _split(preds, [scene.future for scene in scenes])
+    report, rows = evaluate_model(params, cfg, scenes, points)
+    assert report == expected[0]
+    assert rows == expected[1]
+
+
+def test_evaluate_model_rejects_empty_split():
+    from navpredict.metrics import evaluate_model
+    from navpredict.model import ModelConfig, init_params
+
+    cfg = ModelConfig(d=4, k=2, hidden=3, map_source="none")
+    params = init_params(cfg, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="empty split"):
+        evaluate_model(params, cfg, [], np.zeros((0, 2)))
+
+
 def test_split_pass_rejects_empty_split():
     with pytest.raises(ValueError):
         _split([], [])

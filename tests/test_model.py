@@ -13,6 +13,7 @@ from navpredict.model import (
     Workspace,
     distill_loss,
     forward,
+    forward_batch,
     init_params,
     load_checkpoint,
     loss_and_grads,
@@ -182,6 +183,56 @@ def test_map_permutation_invariance():
     np.testing.assert_allclose(xi_b, xi_a, atol=1e-12)
     np.testing.assert_allclose(pred_b.trajectories, pred_a.trajectories,
                                atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def batch_world():
+    return generate_world(WorldSpec(seed=2))
+
+
+# The second scene stands still (identity frame) and the middle one has
+# an empty map set between non-empty ones; 33 scenes cross a block.
+@pytest.mark.parametrize("n", [1, 32, 33])
+@pytest.mark.parametrize("source, d, k", [("hd", 64, 6), ("nav", 96, 6),
+                                          ("none", 64, 3), ("hd", 96, 3)])
+def test_forward_batch_matches_forward_bitwise(batch_world, source, d, k, n):
+    cfg = ModelConfig(d=d, k=k, hidden=16, map_source=source)
+    params = init_params(cfg, np.random.default_rng(d + k))
+    params.flat[...] += np.random.default_rng(n).normal(
+        0.0, 0.05, params.flat.size)
+    points = view_points(batch_world, source)
+    scenes = generate_scenes(batch_world, n, seed=4)
+    observed = np.array([scene.agents[scene.target] for scene in scenes])
+    if n > 1:
+        observed[1] = observed[1, -1]
+    map_sets = [select_map_points(points, track[-1], cfg.map_radius)
+                for track in observed]
+    if n > 2:
+        mid = n // 2
+        map_sets[mid] = points[:0]
+        if source != "none":
+            assert len(map_sets[mid - 1]) and len(map_sets[mid + 1])
+    trajectories, confidences, embeddings = forward_batch(
+        observed, map_sets, params)
+    assert trajectories.shape == (n, k, FUTURE_LEN, 2)
+    assert confidences.shape == (n, k)
+    assert embeddings.shape == (n, d)
+    for i in range(n):
+        pred, xi, cache = forward(observed[i], map_sets[i], params)
+        if i == 1:
+            np.testing.assert_array_equal(cache[0][0], np.eye(2))
+        assert trajectories[i].tobytes() == pred.trajectories.tobytes()
+        assert confidences[i].tobytes() == pred.confidences.tobytes()
+        assert embeddings[i].tobytes() == xi.tobytes()
+
+
+def test_forward_batch_rejects_mismatched_inputs():
+    params = init_params(SMALL, np.random.default_rng(0))
+    tracks = np.zeros((3, OBSERVED_LEN, 2))
+    with pytest.raises(ValueError, match="map sets"):
+        forward_batch(tracks, [np.zeros((0, 2))] * 2, params)
+    with pytest.raises(ValueError, match="observed track"):
+        forward_batch(np.zeros((1, 5, 2)), [np.zeros((0, 2))], params)
 
 
 def test_model_loss_matches_brute_force():
