@@ -92,12 +92,14 @@ class TrainResult:
 
 def prepare_map_inputs(scenes: list[Scene], map_points: np.ndarray,
                        radius: float) -> list[np.ndarray]:
-    """Per-scene map point subsets around the target's last observation."""
-    out = []
-    for scene in scenes:
-        center = scene.agents[scene.target][-1]
-        out.append(m.select_map_points(map_points, center, radius))
-    return out
+    """Per-scene map point subsets around the target's last observation.
+
+    Each equals ``model.select_map_points`` on the scene's centre; a
+    ``model.MapGrid`` built once for the call selects them all.
+    """
+    centers = np.array([scene.agents[scene.target][-1] for scene in scenes])
+    return m.MapGrid(map_points, radius).select(
+        centers.reshape(len(scenes), 2))
 
 
 def train(scenes: list[Scene], map_points: np.ndarray,

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FORWARD_BLOCK, ModelConfig, ModelParams, PredictionSet, \
-    forward_batch, select_map_points
+from .model import FORWARD_BLOCK, MapGrid, ModelConfig, ModelParams, \
+    PredictionSet, forward_batch
 from .scenario import FUTURE_LEN
 
 __all__ = [
@@ -140,19 +140,18 @@ def evaluate_model(params: ModelParams, config: ModelConfig, scenes,
 
     The split runs through ``forward_batch`` in blocks of
     ``FORWARD_BLOCK`` scenes, so only one block's map sets are alive at
-    a time.
+    a time. A ``MapGrid`` over the view, built once per call, selects
+    each block's map sets.
     """
+    grid = MapGrid(map_points, config.map_radius)
     trajectories = np.empty((len(scenes), config.k, FUTURE_LEN, 2))
     confidences = np.empty((len(scenes), config.k))
     for lo in range(0, len(scenes), FORWARD_BLOCK):
         block = slice(lo, lo + FORWARD_BLOCK)
         observed = np.array([scene.agents[scene.target]
                              for scene in scenes[block]])
-        map_sets = [select_map_points(map_points, track[-1],
-                                      config.map_radius)
-                    for track in observed]
         trajectories[block], confidences[block], _xi = forward_batch(
-            observed, map_sets, params)
+            observed, grid.select(observed[:, -1]), params)
     return _evaluate(trajectories, confidences,
                      np.array([scene.future for scene in scenes]), ks)[:2]
 

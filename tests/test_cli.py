@@ -204,6 +204,27 @@ def test_train_eval_round_trip(tmp_path, runner, dataset):
                                  "minADE@6", "minFDE@6"]
 
 
+def test_eval_csv_scene_column_holds_scene_ids(tmp_path, runner, dataset):
+    from navpredict.scenario import read_scenes
+
+    ckpt = _train(runner, dataset, tmp_path, "m.ckpt", "--map", "hd")
+    csv_path = tmp_path / "per_scene.csv"
+    result = runner.invoke(main, [
+        "eval", "--data", str(dataset), "--ckpt", str(ckpt),
+        "--csv", str(csv_path),
+    ])
+    assert result.exit_code == 0, result.output
+    lines = csv_path.read_text().splitlines()
+    ids = [scene.scene_id
+           for scene in read_scenes(dataset / "scenes_val.ndjson")]
+    # The val split holds hashed, non-contiguous ids.
+    assert ids != list(range(len(ids)))
+    assert [int(line.split(",")[0]) for line in lines[1:]] == ids
+    result = runner.invoke(main, ["report", "--csv", str(csv_path)])
+    assert result.exit_code == 0, result.output
+    assert f"scenes: {len(ids)}" in result.output
+
+
 def test_train_env_var_data_dir(tmp_path, runner, dataset, monkeypatch):
     monkeypatch.setenv("NAVPREDICT_DATA_DIR", str(dataset))
     ckpt = tmp_path / "env.ckpt"

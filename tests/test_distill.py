@@ -196,24 +196,53 @@ def test_matched_variant_widths(world, scenes):
     assert res.config.d == 6
 
 
+def _per_scene_map_inputs(scenes, map_points, radius):
+    """``prepare_map_inputs`` as one ``select_map_points`` call per scene."""
+    return [M.select_map_points(map_points, scene.agents[scene.target][-1],
+                                radius)
+            for scene in scenes]
+
+
+@pytest.mark.parametrize("world_spec", [
+    WorldSpec(seed=2), WorldSpec(seed=1, num_roads=16, lanes_per_road=3),
+], ids=["seed2", "16x3"])
+def test_distilled_student_through_the_grid_matches_per_scene_selection(
+        world_spec, monkeypatch):
+    import navpredict.distill as distill_mod
+
+    world = generate_world(world_spec)
+    scenes = generate_scenes(world, 40, seed=9)
+    t_cfg = M.ModelConfig(d=8, k=3, hidden=8, map_source="hd")
+    teacher = train_teacher(scenes, world, t_cfg, TrainConfig(epochs=1, seed=1))
+    args = (scenes, world, (teacher.params, t_cfg),
+            DistillConfig(variant="shared"), TrainConfig(epochs=2, seed=0))
+    got = train_student(*args)
+    monkeypatch.setattr(distill_mod, "prepare_map_inputs",
+                        _per_scene_map_inputs)
+    want = train_student(*args)
+    assert got.params.flat.tobytes() == want.params.flat.tobytes()
+    assert got.loss_curve == want.loss_curve
+
+
 def _reference_train(scenes, map_points, config, tcfg, teacher=None,
                      teacher_map_points=None, dcfg=None):
     """The training loop before parameters became one flat buffer.
 
-    Per-field velocity arrays and updates, fresh gradients and
-    activations every step (no workspace), a teacher forward on every
-    step and the per-field clip norm. Returns the parameters, the loss
+    Per-scene map selection, per-field velocity arrays and updates, fresh
+    gradients and activations every step (no workspace), a teacher
+    forward on every step and the per-field clip norm. Returns the
+    parameters, the loss
     curve and the number of clipped steps.
     """
     rng = np.random.default_rng(tcfg.seed)
     params = M.init_params(config, rng)
     velocity = {name: np.zeros_like(getattr(params, name))
                 for name in M.PARAM_FIELDS}
-    scene_maps = prepare_map_inputs(scenes, map_points, config.map_radius)
+    scene_maps = _per_scene_map_inputs(scenes, map_points, config.map_radius)
     if teacher is not None:
         t_params, t_config = teacher
-        teacher_maps = prepare_map_inputs(scenes, teacher_map_points,
-                                          t_config.map_radius)
+        teacher_maps = _per_scene_map_inputs(scenes, teacher_map_points,
+                                             t_config.map_radius)
     alpha = dcfg.alpha if dcfg is not None else 1.0
     beta = dcfg.beta if dcfg is not None else 0.0
     smoothed, curve, clipped = None, [], 0

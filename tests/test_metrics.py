@@ -313,6 +313,32 @@ def test_evaluate_model_matches_per_scene_forward_loop():
     assert rows == expected[1]
 
 
+@pytest.mark.parametrize("source", ["hd", "nav", "none"])
+def test_evaluate_model_matches_forward_loop_on_the_16x3_world(source):
+    # The large world's map sets come from a MapGrid; 70 scenes make two
+    # whole blocks and a short one.
+    from navpredict.metrics import evaluate_model
+    from navpredict.model import (ModelConfig, forward, init_params,
+                                  select_map_points)
+    from navpredict.scenario import (WorldSpec, generate_scenes,
+                                     generate_world, view_points)
+
+    world = generate_world(WorldSpec(seed=1, num_roads=16, lanes_per_road=3))
+    scenes = generate_scenes(world, 70, seed=8)
+    cfg = ModelConfig(d=16, k=6, hidden=16, map_source=source)
+    params = init_params(cfg, np.random.default_rng(3))
+    points = view_points(world, source)
+    preds = []
+    for scene in scenes:
+        observed = scene.agents[scene.target]
+        pts = select_map_points(points, observed[-1], cfg.map_radius)
+        preds.append(forward(observed, pts, params)[0])
+    expected = _split(preds, [scene.future for scene in scenes])
+    report, rows = evaluate_model(params, cfg, scenes, points)
+    assert report == expected[0]
+    assert rows == expected[1]
+
+
 def test_evaluate_model_rejects_empty_split():
     from navpredict.metrics import evaluate_model
     from navpredict.model import ModelConfig, init_params

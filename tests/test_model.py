@@ -5,9 +5,11 @@ import pytest
 
 from navpredict.model import (
     CHECKPOINT_VERSION,
+    FORWARD_BLOCK,
     HEADING_LAG,
     HEADING_MIN_DISPLACEMENT,
     PARAM_FIELDS,
+    MapGrid,
     ModelConfig,
     ModelParams,
     Workspace,
@@ -544,6 +546,135 @@ def test_select_map_points_edge_cases():
                            (np.array([[10.0, 0.0]]), 5.0)):
         got = select_map_points(points, np.zeros(2), radius)
         assert got.shape == (0, 2) and got.dtype == np.float64
+
+
+def _assert_grid_matches(points, centers, radius):
+    """``MapGrid.select`` equals ``select_map_points`` on every centre,
+    for the whole list and for its first 1, 32 and 33 centres."""
+    grid = MapGrid(points, radius)
+    centers = np.asarray(centers, dtype=float)
+    for n in sorted({1, FORWARD_BLOCK, FORWARD_BLOCK + 1, len(centers)}):
+        sets = grid.select(centers[:n])
+        assert len(sets) == min(n, len(centers))
+        for center, got in zip(centers, sets):
+            want = select_map_points(points, center, radius)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+_GRID_RADII = (0.0, 1e-300, 0.5, 50.0, 1e308)
+
+
+@pytest.mark.parametrize("world_spec", [
+    WorldSpec(seed=1),
+    WorldSpec(seed=1, num_roads=16, lanes_per_road=3),
+], ids=["seed1", "16x3"])
+@pytest.mark.parametrize("source", ["hd", "nav", "none"])
+def test_map_grid_matches_select_map_points(world_spec, source):
+    world = generate_world(world_spec)
+    points = view_points(world, source)
+    scenes = generate_scenes(world, 40, seed=6)
+    inside = [s.agents[s.target][-1] for s in scenes]
+    lo, hi = (np.array([[-500.0, -500.0], [500.0, 500.0]]) if source == "none"
+              else (points.min(axis=0), points.max(axis=0)))
+    outside = [lo - 20e3, hi + 20e3, [lo[0] - 20e3, hi[1]],
+               [(lo[0] + hi[0]) / 2, hi[1] + 20e3]]
+    for radius in _GRID_RADII:
+        centers = inside + outside
+        if source != "none" and radius <= 50.0:
+            grid = MapGrid(points, radius)
+            # Centres on cell edges, and one on a corner of four cells.
+            edges = grid._origin + grid._cell * np.array(
+                [[4, 0.3], [0.7, 6], [9, 9]])
+            centers = centers + list(edges) + list(points[:3])
+        _assert_grid_matches(points, centers, radius)
+
+
+def test_map_grid_keeps_points_at_exactly_the_radius():
+    world = generate_world(WorldSpec(seed=1))
+    points = view_points(world, "hd")
+    rng = np.random.default_rng(7)
+    cases = [(center, 50.0) for center in _centres_50m_from(points, rng, 12)]
+    # A radius set to the exact distance of a chosen point.
+    for i in rng.choice(len(points), size=12, replace=False):
+        center = points[i] + rng.uniform(-40.0, 40.0, size=2)
+        cases.append((center,
+                      float(np.linalg.norm(points - center, axis=1)[i])))
+    for center, radius in cases:
+        on_circle = points[np.linalg.norm(points - center, axis=1) == radius]
+        assert len(on_circle)
+        kept = {row.tobytes() for row in
+                MapGrid(points, radius).select(center[None])[0]}
+        assert all(row.tobytes() in kept for row in on_circle)
+        _assert_grid_matches(points, [center], radius)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_map_grid_box_covers_rounding_at_a_cell_edge(axis):
+    # 25 - 2**-48 lies just below the cell edge at 25 m (cells are 25 m
+    # at radius 50), and its offset from a centre at 75 rounds to exactly
+    # -50: the point is kept, though its true distance exceeds 50 and the
+    # box edge ``75 - 50`` falls in the next cell.
+    near_edge = 25.0 - 2.0 ** -48
+    points = np.array([[0.0, 0.0], [near_edge, 0.0], [60.0, 3.0]])
+    center = np.array([75.0, 0.0])
+    if axis:
+        points, center = points[:, ::-1].copy(), center[::-1].copy()
+    assert any(np.array_equal(row, points[1])
+               for row in select_map_points(points, center, 50.0))
+    _assert_grid_matches(points, [center], 50.0)
+
+
+def test_map_grid_degenerate_views():
+    same = np.tile(np.array([3.0, -2.0]), (7, 1))
+    centers = [[3.0, -2.0], [3.0, -1.5], [3.5, -2.0], [3.0, 20e3],
+               [-20e3, -20e3]]
+    for radius in _GRID_RADII:
+        _assert_grid_matches(same, centers, radius)
+    # Duplicate points keep their view order.
+    rng = np.random.default_rng(5)
+    base = rng.uniform(-100.0, 100.0, size=(40, 2))
+    dup = np.concatenate([base, base[::3], base[:5]])[rng.permutation(59)]
+    centers = list(dup[:10]) + list(rng.uniform(-120.0, 120.0, (30, 2)))
+    for radius in _GRID_RADII:
+        _assert_grid_matches(dup, centers, radius)
+    # Offsets whose squares underflow: the reference keeps them at radius 0.
+    tiny = np.array([[-1e-170, 0.0], [1e-170, 0.0], [0.0, -1e-170],
+                     [0.0, 1e-170], [1.0, 0.0], [0.0, 0.0]])
+    for radius in (0.0, 1e-300, 1e-160):
+        _assert_grid_matches(tiny, [[0.0, 0.0], [-1e-170, 1e-170]], radius)
+    # Cells 2**-511 wide put a cell edge at 0, between the centre and a
+    # point 1e-170 away that the reference keeps at radius 0.
+    edge = np.array([[-2.0 ** -511, 0.0], [-1e-170, 0.0]])
+    for points in (edge, edge[:, ::-1].copy()):
+        assert len(select_map_points(points, np.zeros(2), 0.0)) == 1
+        _assert_grid_matches(points, [[0.0, 0.0]], 0.0)
+    # A view 2000 km wide at radius 0 keeps to the cell cap.
+    wide = np.array([[-1e6, -1e6], [1e6, 1e6], [0.0, 0.0]])
+    grid = MapGrid(wide, 0.0)
+    assert np.prod(grid._shape) <= 3 * 2 ** 14 + 1
+    _assert_grid_matches(wide, list(wide), 0.0)
+
+
+@pytest.mark.parametrize("radius", [-1.0, np.nan, np.inf, -np.inf])
+def test_map_grid_rejects_bad_radius(radius):
+    with pytest.raises(ValueError, match="radius"):
+        MapGrid(np.zeros((3, 2)), radius)
+
+
+@pytest.mark.parametrize("centers", [
+    np.zeros(2), np.zeros((3, 3)), np.zeros((2, 2, 2)),
+    np.array([[0.0, np.nan]]), np.array([[np.inf, 0.0]]),
+], ids=["1d", "3-columns", "3d", "nan", "inf"])
+@pytest.mark.parametrize("n_points", [0, 3])
+def test_map_grid_rejects_bad_centres(centers, n_points):
+    with pytest.raises(ValueError, match="centres"):
+        MapGrid(np.zeros((n_points, 2)), 5.0).select(centers)
+
+
+def test_map_grid_rejects_non_finite_points():
+    with pytest.raises(ValueError, match="finite"):
+        MapGrid(np.array([[0.0, 0.0], [np.nan, 1.0]]), 5.0)
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
