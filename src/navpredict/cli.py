@@ -282,13 +282,13 @@ def train(data_dir, map_source, teacher_path, variant, alpha, beta, seed,
                f"(final smoothed loss {result.final_loss:.4f}) -> {out_path}")
 
 
-def _write_per_scene_csv(path, scenes, per_scene):
+def _write_per_scene_csv(path, per_scene):
     """One row per scene: its ``scene_id``, then its metric values."""
     keys = [key for key in per_scene[0] if key != "scene"]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(["scene"] + keys) + "\n")
-        for scene, row in zip(scenes, per_scene):
-            cells = [str(scene.scene_id)] + [f"{row[k]:.9f}" for k in keys]
+        for row in per_scene:
+            cells = [str(row["scene"])] + [f"{row[k]:.9f}" for k in keys]
             fh.write(",".join(cells) + "\n")
 
 
@@ -374,7 +374,7 @@ def eval_cmd(data_dir, ckpt_path, split, json_path, csv_path, hist_path,
                         {"split": split, "ckpt": ckpt_path}, None,
                         [data_dir, ckpt_path], started)
     if csv_path:
-        _write_per_scene_csv(csv_path, scenes, per_scene)
+        _write_per_scene_csv(csv_path, per_scene)
     if hist_path or hist_svg_path:
         hist = metrics.fde_histogram(
             [row["minFDE@6"] for row in per_scene]

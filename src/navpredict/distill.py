@@ -115,8 +115,16 @@ def train(scenes: list[Scene], map_points: np.ndarray,
     its embeddings are the fixed targets of the weighted distillation
     term. Each step writes its gradients and activations into one
     ``model.Workspace``, sized for the largest per-scene map set and
-    reused for the whole run, and updates ``params.flat`` in place. The loop is single-threaded and
-    bit-reproducible for a fixed seed.
+    reused for the whole run, and updates ``params.flat`` in place.
+
+    A step's gradient is zero outside the rows that
+    ``model.loss_and_grads`` wrote: the dense fields and the winning
+    mode's decoder rows. The clip squares and the step's scale and
+    subtraction therefore touch only those ranges; on the rest the dense
+    update would compute ``0 * c == +0.0`` and ``v - (+0.0) == v``, so the
+    bits are the same. The momentum decay and the parameter update stay
+    dense. The loop is single-threaded and bit-reproducible for a fixed
+    seed.
     """
     if not scenes:
         raise ValueError("empty training set")
@@ -129,6 +137,11 @@ def train(scenes: list[Scene], map_points: np.ndarray,
     scene_maps = prepare_map_inputs(scenes, map_points, config.map_radius)
     workspace = m.Workspace(params, max(len(pts) for pts in scene_maps))
     weights, step = params.flat, workspace.grads.flat
+    # Per winning mode, the (gradient, velocity, square) views of each
+    # range that a step with that winner writes.
+    live = [[(step[a:b], velocity[a:b], squares.flat[a:b])
+             for a, b in ranges] for ranges in m._live_ranges(params.shapes)]
+    squared = 0                      # the winner whose rows squares holds
     xi_teachers = [None] * len(scenes)
     if teacher is not None:
         t_params, t_config = teacher
@@ -172,7 +185,17 @@ def train(scenes: list[Scene], map_points: np.ndarray,
             # Clipping fires on nearly every step, so the norm's last bit
             # reaches every update: sum each field on its own and add the
             # sums in field order, not one dot product over the buffer.
-            np.multiply(step, step, out=squares.flat)
+            # Only the live ranges are squared; the last winner's rows go
+            # back to +0.0. Each sum still reads its whole field, because
+            # numpy's pairwise sum over the winner's row alone adds in
+            # another order than over all of ``wdec``.
+            winner = workspace.winner
+            if winner != squared:
+                squares.wdec[squared] = 0.0
+                squares.bdec[squared] = 0.0
+                squared = winner
+            for g, _v, sq in live[winner]:
+                np.multiply(g, g, out=sq)
             gnorm = math.sqrt(sum([float(sq.sum()) for sq in square_fields]))
             if not math.isfinite(gnorm):
                 raise m.NumericError("non-finite gradient norm")
@@ -180,8 +203,10 @@ def train(scenes: list[Scene], map_points: np.ndarray,
             if tcfg.grad_clip > 0.0 and gnorm > tcfg.grad_clip:
                 scale = tcfg.grad_clip / gnorm
             velocity *= tcfg.momentum
-            step *= lr * scale
-            velocity -= step
+            factor = lr * scale
+            for g, v, _sq in live[winner]:
+                g *= factor
+                v -= g
             weights += velocity
             smoothed = loss if smoothed is None else \
                 0.99 * smoothed + 0.01 * loss

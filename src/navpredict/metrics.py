@@ -77,9 +77,12 @@ def _length(diffs: np.ndarray) -> np.ndarray:
     return np.sqrt(diffs[..., 0] + diffs[..., 1])
 
 
-def _evaluate(trajectories, confidences, futures, ks):
+def _evaluate(trajectories, confidences, futures, ks, scene_ids=None):
     """(report, per-scene rows, winning modes ``(len(ks), n)``) of a split's
-    ``(n, modes, 30, 2)`` trajectories, in one array pass for every k."""
+    ``(n, modes, 30, 2)`` trajectories, in one array pass for every k.
+
+    Each row's ``"scene"`` is the scene's id in ``scene_ids``, or its
+    position in the split without them."""
     if not len(futures):
         raise ValueError("empty split")
     n, n_modes = confidences.shape
@@ -94,8 +97,10 @@ def _evaluate(trajectories, confidences, futures, ks):
     fdes, ades = err[..., -1], err.mean(axis=-1)
     keys = [f"{name}@{k}" for k in ks for name in ("minADE", "minFDE")]
     cells = np.stack([ades, fdes], axis=1).reshape(len(keys), -1).T.tolist()
+    if scene_ids is None:
+        scene_ids = range(n)
     per_scene = [{"scene": i, **dict(zip(keys, row))}
-                 for i, row in enumerate(cells)]
+                 for i, row in zip(scene_ids, cells)]
     return aggregate(ades, fdes, ks), per_scene, winner
 
 
@@ -138,10 +143,11 @@ def evaluate_model(params: ModelParams, config: ModelConfig, scenes,
                    map_points, ks=DEFAULT_KS):
     """Run the model over a split and aggregate the metric report.
 
-    The split runs through ``forward_batch`` in blocks of
-    ``FORWARD_BLOCK`` scenes, so only one block's map sets are alive at
-    a time. A ``MapGrid`` over the view, built once per call, selects
-    each block's map sets.
+    Returns the report and one row per scene, in split order; a row's
+    ``"scene"`` is the scene's ``scene_id``. The split runs through
+    ``forward_batch`` in blocks of ``FORWARD_BLOCK`` scenes, so only one
+    block's map sets are alive at a time. A ``MapGrid`` over the view,
+    built once per call, selects each block's map sets.
     """
     grid = MapGrid(map_points, config.map_radius)
     trajectories = np.empty((len(scenes), config.k, FUTURE_LEN, 2))
@@ -153,7 +159,8 @@ def evaluate_model(params: ModelParams, config: ModelConfig, scenes,
         trajectories[block], confidences[block], _xi = forward_batch(
             observed, grid.select(observed[:, -1]), params)
     return _evaluate(trajectories, confidences,
-                     np.array([scene.future for scene in scenes]), ks)[:2]
+                     np.array([scene.future for scene in scenes]), ks,
+                     [scene.scene_id for scene in scenes])[:2]
 
 
 def _silverman_bandwidth(values: np.ndarray) -> float:

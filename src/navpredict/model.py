@@ -213,18 +213,40 @@ class Workspace:
     """Buffers that the training steps of one model reuse.
 
     ``grads`` has the layout of the parameters the workspace was made
-    for and receives each step's gradients. ``rows`` is a
-    ``(7, m_max, d)`` array holding, in ``_MAP_ROWS`` order, the
-    per-point activations and their gradients; a step on ``m`` map
-    points uses the first ``m`` rows of each, so it allocates nothing
-    that scales with the map set.
+    for and receives each step's gradients. A step writes every field
+    but ``wdec`` and ``bdec`` whole, and of those two only the row of
+    its winning mode; ``winner`` is that mode (0 before the first step,
+    when every row is zero). Every other row of ``wdec`` and ``bdec``
+    stays +0.0 between steps. ``rows`` is a ``(7, m_max, d)`` array
+    holding, in ``_MAP_ROWS`` order, the per-point activations and their
+    gradients; a step on ``m`` map points uses the first ``m`` rows of
+    each, so it allocates nothing that scales with the map set. The
+    outer products of the dense layers and the winner's row take their
+    ``_outer`` scratch blocks from ``_scratch``.
     """
 
-    __slots__ = ("grads", "rows")
+    __slots__ = ("grads", "rows", "winner", "_scratch")
 
     def __init__(self, params: ModelParams, m_max: int):
         self.grads = zeros_like_params(params)
         self.rows = np.empty((len(_MAP_ROWS), m_max, params.wk.shape[0]))
+        self.winner = 0
+        self._scratch = {name: np.empty(getattr(params, name).shape[-2:])
+                         for name in ("wdec", "wconf", "w2", "w1")}
+
+
+def _live_ranges(shapes) -> list[list[tuple[int, int]]]:
+    """Per mode, the ``(start, stop)`` ranges of ``flat`` that a step
+    with that winning mode writes: the fields ``w1`` to ``bv``, the
+    mode's rows of ``wdec`` and ``bdec``, and ``wconf`` and ``bconf``."""
+    starts = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
+    field = dict(zip(PARAM_FIELDS, starts))
+    k, out = shapes[PARAM_FIELDS.index("bdec")]
+    d = shapes[PARAM_FIELDS.index("wdec")][2]
+    return [[(0, field["wdec"]),
+             (field["wdec"] + j * out * d, field["wdec"] + (j + 1) * out * d),
+             (field["bdec"] + j * out, field["bdec"] + (j + 1) * out),
+             (field["wconf"], starts[-1])] for j in range(k)]
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -478,14 +500,20 @@ def _heading_rotation(observed: np.ndarray) -> np.ndarray:
 def _forward_in_frame(observed, map_points, params, map_out=None):
     """``forward`` without the rotation back to world coordinates.
 
-    Returns ``(xi, cache)``; ``map_out`` is ``encode_map``'s ``out``.
+    Returns ``(xi, cache)``; ``map_out`` is ``encode_map``'s ``out``. An
+    empty map set skips the map encoder, and its cache entry is ``None``.
     """
     rot = _heading_rotation(observed)
     observed = observed @ rot
     last_pos = observed[-1]
     h_a, agent_cache = encode_agent(observed, params)
-    keys, values, map_cache = encode_map(map_points @ rot, last_pos, params,
-                                         out=map_out)
+    if len(map_points):
+        keys, values, map_cache = encode_map(map_points @ rot, last_pos,
+                                             params, out=map_out)
+    else:
+        # ``fuse`` returns ``h_a`` for an empty set; nothing to encode.
+        keys = values = np.empty((0, params.wk.shape[0]))
+        map_cache = None
     xi, fuse_cache = fuse(h_a, keys, values)
     local = decode(xi, last_pos, params)
     cache = ((rot, local), h_a, keys, values, xi,
@@ -608,11 +636,19 @@ def loss_and_grads(observed: np.ndarray, map_points: np.ndarray,
     guides the first ``len(teacher_embedding)`` embedding coordinates;
     the remaining coordinates are unguided.
 
-    The gradients are written into ``workspace.grads`` (zeroed first) and
-    returned, and the activations into the workspace's rows; it must have
-    been made for parameters of this layout and at least as many map
-    points. Without it, a workspace is allocated for the call. Both give
-    the same values, bit for bit.
+    The gradients are written into ``workspace.grads`` and returned, and
+    the activations into the workspace's rows; it must have been made for
+    parameters of this layout and at least as many map points. Without
+    it, a workspace is allocated for the call.
+
+    The call does not clear ``workspace.grads``. It rewrites every field
+    but ``wdec`` and ``bdec`` whole, writes only the winning mode's row
+    of those two, and resets the previous call's winner row to +0.0. So
+    between calls a caller may scale the buffer in place by a finite,
+    non-negative factor, or write into what the last call wrote, but
+    must not write into the rows that it did not write. Within that
+    contract a reused workspace gives the same values as a fresh one,
+    bit for bit.
     """
     m_points = map_points.shape[0]
     if workspace is None:
@@ -628,7 +664,6 @@ def loss_and_grads(observed: np.ndarray, map_points: np.ndarray,
     ((rot, pred), h_a, keys, values, _xi,
      agent_cache, map_cache, fuse_cache) = cache
     x, z1, a1 = agent_cache
-    feats, zk, zv = map_cache
     # The loss is taken in the agent frame; a rotation keeps distances,
     # so it equals the world-frame loss.
     future = future @ rot
@@ -636,19 +671,26 @@ def loss_and_grads(observed: np.ndarray, map_points: np.ndarray,
     lm, m_star = model_loss(pred, future)
     total = alpha * lm
     grads = workspace.grads
-    grads.flat.fill(0.0)
+    # Of the decoder heads only the winner's rows get a gradient: the
+    # last call's winner rows go back to +0.0, as every other row is.
+    if workspace.winner != m_star:
+        grads.wdec[workspace.winner] = 0.0
+        grads.bdec[workspace.winner] = 0.0
+        workspace.winner = m_star
 
     # Decoder heads.
     diff_star = pred.trajectories[m_star] - future
     dtraj = alpha * 2.0 * diff_star / FUTURE_LEN
     du = np.cumsum(dtraj[::-1], axis=0)[::-1].ravel()
-    np.multiply.outer(du, xi, out=grads.wdec[m_star])
+    _outer(du, xi, grads.wdec[m_star],
+           scratch=workspace._scratch["wdec"])
     grads.bdec[m_star] = du
     dxi = params.wdec[m_star].T @ du
 
     dlogits = alpha * pred.confidences
     dlogits[m_star] -= alpha
-    np.multiply.outer(dlogits, xi, out=grads.wconf)
+    _outer(dlogits, xi, grads.wconf,
+           scratch=workspace._scratch["wconf"])
     grads.bconf[...] = dlogits
     dxi = dxi + params.wconf.T @ dlogits
 
@@ -661,7 +703,13 @@ def loss_and_grads(observed: np.ndarray, map_points: np.ndarray,
     # Fusion. The key and value gradients are masked by their ReLUs in
     # place; the float64 mask multiplies as the boolean one did.
     dh_a = dxi.copy()
-    if fuse_cache is not None:
+    if fuse_cache is None:
+        grads.wk.fill(0.0)
+        grads.bk.fill(0.0)
+        grads.wv.fill(0.0)
+        grads.bv.fill(0.0)
+    else:
+        feats, zk, zv = map_cache
         scale, weights = fuse_cache
         dkeys, dvalues, mask = rows[4:]
         _outer(weights, dxi, dvalues, scratch=mask)
@@ -681,11 +729,13 @@ def loss_and_grads(observed: np.ndarray, map_points: np.ndarray,
         dvalues.sum(axis=0, out=grads.bv)
 
     # Agent encoder.
-    np.multiply.outer(dh_a, a1, out=grads.w2)
+    _outer(dh_a, a1, grads.w2,
+           scratch=workspace._scratch["w2"])
     grads.b2[...] = dh_a
     da1 = params.w2.T @ dh_a
     dz1 = da1 * (z1 > 0.0)
-    np.multiply.outer(dz1, x, out=grads.w1)
+    _outer(dz1, x, grads.w1,
+           scratch=workspace._scratch["w1"])
     grads.b1[...] = dz1
 
     if not np.isfinite(total):

@@ -280,19 +280,26 @@ def _reference_train(scenes, map_points, config, tcfg, teacher=None,
 
 # At a 1.5 m radius most nav scenes keep no map point and the others one
 # to three, and HD scenes keep one to three: the per-step map set size
-# rises and falls, and the no-map branch runs between map steps.
+# rises and falls, and the no-map branch runs between map steps. The
+# "-d64" cases train the default shape (d=64, k=6, hidden=64) on 40
+# scenes for one epoch.
 @pytest.mark.parametrize("variant, map_radius", [
     pytest.param(variant, radius,
                  id=variant if radius == 50.0 else f"{variant}-radius1.5")
     for radius, variants in ((50.0, ("hd", "distilled", "nav", "map_free")),
                              (1.5, ("hd", "distilled", "nav")))
     for variant in variants
-])
+] + [pytest.param(variant + "-d64", 50.0, id=variant + "-d64")
+     for variant in ("hd", "map_free")])
 def test_training_matches_reference_loop_bitwise(world, scenes, variant,
                                                  map_radius):
     tc = TrainConfig(epochs=2, seed=3)
-    t_cfg = M.ModelConfig(d=8, k=3, hidden=8, map_radius=map_radius,
-                          map_source="hd")
+    shape = dict(d=8, k=3, hidden=8)
+    if variant.endswith("-d64"):
+        variant, shape = variant[:-4], {}
+        scenes = generate_scenes(world, 40, seed=5)
+        tc = TrainConfig(epochs=1, seed=3)
+    t_cfg = M.ModelConfig(**shape, map_radius=map_radius, map_source="hd")
     if variant == "distilled":
         teacher = train_teacher(scenes, world, t_cfg,
                                 TrainConfig(epochs=1, seed=1))
@@ -304,7 +311,7 @@ def test_training_matches_reference_loop_bitwise(world, scenes, variant,
             teacher_map_points=view_points(world, "hd"), dcfg=dcfg)
     else:
         source = {"hd": "hd", "nav": "nav", "map_free": "none"}[variant]
-        cfg = M.ModelConfig(d=8, k=3, hidden=8, map_radius=map_radius,
+        cfg = M.ModelConfig(**shape, map_radius=map_radius,
                             map_source=source)
         pts = view_points(world, source)
         got = train(scenes, pts, cfg, tc)
@@ -347,25 +354,31 @@ def test_teacher_runs_once_per_scene(world, scenes, monkeypatch):
 
 def test_non_finite_gradient_raises_before_update(world, scenes,
                                                   monkeypatch):
+    # The poisoned entry lies in each kind of range that a step writes: a
+    # dense field, the winner's decoder row and the confidence tail.
     original = M.loss_and_grads
-    seen = []
-
-    def poisoned(*args, **kwargs):
-        loss, grads, xi = original(*args, **kwargs)
-        params = args[3]
-        seen.append((params, params.flat.copy()))
-        if len(seen) == 3:
-            grads.wk[0, 0] = np.nan
-        return loss, grads, xi
-
-    monkeypatch.setattr(M, "loss_and_grads", poisoned)
     cfg = M.ModelConfig(d=8, k=3, hidden=8, map_source="nav")
-    with pytest.raises(M.NumericError, match="gradient"):
-        train(scenes, view_points(world, "nav"), cfg,
-              TrainConfig(epochs=1, seed=0))
-    assert len(seen) == 3
-    params, before = seen[-1]
-    np.testing.assert_array_equal(params.flat, before)
+    for field in ("wk", "wdec", "bconf"):
+        seen = []
+
+        def poisoned(*args, **kwargs):
+            loss, grads, xi = original(*args, **kwargs)
+            params = args[3]
+            seen.append((params, params.flat.copy()))
+            if len(seen) == 3:
+                if field == "wdec":
+                    grads.wdec[kwargs["workspace"].winner, 5, 1] = np.nan
+                else:
+                    getattr(grads, field).flat[1] = np.nan
+            return loss, grads, xi
+
+        monkeypatch.setattr(M, "loss_and_grads", poisoned)
+        with pytest.raises(M.NumericError, match="gradient"):
+            train(scenes, view_points(world, "nav"), cfg,
+                  TrainConfig(epochs=1, seed=0))
+        assert len(seen) == 3, field
+        params, before = seen[-1]
+        np.testing.assert_array_equal(params.flat, before)
 
 
 def test_training_steps_allocate_less_than_one_map_array(world, scenes):

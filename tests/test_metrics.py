@@ -339,6 +339,34 @@ def test_evaluate_model_matches_forward_loop_on_the_16x3_world(source):
     assert rows == expected[1]
 
 
+def test_evaluate_model_rows_carry_scene_ids():
+    # Every third scene, in reverse: ids that are neither contiguous nor
+    # positions. The rows keep each scene's id and, apart from it, equal
+    # the rows of the same scenes numbered by position.
+    from dataclasses import replace
+
+    from navpredict.metrics import evaluate_model
+    from navpredict.model import ModelConfig, init_params
+    from navpredict.scenario import (WorldSpec, generate_scenes,
+                                     generate_world, view_points)
+
+    world = generate_world(WorldSpec(seed=2))
+    split = generate_scenes(world, 60, seed=4)[::-3]
+    ids = [scene.scene_id for scene in split]
+    assert ids != list(range(len(ids)))
+    cfg = ModelConfig(d=8, k=6, hidden=8, map_source="nav")
+    params = init_params(cfg, np.random.default_rng(0))
+    points = view_points(world, "nav")
+    report, rows = evaluate_model(params, cfg, split, points)
+    assert [row["scene"] for row in rows] == ids
+    renumbered = [replace(scene, scene_id=i) for i, scene in enumerate(split)]
+    report_by_position, rows_by_position = evaluate_model(
+        params, cfg, renumbered, points)
+    assert report == report_by_position
+    assert [{**row, "scene": i} for i, row in enumerate(rows)] == \
+        rows_by_position
+
+
 def test_evaluate_model_rejects_empty_split():
     from navpredict.metrics import evaluate_model
     from navpredict.model import ModelConfig, init_params

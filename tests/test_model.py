@@ -13,6 +13,7 @@ from navpredict.model import (
     ModelConfig,
     ModelParams,
     Workspace,
+    _live_ranges,
     distill_loss,
     forward,
     forward_batch,
@@ -400,6 +401,49 @@ def test_workspace_matches_fresh_over_varying_map_sizes():
         assert np.array_equal(np.signbit(reused[1].flat),
                               np.signbit(fresh[1].flat)), n_map
     assert len(winners) > 1
+
+
+@pytest.mark.parametrize("cfg", [ModelConfig(d=64, k=6, hidden=64),
+                                 ModelConfig(d=8, k=3, hidden=8)],
+                         ids=["d64-k6", "d8-k3"])
+def test_workspace_reused_over_scaled_steps_matches_fresh(cfg):
+    # As in training: one workspace for every step, its gradients scaled
+    # in place between steps, either whole or only in the ranges that the
+    # step wrote. The winner changes and the map set empties and refills,
+    # so stale decoder rows and map-encoder fields must be reset.
+    rng = np.random.default_rng(31)
+    params = init_params(cfg, rng)
+    workspace = Workspace(params, 12)
+    live = _live_ranges(params.shapes)
+    winners = []
+    for step in range(60):
+        observed, map_points, future = _scene(
+            rng, n_map=(12, 0, 5, 0, 0, 9)[step % 6])
+        teacher = rng.normal(size=cfg.d // 2) if step % 3 else None
+        fresh = loss_and_grads(observed, map_points, future, params,
+                               teacher_embedding=teacher, beta=0.5)
+        reused = loss_and_grads(observed, map_points, future, params,
+                                teacher_embedding=teacher, beta=0.5,
+                                workspace=workspace)
+        winners.append(workspace.winner)
+        assert reused[0] == fresh[0]
+        assert reused[1].flat.tobytes() == fresh[1].flat.tobytes(), step
+        assert np.array_equal(np.signbit(reused[1].flat),
+                              np.signbit(fresh[1].flat)), step
+        # Outside the ranges that this winner's step writes, all is +0.0.
+        dead = np.ones(reused[1].flat.size, dtype=bool)
+        for a, b in live[workspace.winner]:
+            dead[a:b] = False
+        assert not np.signbit(reused[1].flat[dead]).any()
+        assert not reused[1].flat[dead].any()
+        factor = rng.uniform(0.01, 1.0)
+        if step % 2:
+            workspace.grads.flat *= factor
+        else:
+            for a, b in live[workspace.winner]:
+                workspace.grads.flat[a:b] *= factor
+    changes = sum(a != b for a, b in zip(winners, winners[1:]))
+    assert len(set(winners)) > 1 and changes >= 5, winners
 
 
 def test_workspace_rejects_what_it_was_not_made_for():
