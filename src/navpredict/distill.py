@@ -65,7 +65,9 @@ class TrainConfig:
     # A step whose global gradient norm exceeds grad_clip is rescaled to
     # that norm. On criterion 7's set-up the median norm is 32-37, so
     # this fires on 94-97% of steps: it normalises the step length rather
-    # than capping rare large gradients.
+    # than capping rare large gradients. The norm is one dot per written
+    # range, added in layout order; it is within 4 ulp of per-field sums
+    # (see ``train``).
     grad_clip: float = 5.0           # 0 turns clipping off
     seed: int = 0
 
@@ -102,6 +104,13 @@ def prepare_map_inputs(scenes: list[Scene], map_points: np.ndarray,
         centers.reshape(len(scenes), 2))
 
 
+def _grad_norm(ranges) -> float:
+    """Global norm of a step's gradient, from the ``(gradient, velocity)``
+    views of the ranges it wrote: one ``np.dot`` per range, added in
+    layout order."""
+    return math.sqrt(sum([float(np.dot(g, g)) for g, _v in ranges]))
+
+
 def train(scenes: list[Scene], map_points: np.ndarray,
           config: m.ModelConfig, tcfg: TrainConfig,
           teacher: tuple[m.ModelParams, m.ModelConfig] | None = None,
@@ -109,39 +118,51 @@ def train(scenes: list[Scene], map_points: np.ndarray,
           dcfg: DistillConfig | None = None) -> TrainResult:
     """SGD with momentum over per-scene winner-takes-all losses.
 
-    With a teacher, the frozen teacher runs forward once per scene on its
-    own (HD) map view before the first epoch, through
-    ``model.forward_batch`` in blocks of ``model.FORWARD_BLOCK`` scenes;
-    its embeddings are the fixed targets of the weighted distillation
-    term. Each step writes its gradients and activations into one
-    ``model.Workspace``, sized for the largest per-scene map set and
-    reused for the whole run, and updates ``params.flat`` in place.
+    Before the first epoch, each scene's ``model.AgentFrame`` (its
+    observed track, map set and future in the target's heading frame) is
+    built once. With a teacher, the frozen teacher runs forward once per
+    scene on its own (HD) map view, through ``model.forward_batch`` in
+    blocks of ``model.FORWARD_BLOCK`` scenes; its embeddings are the
+    fixed targets of the weighted distillation term. Each step writes its
+    gradients and activations into one ``model.Workspace``, sized for the
+    largest per-scene map set and reused for the whole run, and updates
+    ``params.flat`` in place.
 
     A step's gradient is zero outside the rows that
     ``model.loss_and_grads`` wrote: the dense fields and the winning
-    mode's decoder rows. The clip squares and the step's scale and
-    subtraction therefore touch only those ranges; on the rest the dense
-    update would compute ``0 * c == +0.0`` and ``v - (+0.0) == v``, so the
-    bits are the same. The momentum decay and the parameter update stay
-    dense. The loop is single-threaded and bit-reproducible for a fixed
-    seed.
+    mode's decoder rows. The clip norm and the step's scale and
+    subtraction therefore touch only those four ranges; on the rest the
+    dense update would compute ``0 * c == +0.0`` and ``v - (+0.0) == v``,
+    so the bits are the same. The momentum decay and the parameter update
+    stay dense.
+
+    The global gradient norm is ``sqrt`` of the sum of one ``np.dot(g,
+    g)`` per range, added in layout order (``w1`` to ``bv``, the winner's
+    ``wdec`` row, its ``bdec`` row, ``wconf`` with ``bconf``). The
+    summation order is not part of the norm's definition: this one is
+    within 4 ulp of the per-field pairwise sums over the whole buffer.
+    One dot per range, not one over the buffer, keeps the bits
+    independent of the BLAS thread count: OpenBLAS splits a dot of more
+    than 10,000 entries across threads, and the largest range is 7,040
+    entries at d=64 and 9,312 for the d=96 student. The loop is
+    single-threaded and bit-reproducible for a fixed seed.
     """
     if not scenes:
         raise ValueError("empty training set")
     rng = np.random.default_rng(tcfg.seed)
     params = m.init_params(config, rng)
     velocity = m.zeros_like_params(params).flat
-    squares = m.zeros_like_params(params)
-    square_fields = [getattr(squares, name) for name in m.PARAM_FIELDS]
 
-    scene_maps = prepare_map_inputs(scenes, map_points, config.map_radius)
-    workspace = m.Workspace(params, max(len(pts) for pts in scene_maps))
+    frames = [m.AgentFrame(scene.agents[scene.target], points, scene.future)
+              for scene, points in zip(scenes, prepare_map_inputs(
+                  scenes, map_points, config.map_radius))]
+    workspace = m.Workspace(
+        params, max(len(frame.map_offsets) for frame in frames))
     weights, step = params.flat, workspace.grads.flat
-    # Per winning mode, the (gradient, velocity, square) views of each
-    # range that a step with that winner writes.
-    live = [[(step[a:b], velocity[a:b], squares.flat[a:b])
-             for a, b in ranges] for ranges in m._live_ranges(params.shapes)]
-    squared = 0                      # the winner whose rows squares holds
+    # Per winning mode, the (gradient, velocity) views of each range that
+    # a step with that winner writes.
+    live = [[(step[a:b], velocity[a:b]) for a, b in ranges]
+            for ranges in m._live_ranges(params.shapes)]
     xi_teachers = [None] * len(scenes)
     if teacher is not None:
         t_params, t_config = teacher
@@ -176,27 +197,13 @@ def train(scenes: list[Scene], map_points: np.ndarray,
     for _epoch in range(tcfg.epochs):
         rng.shuffle(order)
         for idx in order:
-            scene = scenes[idx]
             loss, _grads, _xi = m.loss_and_grads(
-                scene.agents[scene.target], scene_maps[idx], scene.future,
-                params, alpha=alpha, teacher_embedding=xi_teachers[idx],
-                beta=beta, workspace=workspace,
+                frames[idx], params, alpha=alpha,
+                teacher_embedding=xi_teachers[idx], beta=beta,
+                workspace=workspace,
             )
-            # Clipping fires on nearly every step, so the norm's last bit
-            # reaches every update: sum each field on its own and add the
-            # sums in field order, not one dot product over the buffer.
-            # Only the live ranges are squared; the last winner's rows go
-            # back to +0.0. Each sum still reads its whole field, because
-            # numpy's pairwise sum over the winner's row alone adds in
-            # another order than over all of ``wdec``.
-            winner = workspace.winner
-            if winner != squared:
-                squares.wdec[squared] = 0.0
-                squares.bdec[squared] = 0.0
-                squared = winner
-            for g, _v, sq in live[winner]:
-                np.multiply(g, g, out=sq)
-            gnorm = math.sqrt(sum([float(sq.sum()) for sq in square_fields]))
+            ranges = live[workspace.winner]
+            gnorm = _grad_norm(ranges)
             if not math.isfinite(gnorm):
                 raise m.NumericError("non-finite gradient norm")
             scale = 1.0
@@ -204,7 +211,7 @@ def train(scenes: list[Scene], map_points: np.ndarray,
                 scale = tcfg.grad_clip / gnorm
             velocity *= tcfg.momentum
             factor = lr * scale
-            for g, v, _sq in live[winner]:
+            for g, v in ranges:
                 g *= factor
                 v -= g
             weights += velocity

@@ -10,8 +10,8 @@ Architecture, kept deliberately small and fully transparent:
   the modes learn maneuvers rather than compass directions. A target
   that moved less than ``HEADING_MIN_DISPLACEMENT`` meters keeps the
   world axes. The frame depends only on the observations, so parameter
-  gradients are unaffected by it; ``forward`` rotates the trajectories
-  back to world coordinates;
+  gradients are unaffected by it; ``AgentFrame`` is its one definition,
+  and ``forward`` rotates the trajectories back to world coordinates;
 * agent encoder: the 19 frame-to-frame displacement vectors of the
   observed track (translation invariant), flattened and passed through
   two affine layers with a ReLU in between;
@@ -45,6 +45,7 @@ __all__ = [
     "PredictionSet",
     "NumericError",
     "Workspace",
+    "AgentFrame",
     "init_params",
     "encode_agent",
     "encode_map",
@@ -279,25 +280,30 @@ def encode_agent(observed: np.ndarray, params: ModelParams):
     return h_a, (x, z1, a1)
 
 
-def encode_map(points: np.ndarray, last_pos: np.ndarray,
-               params: ModelParams, out: np.ndarray | None = None):
-    """Map points (m, 2) -> per-point key and value vectors (m, d).
+def encode_map(offsets: np.ndarray, params: ModelParams,
+               out: np.ndarray | None = None):
+    """Map point offsets (m, 2) -> per-point key and value vectors (m, d).
 
-    ``out`` holds four ``(m, d)`` arrays that receive the pre-activations
-    and activations (``zk``, ``keys``, ``zv``, ``values``); without it
-    they are allocated.
+    ``offsets`` are the map points relative to the last observed
+    position, as ``AgentFrame.map_offsets`` holds them. ``out`` holds four
+    ``(m, d)`` arrays that receive the pre-activations and activations
+    (``zk``, ``keys``, ``zv``, ``values``); without it they are allocated.
     """
-    feats = points - last_pos
     if out is None:
-        out = np.empty((4, points.shape[0], params.wk.shape[0]))
+        out = np.empty((4, offsets.shape[0], params.wk.shape[0]))
     zk, keys, zv, values = out
-    np.matmul(feats, params.wk.T, out=zk)
-    zk += params.bk
+    # Each bias is copied into the activation block before the add: a
+    # broadcast ``zk += bk`` allocates a numpy iteration buffer half the
+    # size of a block, a same-shape add nothing. The sums are the same.
+    np.matmul(offsets, params.wk.T, out=zk)
+    np.copyto(keys, params.bk)
+    zk += keys
     np.maximum(zk, 0.0, out=keys)
-    np.matmul(feats, params.wv.T, out=zv)
-    zv += params.bv
+    np.matmul(offsets, params.wv.T, out=zv)
+    np.copyto(values, params.bv)
+    zv += values
     np.maximum(zv, 0.0, out=values)
-    return keys, values, (feats, zk, zv)
+    return keys, values, (offsets, zk, zv)
 
 
 def fuse(h_a: np.ndarray, keys: np.ndarray, values: np.ndarray):
@@ -497,26 +503,49 @@ def _heading_rotation(observed: np.ndarray) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _forward_in_frame(observed, map_points, params, map_out=None):
+class AgentFrame:
+    """One scene's model inputs in its target's heading frame.
+
+    ``rot`` is the ``(2, 2)`` rotation ``p @ rot`` into the frame;
+    ``observed`` the rotated ``(OBSERVED_LEN, 2)`` track and ``last_pos``
+    its last position; ``map_offsets`` the ``(m, 2)`` map points as
+    ``(map_points @ rot) - last_pos``; ``future`` the rotated ``(FUTURE_LEN,
+    2)`` future, or ``None`` when none is given. This is the one
+    definition of the frame: ``forward``, ``forward_batch`` and
+    ``loss_and_grads`` read their inputs from it, and ``distill.train``
+    builds each scene's once per run.
+    """
+
+    __slots__ = ("rot", "observed", "last_pos", "map_offsets", "future")
+
+    def __init__(self, observed: np.ndarray, map_points: np.ndarray,
+                 future: np.ndarray | None = None):
+        self.rot = rot = _heading_rotation(observed)
+        self.observed = observed @ rot
+        self.last_pos = self.observed[-1]
+        # A map-free scene skips the two array calls on its empty set.
+        self.map_offsets = (map_points @ rot - self.last_pos
+                            if len(map_points) else map_points)
+        self.future = None if future is None else future @ rot
+
+
+def _forward_in_frame(frame: AgentFrame, params, map_out=None):
     """``forward`` without the rotation back to world coordinates.
 
     Returns ``(xi, cache)``; ``map_out`` is ``encode_map``'s ``out``. An
     empty map set skips the map encoder, and its cache entry is ``None``.
     """
-    rot = _heading_rotation(observed)
-    observed = observed @ rot
-    last_pos = observed[-1]
-    h_a, agent_cache = encode_agent(observed, params)
-    if len(map_points):
-        keys, values, map_cache = encode_map(map_points @ rot, last_pos,
-                                             params, out=map_out)
+    h_a, agent_cache = encode_agent(frame.observed, params)
+    if len(frame.map_offsets):
+        keys, values, map_cache = encode_map(frame.map_offsets, params,
+                                             out=map_out)
     else:
         # ``fuse`` returns ``h_a`` for an empty set; nothing to encode.
         keys = values = np.empty((0, params.wk.shape[0]))
         map_cache = None
     xi, fuse_cache = fuse(h_a, keys, values)
-    local = decode(xi, last_pos, params)
-    cache = ((rot, local), h_a, keys, values, xi,
+    local = decode(xi, frame.last_pos, params)
+    cache = ((frame.rot, local), h_a, keys, values, xi,
              agent_cache, map_cache, fuse_cache)
     return xi, cache
 
@@ -529,7 +558,7 @@ def forward(observed: np.ndarray, map_points: np.ndarray,
     heading frame: the caches hold frame-coordinate values, and the first
     cache entry is ``(rot, frame_prediction)``.
     """
-    xi, cache = _forward_in_frame(observed, map_points, params)
+    xi, cache = _forward_in_frame(AgentFrame(observed, map_points), params)
     rot, local = cache[0]
     pred = PredictionSet(local.trajectories @ rot.T, local.confidences)
     return pred, xi, cache
@@ -543,32 +572,34 @@ def forward_batch(observed: np.ndarray, map_sets, params: ModelParams):
     FUTURE_LEN, 2)``, the confidences ``(n, k)`` and the embeddings
     ``(n, d)``; each scene's rows equal ``forward``'s outputs bit for bit.
 
-    Only the map encoder and the fusion run scene by scene, because the
-    order of their additions depends on the size of the map set. The
-    heading frames, both rotations, the agent encoder and the decoder run
-    once over the batch, through calls that add in the same order per
-    scene as the one-scene calls. A batch holds its whole intermediates,
-    so callers pass blocks of ``FORWARD_BLOCK`` scenes.
+    Each scene's ``AgentFrame`` is built on its own, and so are its map
+    encoder and fusion, because the order of their additions depends on
+    the size of the map set. The agent encoder, the decoder and the
+    rotation back run once over the batch, through calls that add in the
+    same order per scene as the one-scene calls. A batch holds its whole
+    intermediates, so callers pass blocks of ``FORWARD_BLOCK`` scenes.
     """
     if observed.ndim != 3 or len(map_sets) != observed.shape[0]:
         raise ValueError(f"expected (n, {OBSERVED_LEN}, 2) tracks and n map "
                          f"sets, got {observed.shape} and {len(map_sets)}")
-    rots = np.empty((observed.shape[0], 2, 2))
-    for i, track in enumerate(observed):
-        rots[i] = _heading_rotation(track)
-    observed = np.matmul(observed, rots)
-    last_pos = observed[:, -1]
-    h_a, _agent_cache = encode_agent(observed, params)
+    n = observed.shape[0]
+    frames = [AgentFrame(track, points)
+              for track, points in zip(observed, map_sets)]
+    rots = np.empty((n, 2, 2))
+    tracks = np.empty((n, OBSERVED_LEN, 2))
+    for i, frame in enumerate(frames):
+        rots[i], tracks[i] = frame.rot, frame.observed
+    h_a, _agent_cache = encode_agent(tracks, params)
     xi = h_a.copy()
     map_out = np.empty((4, max(map(len, map_sets), default=0),
                         params.wk.shape[0]))
-    for i, points in enumerate(map_sets):
-        if len(points):
+    for i, frame in enumerate(frames):
+        m_points = len(frame.map_offsets)
+        if m_points:
             keys, values, _map_cache = encode_map(
-                points @ rots[i], last_pos[i], params,
-                out=map_out[:, :len(points)])
+                frame.map_offsets, params, out=map_out[:, :m_points])
             xi[i] = fuse(h_a[i], keys, values)[0]
-    local = decode(xi, last_pos, params)
+    local = decode(xi, tracks[:, -1], params)
     trajectories = np.matmul(local.trajectories,
                              rots.swapaxes(1, 2)[:, None])
     return trajectories, local.confidences, xi
@@ -624,14 +655,15 @@ def _outer(a: np.ndarray, b: np.ndarray, out: np.ndarray,
     np.multiply(scratch, out, out=out)
 
 
-def loss_and_grads(observed: np.ndarray, map_points: np.ndarray,
-                   future: np.ndarray, params: ModelParams,
+def loss_and_grads(frame: AgentFrame, params: ModelParams,
                    alpha: float = 1.0,
                    teacher_embedding: np.ndarray | None = None,
                    beta: float = 0.0, workspace: Workspace | None = None):
     """Total loss, analytic parameter gradients and the embedding.
 
-    With a teacher embedding, the total loss is
+    ``frame`` is the scene's ``AgentFrame``, built with its future. The
+    loss is taken in the frame; a rotation keeps distances, so it equals
+    the world-frame loss. With a teacher embedding, the total loss is
     ``alpha * model_loss + beta * distill_loss``: the distillation term
     guides the first ``len(teacher_embedding)`` embedding coordinates;
     the remaining coordinates are unguided.
@@ -650,7 +682,10 @@ def loss_and_grads(observed: np.ndarray, map_points: np.ndarray,
     contract a reused workspace gives the same values as a fresh one,
     bit for bit.
     """
-    m_points = map_points.shape[0]
+    future = frame.future
+    if future is None:
+        raise ValueError("the frame holds no future to take the loss on")
+    m_points = frame.map_offsets.shape[0]
     if workspace is None:
         workspace = Workspace(params, m_points)
     elif workspace.grads.shapes != params.shapes:
@@ -659,14 +694,10 @@ def loss_and_grads(observed: np.ndarray, map_points: np.ndarray,
         raise ValueError(f"{m_points} map points exceed the workspace's "
                          f"{workspace.rows.shape[1]}")
     rows = workspace.rows[:, :m_points]
-    xi, cache = _forward_in_frame(observed, map_points, params,
-                                  map_out=rows[:4])
-    ((rot, pred), h_a, keys, values, _xi,
+    xi, cache = _forward_in_frame(frame, params, map_out=rows[:4])
+    ((_rot, pred), h_a, keys, values, _xi,
      agent_cache, map_cache, fuse_cache) = cache
     x, z1, a1 = agent_cache
-    # The loss is taken in the agent frame; a rotation keeps distances,
-    # so it equals the world-frame loss.
-    future = future @ rot
 
     lm, m_star = model_loss(pred, future)
     total = alpha * lm

@@ -125,21 +125,21 @@ def test_criterion_3_gradient_correctness():
             if np.abs(pre).min() > 1e-3 and errs[1] - errs[0] > 1e-3:
                 break
         vec = params.flat
+        frame = M.AgentFrame(observed, map_points, future)
 
-        _, grads, _ = M.loss_and_grads(observed, map_points, future, params,
-                                       alpha=1.0, teacher_embedding=teacher,
-                                       beta=1.0)
+        _, grads, _ = M.loss_and_grads(frame, params, alpha=1.0,
+                                       teacher_embedding=teacher, beta=1.0)
         analytic = grads.flat
         fd = np.empty_like(vec)
         h = 1e-6
         for i in range(vec.size):
             up = vec.copy(); up[i] += h
             dn = vec.copy(); dn[i] -= h
-            lu, _, _ = M.loss_and_grads(observed, map_points, future,
+            lu, _, _ = M.loss_and_grads(frame,
                                         M.ModelParams(up, params.shapes),
                                         alpha=1.0, teacher_embedding=teacher,
                                         beta=1.0)
-            ld, _, _ = M.loss_and_grads(observed, map_points, future,
+            ld, _, _ = M.loss_and_grads(frame,
                                         M.ModelParams(dn, params.shapes),
                                         alpha=1.0, teacher_embedding=teacher,
                                         beta=1.0)

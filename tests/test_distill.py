@@ -228,11 +228,12 @@ def _reference_train(scenes, map_points, config, tcfg, teacher=None,
                      teacher_map_points=None, dcfg=None):
     """The training loop before parameters became one flat buffer.
 
-    Per-scene map selection, per-field velocity arrays and updates, fresh
-    gradients and activations every step (no workspace), a teacher
-    forward on every step and the per-field clip norm. Returns the
-    parameters, the loss
-    curve and the number of clipped steps.
+    Per-scene map selection, a frame built from world inputs on every
+    step, per-field velocity arrays and updates, fresh gradients and
+    activations every step (no workspace), a teacher forward on every
+    step, and the clip norm from every decoder row of the fresh gradient.
+    Returns the parameters, the loss curve and the number of clipped
+    steps.
     """
     rng = np.random.default_rng(tcfg.seed)
     params = M.init_params(config, rng)
@@ -258,10 +259,19 @@ def _reference_train(scenes, map_points, config, tcfg, teacher=None,
                 _pred, xi_teacher, _cache = M.forward(
                     observed, teacher_maps[idx], t_params)
             loss, grads, _xi = M.loss_and_grads(
-                observed, scene_maps[idx], scene.future, params,
-                alpha=alpha, teacher_embedding=xi_teacher, beta=beta)
-            fields = [getattr(grads, name) for name in M.PARAM_FIELDS]
-            gnorm = math.sqrt(sum(float(np.sum(g * g)) for g in fields))
+                M.AgentFrame(observed, scene_maps[idx], scene.future),
+                params, alpha=alpha, teacher_embedding=xi_teacher,
+                beta=beta)
+            # One dot per range in layout order: the dense fields, each
+            # row of wdec, each row of bdec, the confidence head. A row the
+            # step did not write is +0.0, and adding its +0.0 dot changes
+            # no bit, so the winner need not be known.
+            dense = np.concatenate([getattr(grads, name).ravel()
+                                    for name in M.PARAM_FIELDS[:8]])
+            tail = np.concatenate([grads.wconf.ravel(), grads.bconf])
+            pieces = [dense, *grads.wdec.reshape(len(grads.wdec), -1),
+                      *grads.bdec, tail]
+            gnorm = math.sqrt(sum(float(np.dot(g, g)) for g in pieces))
             scale = 1.0
             if tcfg.grad_clip > 0.0 and gnorm > tcfg.grad_clip:
                 scale = tcfg.grad_clip / gnorm
@@ -324,6 +334,53 @@ def test_training_matches_reference_loop_bitwise(world, scenes, variant,
     assert got.loss_curve == ref_curve
 
 
+@pytest.mark.parametrize("student", [False, True], ids=["hd-d64",
+                                                         "student-d96"])
+def test_clip_norm_within_4_ulp_of_per_field_sums(world, student,
+                                                  monkeypatch):
+    # The clip norm adds one dot per written range; the per-field
+    # pairwise sums over the whole gradient add in another order. Every
+    # step of an HD d=64 training, or of a d=96 student's, must agree
+    # with them within 4 ulp; a range left out or counted twice (bconf
+    # alone adds about 1 to a squared norm of about 1000) cannot.
+    import navpredict.distill as distill_mod
+
+    scenes = generate_scenes(world, 100, seed=5)
+    tc = TrainConfig(epochs=2, seed=3)
+    t_cfg = M.ModelConfig(map_source="hd")
+    if student:
+        teacher = (train_teacher(scenes, world, t_cfg,
+                                 TrainConfig(epochs=1, seed=1)).params, t_cfg)
+    original_step, original_norm = M.loss_and_grads, distill_mod._grad_norm
+    step_grads, norms = [], []
+
+    def recording_step(*args, **kwargs):
+        loss, grads, xi = original_step(*args, **kwargs)
+        step_grads[:] = [grads]
+        return loss, grads, xi
+
+    def recording_norm(ranges):
+        gnorm = original_norm(ranges)
+        grads = step_grads[0]
+        per_field = math.sqrt(sum(float(np.sum(g * g)) for g in (
+            getattr(grads, name) for name in M.PARAM_FIELDS)))
+        norms.append((gnorm, per_field))
+        return gnorm
+
+    monkeypatch.setattr(M, "loss_and_grads", recording_step)
+    monkeypatch.setattr(distill_mod, "_grad_norm", recording_norm)
+    if student:
+        got = train_student(scenes, world, teacher,
+                            DistillConfig(variant="shared"), tc)
+    else:
+        got = train(scenes, view_points(world, "hd"), t_cfg, tc)
+    assert got.config.d == (96 if student else 64)
+    assert len(norms) == tc.epochs * len(scenes)
+    for step, (gnorm, per_field) in enumerate(norms):
+        assert abs(gnorm - per_field) <= 4 * np.spacing(per_field), \
+            (step, gnorm, per_field)
+
+
 def test_teacher_runs_once_per_scene(world, scenes, monkeypatch):
     t_cfg = M.ModelConfig(d=4, k=3, hidden=8, map_source="hd")
     teacher = train_teacher(scenes, world, t_cfg, TrainConfig(epochs=1, seed=1))
@@ -354,20 +411,24 @@ def test_teacher_runs_once_per_scene(world, scenes, monkeypatch):
 
 def test_non_finite_gradient_raises_before_update(world, scenes,
                                                   monkeypatch):
-    # The poisoned entry lies in each kind of range that a step writes: a
-    # dense field, the winner's decoder row and the confidence tail.
+    # The poisoned entry lies in each of the four ranges that a step
+    # writes: a dense field, the winner's wdec and bdec rows and the
+    # confidence tail.
     original = M.loss_and_grads
     cfg = M.ModelConfig(d=8, k=3, hidden=8, map_source="nav")
-    for field in ("wk", "wdec", "bconf"):
+    for field in ("wk", "wdec", "bdec", "bconf"):
         seen = []
 
         def poisoned(*args, **kwargs):
             loss, grads, xi = original(*args, **kwargs)
-            params = args[3]
+            params = args[1]
             seen.append((params, params.flat.copy()))
             if len(seen) == 3:
+                winner = kwargs["workspace"].winner
                 if field == "wdec":
-                    grads.wdec[kwargs["workspace"].winner, 5, 1] = np.nan
+                    grads.wdec[winner, 5, 1] = np.nan
+                elif field == "bdec":
+                    grads.bdec[winner, 3] = np.nan
                 else:
                     getattr(grads, field).flat[1] = np.nan
             return loss, grads, xi
@@ -383,19 +444,22 @@ def test_non_finite_gradient_raises_before_update(world, scenes,
 
 def test_training_steps_allocate_less_than_one_map_array(world, scenes):
     # A step writes its (m, d) activations and gradients into the
-    # workspace, so what it allocates does not grow with the map set.
+    # workspace and adds the map encoder's biases without broadcasting,
+    # so what it allocates does not grow with the map set: its peak stays
+    # under a third of one (m_max, d) array. A broadcast bias add alone
+    # allocates about half of one.
     cfg = M.ModelConfig(d=64, map_source="hd")
     params = M.init_params(cfg, np.random.default_rng(0))
     maps = prepare_map_inputs(scenes, view_points(world, "hd"),
                               cfg.map_radius)
+    frames = [M.AgentFrame(scene.agents[scene.target], pts, scene.future)
+              for scene, pts in zip(scenes, maps)]
     m_max = max(len(pts) for pts in maps)
     workspace = M.Workspace(params, m_max)
 
     def steps(indices):
         for i in indices:
-            scene = scenes[i]
-            M.loss_and_grads(scene.agents[scene.target], maps[i],
-                             scene.future, params, workspace=workspace)
+            M.loss_and_grads(frames[i], params, workspace=workspace)
 
     steps(range(10))
     tracemalloc.start()
@@ -408,4 +472,5 @@ def test_training_steps_allocate_less_than_one_map_array(world, scenes):
         tracemalloc.stop()
     one_array = m_max * cfg.d * 8
     assert m_max > 100
-    assert peak < one_array, f"peak {peak} B >= one (m_max, d) array"
+    assert peak < one_array / 3, \
+        f"peak {peak} B >= a third of one (m_max, d) array ({one_array} B)"

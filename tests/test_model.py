@@ -11,6 +11,7 @@ from navpredict.model import (
     PARAM_FIELDS,
     MapGrid,
     ModelConfig,
+    AgentFrame,
     ModelParams,
     Workspace,
     _live_ranges,
@@ -171,7 +172,8 @@ def test_stationary_target_keeps_world_axes(jitter):
         assert np.isfinite(a).all()
     np.testing.assert_array_equal(pred_b.trajectories, pred_a.trajectories)
     np.testing.assert_array_equal(xi_b, xi_a)
-    loss, grads, _ = loss_and_grads(observed, map_points, future, params)
+    loss, grads, _ = loss_and_grads(
+        AgentFrame(observed, map_points, future), params)
     assert np.isfinite(loss)
     assert np.isfinite(grads.flat).all()
 
@@ -285,13 +287,13 @@ def test_gradients_match_finite_differences(n_map):
     map_points = map_points[:n_map]
     params = init_params(cfg, rng)
     vec = params.flat
+    frame = AgentFrame(observed, map_points, future)
 
     def f(v):
-        loss, _, _ = loss_and_grads(observed, map_points, future,
-                                    ModelParams(v, params.shapes))
+        loss, _, _ = loss_and_grads(frame, ModelParams(v, params.shapes))
         return loss
 
-    _, grads, _ = loss_and_grads(observed, map_points, future, params)
+    _, grads, _ = loss_and_grads(frame, params)
     fd = _fd_grad(f, vec)
     np.testing.assert_allclose(grads.flat, fd,
                                rtol=1e-4, atol=1e-7)
@@ -304,16 +306,16 @@ def test_gradients_with_distillation_match_finite_differences():
     params = init_params(cfg, rng)
     teacher = rng.normal(size=3)  # guided prefix of width 3 < d
     vec = params.flat
+    frame = AgentFrame(observed, map_points, future)
 
     def f(v):
         loss, _, _ = loss_and_grads(
-            observed, map_points, future, ModelParams(v, params.shapes),
+            frame, ModelParams(v, params.shapes),
             alpha=0.7, teacher_embedding=teacher, beta=1.3)
         return loss
 
-    _, grads, _ = loss_and_grads(observed, map_points, future, params,
-                                 alpha=0.7, teacher_embedding=teacher,
-                                 beta=1.3)
+    _, grads, _ = loss_and_grads(frame, params, alpha=0.7,
+                                 teacher_embedding=teacher, beta=1.3)
     fd = _fd_grad(f, vec)
     np.testing.assert_allclose(grads.flat, fd,
                                rtol=1e-4, atol=1e-7)
@@ -328,8 +330,8 @@ def test_zero_params_stationary_scene_has_zero_trajectory_grads():
     params = zeros_like_params(init_params(cfg, np.random.default_rng(0)))
     observed = np.tile(np.array([5.0, -2.0]), (OBSERVED_LEN, 1))
     future = np.tile(np.array([5.0, -2.0]), (FUTURE_LEN, 1))
-    loss, grads, _ = loss_and_grads(observed, np.zeros((0, 2)), future,
-                                    params)
+    loss, grads, _ = loss_and_grads(
+        AgentFrame(observed, np.zeros((0, 2)), future), params)
     assert loss == pytest.approx(np.log(cfg.k))
     for name in PARAM_FIELDS:
         if name == "bconf":
@@ -362,14 +364,13 @@ def test_gradients_into_reused_buffer_match_fresh(n_map):
         pytest.fail("no scene with a different winning mode")
     workspace = Workspace(params, 12)
     buf = workspace.grads
-    loss_and_grads(*first, params, teacher_embedding=teacher, beta=0.5,
-                   workspace=workspace)
+    loss_and_grads(AgentFrame(*first), params, teacher_embedding=teacher,
+                   beta=0.5, workspace=workspace)
     assert buf.wk.any() and buf.wdec.any()
-    fresh = loss_and_grads(observed, map_points, future, params,
-                           teacher_embedding=teacher, beta=0.5)
-    reused = loss_and_grads(observed, map_points, future, params,
-                            teacher_embedding=teacher, beta=0.5,
-                            workspace=workspace)
+    frame = AgentFrame(observed, map_points, future)
+    fresh = loss_and_grads(frame, params, teacher_embedding=teacher, beta=0.5)
+    reused = loss_and_grads(frame, params, teacher_embedding=teacher,
+                            beta=0.5, workspace=workspace)
     assert reused[1] is buf
     assert reused[0] == fresh[0]
     np.testing.assert_array_equal(reused[2], fresh[2])
@@ -390,11 +391,11 @@ def test_workspace_matches_fresh_over_varying_map_sizes():
         teacher = rng.normal(size=4)
         pred, _, _ = forward(observed, map_points, params)
         winners.add(model_loss(pred, future)[1])
-        fresh = loss_and_grads(observed, map_points, future, params,
-                               teacher_embedding=teacher, beta=0.5)
-        reused = loss_and_grads(observed, map_points, future, params,
-                                teacher_embedding=teacher, beta=0.5,
-                                workspace=workspace)
+        frame = AgentFrame(observed, map_points, future)
+        fresh = loss_and_grads(frame, params, teacher_embedding=teacher,
+                               beta=0.5)
+        reused = loss_and_grads(frame, params, teacher_embedding=teacher,
+                                beta=0.5, workspace=workspace)
         assert reused[0] == fresh[0]
         np.testing.assert_array_equal(reused[2], fresh[2])
         assert np.array_equal(reused[1].flat, fresh[1].flat), n_map
@@ -420,11 +421,11 @@ def test_workspace_reused_over_scaled_steps_matches_fresh(cfg):
         observed, map_points, future = _scene(
             rng, n_map=(12, 0, 5, 0, 0, 9)[step % 6])
         teacher = rng.normal(size=cfg.d // 2) if step % 3 else None
-        fresh = loss_and_grads(observed, map_points, future, params,
-                               teacher_embedding=teacher, beta=0.5)
-        reused = loss_and_grads(observed, map_points, future, params,
-                                teacher_embedding=teacher, beta=0.5,
-                                workspace=workspace)
+        frame = AgentFrame(observed, map_points, future)
+        fresh = loss_and_grads(frame, params, teacher_embedding=teacher,
+                               beta=0.5)
+        reused = loss_and_grads(frame, params, teacher_embedding=teacher,
+                                beta=0.5, workspace=workspace)
         winners.append(workspace.winner)
         assert reused[0] == fresh[0]
         assert reused[1].flat.tobytes() == fresh[1].flat.tobytes(), step
@@ -449,25 +450,25 @@ def test_workspace_reused_over_scaled_steps_matches_fresh(cfg):
 def test_workspace_rejects_what_it_was_not_made_for():
     rng = np.random.default_rng(22)
     params = init_params(SMALL, rng)
-    observed, map_points, future = _scene(rng, n_map=5)
+    frame = AgentFrame(*_scene(rng, n_map=5))
     with pytest.raises(ValueError, match="exceed"):
-        loss_and_grads(observed, map_points, future, params,
-                       workspace=Workspace(params, 4))
+        loss_and_grads(frame, params, workspace=Workspace(params, 4))
     wider = init_params(ModelConfig(d=7, k=3, hidden=5), rng)
     with pytest.raises(ValueError, match="layout"):
-        loss_and_grads(observed, map_points, future, params,
-                       workspace=Workspace(wider, 5))
+        loss_and_grads(frame, params, workspace=Workspace(wider, 5))
+    with pytest.raises(ValueError, match="no future"):
+        loss_and_grads(AgentFrame(*_scene(rng)[:2]), params)
 
 
 def test_distillation_ignores_unguided_suffix():
     cfg = ModelConfig(d=6, k=2, hidden=3)
     rng = np.random.default_rng(9)
-    observed, map_points, future = _scene(rng)
+    frame = AgentFrame(*_scene(rng))
     params = init_params(cfg, rng)
-    _, _, xi = loss_and_grads(observed, map_points, future, params)
+    _, _, xi = loss_and_grads(frame, params)
     teacher = xi[:4].copy()  # teacher agrees with the guided prefix
-    loss_plain, _, _ = loss_and_grads(observed, map_points, future, params)
-    loss_dist, _, _ = loss_and_grads(observed, map_points, future, params,
+    loss_plain, _, _ = loss_and_grads(frame, params)
+    loss_dist, _, _ = loss_and_grads(frame, params,
                                      teacher_embedding=teacher, beta=5.0)
     assert loss_dist == pytest.approx(loss_plain, rel=1e-12)
 
@@ -475,24 +476,22 @@ def test_distillation_ignores_unguided_suffix():
 def test_total_loss_adds_weighted_distill_loss():
     cfg = ModelConfig(d=6, k=2, hidden=3)
     rng = np.random.default_rng(11)
-    observed, map_points, future = _scene(rng)
+    frame = AgentFrame(*_scene(rng))
     params = init_params(cfg, rng)
     teacher = rng.normal(size=4)
-    loss_plain, _, xi = loss_and_grads(observed, map_points, future, params,
-                                       alpha=0.7)
-    loss_dist, _, _ = loss_and_grads(observed, map_points, future, params,
-                                     alpha=0.7, teacher_embedding=teacher,
-                                     beta=1.3)
+    loss_plain, _, xi = loss_and_grads(frame, params, alpha=0.7)
+    loss_dist, _, _ = loss_and_grads(frame, params, alpha=0.7,
+                                     teacher_embedding=teacher, beta=1.3)
     assert loss_dist == loss_plain + 1.3 * distill_loss(teacher, xi)
 
 
 def test_teacher_wider_than_student_rejected():
     cfg = ModelConfig(d=3, k=2, hidden=3)
     rng = np.random.default_rng(10)
-    observed, map_points, future = _scene(rng)
+    frame = AgentFrame(*_scene(rng))
     params = init_params(cfg, rng)
     with pytest.raises(ValueError):
-        loss_and_grads(observed, map_points, future, params,
+        loss_and_grads(frame, params,
                        teacher_embedding=np.zeros(5), beta=1.0)
 
 
