@@ -236,15 +236,20 @@ def train(data_dir, map_source, teacher_path, variant, alpha, beta, seed,
     from . import model as model_mod
 
     started = time.time()
+    if teacher_path is not None and map_source != "nav":
+        raise click.UsageError("--distill requires --map nav")
+    # A flag that the run would ignore is a usage error: a student's
+    # widths derive from its teacher's, and only a student reads the rest.
     if teacher_path is not None:
-        if map_source != "nav":
-            raise click.UsageError("--distill requires --map nav")
-        # The student's widths derive from the teacher's.
-        ctx = click.get_current_context()
-        for name, flag in (("embed_width", "--d"), ("hidden", "--hidden")):
-            if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
-                raise click.UsageError(f"{flag} cannot be used with "
-                                       f"--distill")
+        ignored, verb = (("embed_width", "--d"), ("hidden", "--hidden")), \
+            "cannot be used with"
+    else:
+        ignored, verb = (("variant", "--variant"), ("alpha", "--alpha"),
+                         ("beta", "--beta")), "requires"
+    ctx = click.get_current_context()
+    for name, flag in ignored:
+        if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
+            raise click.UsageError(f"{flag} {verb} --distill")
     tcfg = distill.TrainConfig(epochs=epochs, lr=lr, seed=seed)
     scenes = scenario.read_scenes(
         os.path.join(data_dir, "scenes_train.ndjson")
@@ -272,9 +277,9 @@ def train(data_dir, map_source, teacher_path, variant, alpha, beta, seed,
         for epoch, value in enumerate(result.loss_curve, start=1):
             fh.write(f"{epoch},{value:.9f}\n")
     config_snapshot = asdict(result.config)
-    config_snapshot.update({"epochs": epochs, "lr": lr, "alpha": alpha,
-                            "beta": beta, "variant": variant,
-                            "distill": teacher_path})
+    config_snapshot.update(epochs=epochs, lr=lr, distill=teacher_path)
+    if teacher_path is not None:
+        config_snapshot.update(alpha=alpha, beta=beta, variant=variant)
     _write_manifest(out_path, "train", config_snapshot, seed,
                     [data_dir] + ([teacher_path] if teacher_path else []),
                     started)

@@ -89,7 +89,10 @@ class TrainResult:
     params: m.ModelParams
     config: m.ModelConfig
     loss_curve: list[float]          # smoothed loss after each epoch
-    final_loss: float
+
+    @property
+    def final_loss(self) -> float:
+        return self.loss_curve[-1]
 
 
 def prepare_map_inputs(scenes: list[Scene], map_points: np.ndarray,
@@ -113,20 +116,18 @@ def _grad_norm(ranges) -> float:
 
 def train(scenes: list[Scene], map_points: np.ndarray,
           config: m.ModelConfig, tcfg: TrainConfig,
-          teacher: tuple[m.ModelParams, m.ModelConfig] | None = None,
-          teacher_map_points: np.ndarray | None = None,
-          dcfg: DistillConfig | None = None) -> TrainResult:
+          targets: tuple[np.ndarray, DistillConfig] | None = None
+          ) -> TrainResult:
     """SGD with momentum over per-scene winner-takes-all losses.
 
     Before the first epoch, each scene's ``model.AgentFrame`` (its
     observed track, map set and future in the target's heading frame) is
-    built once. With a teacher, the frozen teacher runs forward once per
-    scene on its own (HD) map view, through ``model.forward_batch`` in
-    blocks of ``model.FORWARD_BLOCK`` scenes; its embeddings are the
-    fixed targets of the weighted distillation term. Each step writes its
-    gradients and activations into one ``model.Workspace``, sized for the
-    largest per-scene map set and reused for the whole run, and updates
-    ``params.flat`` in place.
+    built once. ``targets`` are one fixed embedding per scene, ``(n,
+    d_t)``, and the ``DistillConfig`` of the distillation term toward
+    them; without them the loss is the plain model loss. Each step
+    writes its gradients and activations into one ``model.Workspace``,
+    sized for the largest per-scene map set and reused for the whole run,
+    and updates ``params.flat`` in place.
 
     A step's gradient is zero outside the rows that
     ``model.loss_and_grads`` wrote: the dense fields and the winning
@@ -149,6 +150,11 @@ def train(scenes: list[Scene], map_points: np.ndarray,
     """
     if not scenes:
         raise ValueError("empty training set")
+    xi_targets, dcfg = targets or ([None] * len(scenes),
+                                   DistillConfig(beta=0.0))
+    if len(xi_targets) != len(scenes):
+        raise ValueError(f"{len(xi_targets)} target embeddings for "
+                         f"{len(scenes)} scenes")
     rng = np.random.default_rng(tcfg.seed)
     params = m.init_params(config, rng)
     velocity = m.zeros_like_params(params).flat
@@ -163,32 +169,6 @@ def train(scenes: list[Scene], map_points: np.ndarray,
     # a step with that winner writes.
     live = [[(step[a:b], velocity[a:b]) for a, b in ranges]
             for ranges in m._live_ranges(params.shapes)]
-    xi_teachers = [None] * len(scenes)
-    if teacher is not None:
-        t_params, t_config = teacher
-        if dcfg is None:
-            raise ValueError("teacher given without a distillation config")
-        if t_config.map_source != "hd":
-            raise ValueError("teacher must use the hd map source")
-        if config.d != student_width(t_config.d, dcfg.variant):
-            raise ValueError(
-                f"student width {config.d} does not match variant "
-                f"{dcfg.variant!r} for teacher width {t_config.d}"
-            )
-        if teacher_map_points is None:
-            raise ValueError("teacher given without its map view")
-        teacher_maps = prepare_map_inputs(scenes, teacher_map_points,
-                                          t_config.map_radius)
-        xi_teachers = np.empty((len(scenes), t_config.d))
-        for lo in range(0, len(scenes), m.FORWARD_BLOCK):
-            block = slice(lo, lo + m.FORWARD_BLOCK)
-            observed = np.array([scene.agents[scene.target]
-                                 for scene in scenes[block]])
-            xi_teachers[block] = m.forward_batch(
-                observed, teacher_maps[block], t_params)[2]
-
-    alpha = dcfg.alpha if dcfg is not None else 1.0
-    beta = dcfg.beta if dcfg is not None else 0.0
 
     smoothed = None
     curve = []
@@ -198,8 +178,8 @@ def train(scenes: list[Scene], map_points: np.ndarray,
         rng.shuffle(order)
         for idx in order:
             loss, _grads, _xi = m.loss_and_grads(
-                frames[idx], params, alpha=alpha,
-                teacher_embedding=xi_teachers[idx], beta=beta,
+                frames[idx], params, alpha=dcfg.alpha,
+                teacher_embedding=xi_targets[idx], beta=dcfg.beta,
                 workspace=workspace,
             )
             ranges = live[workspace.winner]
@@ -221,8 +201,7 @@ def train(scenes: list[Scene], map_points: np.ndarray,
                 raise m.NumericError("training loss diverged")
         curve.append(float(smoothed))
         lr *= tcfg.lr_decay
-    return TrainResult(params=params, config=config, loss_curve=curve,
-                       final_loss=float(smoothed))
+    return TrainResult(params=params, config=config, loss_curve=curve)
 
 
 def train_teacher(scenes: list[Scene], world: MapPair,
@@ -237,8 +216,13 @@ def train_student(scenes: list[Scene], world: MapPair,
                   teacher: tuple[m.ModelParams, m.ModelConfig],
                   dcfg: DistillConfig, tcfg: TrainConfig,
                   map_radius: float | None = None) -> TrainResult:
-    """Train a nav-view student guided by a frozen teacher."""
+    """Train a nav-view student distilled from the embeddings that a frozen
+    HD-view teacher gives each scene through ``model.forward_split``."""
     t_params, t_config = teacher
+    if t_config.map_source != "hd":
+        raise ValueError("teacher must use the hd map source")
+    xi_teacher = m.forward_split(t_params, t_config, scenes,
+                                 view_points(world, "hd"))[2]
     config = m.ModelConfig(
         d=student_width(t_config.d, dcfg.variant),
         k=t_config.k,
@@ -248,6 +232,4 @@ def train_student(scenes: list[Scene], world: MapPair,
         map_source="nav",
     )
     return train(scenes, view_points(world, "nav"), config, tcfg,
-                 teacher=teacher,
-                 teacher_map_points=view_points(world, "hd"),
-                 dcfg=dcfg)
+                 targets=(xi_teacher, dcfg))

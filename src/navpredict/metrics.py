@@ -25,9 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FORWARD_BLOCK, MapGrid, ModelConfig, ModelParams, \
-    PredictionSet, forward_batch
-from .scenario import FUTURE_LEN
+from .model import ModelConfig, ModelParams, PredictionSet, forward_split
 
 __all__ = [
     "MISS_DISTANCE",
@@ -144,20 +142,11 @@ def evaluate_model(params: ModelParams, config: ModelConfig, scenes,
     """Run the model over a split and aggregate the metric report.
 
     Returns the report and one row per scene, in split order; a row's
-    ``"scene"`` is the scene's ``scene_id``. The split runs through
-    ``forward_batch`` in blocks of ``FORWARD_BLOCK`` scenes, so only one
-    block's map sets are alive at a time. A ``MapGrid`` over the view,
-    built once per call, selects each block's map sets.
+    ``"scene"`` is the scene's ``scene_id``. The model runs through
+    ``model.forward_split``.
     """
-    grid = MapGrid(map_points, config.map_radius)
-    trajectories = np.empty((len(scenes), config.k, FUTURE_LEN, 2))
-    confidences = np.empty((len(scenes), config.k))
-    for lo in range(0, len(scenes), FORWARD_BLOCK):
-        block = slice(lo, lo + FORWARD_BLOCK)
-        observed = np.array([scene.agents[scene.target]
-                             for scene in scenes[block]])
-        trajectories[block], confidences[block], _xi = forward_batch(
-            observed, grid.select(observed[:, -1]), params)
+    trajectories, confidences, _xi = forward_split(params, config, scenes,
+                                                   map_points)
     return _evaluate(trajectories, confidences,
                      np.array([scene.future for scene in scenes]), ks,
                      [scene.scene_id for scene in scenes])[:2]

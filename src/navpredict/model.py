@@ -53,6 +53,7 @@ __all__ = [
     "decode",
     "forward",
     "forward_batch",
+    "forward_split",
     "model_loss",
     "distill_loss",
     "loss_and_grads",
@@ -77,7 +78,7 @@ CHECKPOINT_VERSION = 2
 HEADING_LAG = 5
 HEADING_MIN_DISPLACEMENT = 0.1
 
-# Scenes per ``forward_batch`` call in the split passes: enough to spread
+# Scenes per ``forward_batch`` call in ``forward_split``: enough to spread
 # the per-call numpy cost, few enough that a block's map sets and
 # intermediates stay small next to the model.
 FORWARD_BLOCK = 32
@@ -577,7 +578,7 @@ def forward_batch(observed: np.ndarray, map_sets, params: ModelParams):
     the size of the map set. The agent encoder, the decoder and the
     rotation back run once over the batch, through calls that add in the
     same order per scene as the one-scene calls. A batch holds its whole
-    intermediates, so callers pass blocks of ``FORWARD_BLOCK`` scenes.
+    intermediates; ``forward_split`` passes ``FORWARD_BLOCK`` scenes.
     """
     if observed.ndim != 3 or len(map_sets) != observed.shape[0]:
         raise ValueError(f"expected (n, {OBSERVED_LEN}, 2) tracks and n map "
@@ -603,6 +604,28 @@ def forward_batch(observed: np.ndarray, map_sets, params: ModelParams):
     trajectories = np.matmul(local.trajectories,
                              rots.swapaxes(1, 2)[:, None])
     return trajectories, local.confidences, xi
+
+
+def forward_split(params: ModelParams, config: ModelConfig, scenes,
+                  map_points: np.ndarray):
+    """``forward_batch`` over a split, ``FORWARD_BLOCK`` scenes at a time.
+
+    Returns every scene's trajectories ``(n, k, FUTURE_LEN, 2)``,
+    confidences ``(n, k)`` and embeddings ``(n, d)``, each equal to
+    ``forward`` on its target's track and ``select_map_points`` set. One
+    ``MapGrid`` per call selects each block's map sets.
+    """
+    grid = MapGrid(map_points, config.map_radius)
+    trajectories = np.empty((len(scenes), config.k, FUTURE_LEN, 2))
+    confidences = np.empty((len(scenes), config.k))
+    embeddings = np.empty((len(scenes), config.d))
+    for lo in range(0, len(scenes), FORWARD_BLOCK):
+        block = slice(lo, lo + FORWARD_BLOCK)
+        observed = np.array([scene.agents[scene.target]
+                             for scene in scenes[block]])
+        trajectories[block], confidences[block], embeddings[block] = \
+            forward_batch(observed, grid.select(observed[:, -1]), params)
+    return trajectories, confidences, embeddings
 
 
 def model_loss(pred: PredictionSet, future: np.ndarray):

@@ -112,8 +112,7 @@ def _way_directions(way: OsmWay) -> tuple[bool, bool]:
     return True, True
 
 
-def build_nav_graph(nodes: dict[int, OsmNode], ways,
-                    whitelist=ROAD_TYPE_WHITELIST) -> NavGraph:
+def build_nav_graph(nodes: dict[int, OsmNode], ways) -> NavGraph:
     """Filter ways to the road-type whitelist and expand them into edges.
 
     Ways referencing nodes absent from the document are skipped whole
@@ -135,7 +134,7 @@ def build_nav_graph(nodes: dict[int, OsmNode], ways,
         used.add(dst)
 
     for way in ways:
-        if way.tags.get("highway") not in whitelist:
+        if way.tags.get("highway") not in ROAD_TYPE_WHITELIST:
             continue
         if any(ref not in nodes for ref in way.node_refs):
             log.warning("skipping way %d: unresolved node reference", way.id)

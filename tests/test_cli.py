@@ -258,6 +258,13 @@ def test_distillation_pipeline(tmp_path, runner, dataset):
     _, config = load_checkpoint(student)
     assert config.d == 6            # round(1.5 * 4)
     assert config.map_source == "nav"
+    # Only a distilled run records the distillation settings.
+    for ckpt, distilled in ((teacher, False), (student, True)):
+        recorded = json.loads(
+            (tmp_path / f"{ckpt.name}.manifest.json").read_text())["config"]
+        for key, value in (("alpha", 1.0), ("beta", 1.0),
+                           ("variant", "shared")):
+            assert recorded.get(key) == (value if distilled else None)
 
 
 def test_distill_requires_nav_map(tmp_path, runner, dataset):
@@ -288,6 +295,23 @@ def test_distill_rejects_width_flags(tmp_path, runner, dataset, flag):
     assert f"{flag[0]} cannot be used with --distill" in (
         result.output + result.stderr)
     assert not student.exists()
+
+
+@pytest.mark.parametrize("flag", [["--variant", "matched"], ["--alpha", "0"],
+                                  ["--beta", "5"], ["--beta", "1.0"]],
+                         ids=["variant", "alpha", "beta",
+                              "beta-equal-to-default"])
+def test_distillation_flags_require_distill(tmp_path, runner, dataset, flag):
+    # Without a teacher nothing reads them: the run would train a plain
+    # model and record settings that it did not use.
+    out = tmp_path / "m.ckpt"
+    result = runner.invoke(main, [
+        "train", "--data", str(dataset), "--map", "nav", *flag,
+        "--epochs", "1", "--d", "8", "--hidden", "8", "--out", str(out),
+    ])
+    assert result.exit_code == 2
+    assert f"{flag[0]} requires --distill" in result.output + result.stderr
+    assert not out.exists()
 
 
 def test_distill_rejects_nav_teacher(tmp_path, runner, dataset):

@@ -171,16 +171,14 @@ def test_positive_beta_changes_the_student(world, scenes):
     assert not np.array_equal(a.params.flat, b.params.flat)
 
 
-def test_student_width_mismatch_rejected(world, scenes):
-    t_cfg = M.ModelConfig(d=4, k=3, hidden=8, map_source="hd")
-    teacher = train_teacher(scenes, world, t_cfg, TrainConfig(epochs=1, seed=1))
-    wrong = M.ModelConfig(d=9, k=3, hidden=8, map_source="nav")
-    with pytest.raises(ValueError, match="variant"):
-        train(scenes, view_points(world, "nav"), wrong,
-              TrainConfig(epochs=1),
-              teacher=(teacher.params, t_cfg),
-              teacher_map_points=view_points(world, "hd"),
-              dcfg=DistillConfig(variant="shared"))
+def test_train_rejects_a_target_count_other_than_the_scene_count(world,
+                                                                  scenes):
+    cfg = M.ModelConfig(d=6, k=3, hidden=8, map_source="nav")
+    for n_targets in (len(scenes) - 1, len(scenes) + 1):
+        with pytest.raises(ValueError, match="target embeddings"):
+            train(scenes, view_points(world, "nav"), cfg,
+                  TrainConfig(epochs=1),
+                  targets=(np.zeros((n_targets, 4)), DistillConfig()))
 
 
 def test_matched_variant_widths(world, scenes):
@@ -203,11 +201,24 @@ def _per_scene_map_inputs(scenes, map_points, radius):
             for scene in scenes]
 
 
+def _per_scene_forward_split(params, config, scenes, map_points):
+    """``model.forward_split`` as one ``select_map_points`` and one
+    ``forward`` call per scene."""
+    outs = [M.forward(observed, M.select_map_points(
+                map_points, observed[-1], config.map_radius), params)
+            for observed in (scene.agents[scene.target] for scene in scenes)]
+    return (np.array([pred.trajectories for pred, _xi, _c in outs]),
+            np.array([pred.confidences for pred, _xi, _c in outs]),
+            np.array([xi for _pred, xi, _c in outs]))
+
+
 @pytest.mark.parametrize("world_spec", [
     WorldSpec(seed=2), WorldSpec(seed=1, num_roads=16, lanes_per_road=3),
 ], ids=["seed2", "16x3"])
 def test_distilled_student_through_the_grid_matches_per_scene_selection(
         world_spec, monkeypatch):
+    # Both views' map sets come from a MapGrid: the student's through
+    # prepare_map_inputs, the teacher's inside model.forward_split.
     import navpredict.distill as distill_mod
 
     world = generate_world(world_spec)
@@ -219,6 +230,7 @@ def test_distilled_student_through_the_grid_matches_per_scene_selection(
     got = train_student(*args)
     monkeypatch.setattr(distill_mod, "prepare_map_inputs",
                         _per_scene_map_inputs)
+    monkeypatch.setattr(M, "forward_split", _per_scene_forward_split)
     want = train_student(*args)
     assert got.params.flat.tobytes() == want.params.flat.tobytes()
     assert got.loss_curve == want.loss_curve

@@ -18,6 +18,7 @@ from navpredict.model import (
     distill_loss,
     forward,
     forward_batch,
+    forward_split,
     init_params,
     load_checkpoint,
     loss_and_grads,
@@ -238,6 +239,34 @@ def test_forward_batch_rejects_mismatched_inputs():
         forward_batch(tracks, [np.zeros((0, 2))] * 2, params)
     with pytest.raises(ValueError, match="observed track"):
         forward_batch(np.zeros((1, 5, 2)), [np.zeros((0, 2))], params)
+
+
+@pytest.mark.parametrize("source", ["hd", "none"])
+def test_forward_split_matches_per_scene_forward_bitwise(source):
+    # 70 scenes on the 16-road x 3-lane world run in blocks of 32, 32 and
+    # 6; the HD view's map sets come from a MapGrid, the empty view's are
+    # all empty.
+    world = generate_world(WorldSpec(seed=1, num_roads=16, lanes_per_road=3))
+    scenes = generate_scenes(world, 70, seed=8)
+    assert 2 * FORWARD_BLOCK < len(scenes) < 3 * FORWARD_BLOCK
+    cfg = ModelConfig(d=16, k=6, hidden=16, map_source=source)
+    params = init_params(cfg, np.random.default_rng(3))
+    points = view_points(world, source)
+    trajectories, confidences, embeddings = forward_split(params, cfg,
+                                                          scenes, points)
+    assert trajectories.shape == (70, 6, FUTURE_LEN, 2)
+    assert confidences.shape == (70, 6)
+    assert embeddings.shape == (70, 16)
+    kept = 0
+    for i, scene in enumerate(scenes):
+        observed = scene.agents[scene.target]
+        pts = select_map_points(points, observed[-1], cfg.map_radius)
+        kept += len(pts)
+        pred, xi, _cache = forward(observed, pts, params)
+        assert trajectories[i].tobytes() == pred.trajectories.tobytes()
+        assert confidences[i].tobytes() == pred.confidences.tobytes()
+        assert embeddings[i].tobytes() == xi.tobytes()
+    assert (kept > 0) == (source == "hd")
 
 
 def test_model_loss_matches_brute_force():
