@@ -172,19 +172,24 @@ def fde_histogram(values, bin_width: float = 1.0,
 
     Bins start at the miss distance; counts are normalized over the
     retained values only. A Gaussian KDE of those values is sampled on a
-    uniform grid (Silverman's rule unless a bandwidth is given).
+    uniform grid (Silverman's rule unless a bandwidth is given). A
+    ``bin_width`` or ``kde_bandwidth`` that is not finite and positive,
+    or ``kde_points < 1``, raises ``ValueError`` naming the parameter.
     """
-    if bin_width <= 0.0:
-        raise ValueError("bin width must be positive")
+    for name, value in (("bin_width", bin_width),
+                        ("kde_bandwidth", kde_bandwidth)):
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, "
+                             f"got {value}")
+    if kde_points < 1:
+        raise ValueError(f"kde_points must be at least 1, got {kde_points}")
     arr = np.asarray([v for v in values if v > MISS_DISTANCE])
     if arr.size == 0:
         return HistogramReport(bin_edges=[], counts=[], kde_grid=[],
                                kde_density=[], empty=True)
-    n_bins = int(math.ceil((arr.max() - MISS_DISTANCE) / bin_width))
-    n_bins = max(n_bins, 1)
+    n_bins = max(int(math.ceil((arr.max() - MISS_DISTANCE) / bin_width)), 1)
     edges = [MISS_DISTANCE + i * bin_width for i in range(n_bins + 1)]
-    counts, _ = np.histogram(arr, bins=edges)
-    counts = counts / arr.size
+    counts = np.histogram(arr, bins=edges)[0] / arr.size
 
     bw = kde_bandwidth if kde_bandwidth is not None \
         else _silverman_bandwidth(arr)
@@ -193,14 +198,9 @@ def fde_histogram(values, bin_width: float = 1.0,
     grid = np.linspace(lo, hi, kde_points)
     sq = (grid[:, None] - arr[None, :]) / bw
     density = np.exp(-0.5 * sq * sq).sum(axis=1) / (
-        arr.size * bw * math.sqrt(2.0 * math.pi)
-    )
-    return HistogramReport(
-        bin_edges=[float(e) for e in edges],
-        counts=[float(c) for c in counts],
-        kde_grid=[float(g) for g in grid],
-        kde_density=[float(d) for d in density],
-    )
+        arr.size * bw * math.sqrt(2.0 * math.pi))
+    return HistogramReport(bin_edges=edges, counts=counts.tolist(),
+                           kde_grid=grid.tolist(), kde_density=density.tolist())
 
 
 def format_report_table(report: MetricReport) -> str:

@@ -206,11 +206,6 @@ def zeros_like_params(params: ModelParams) -> ModelParams:
     return ModelParams(np.zeros_like(params.flat), params.shapes)
 
 
-# Per-point arrays of one step: the map encoder's activations, then the
-# gradients and ReLU mask of its backward pass.
-_MAP_ROWS = ("zk", "keys", "zv", "values", "dkeys", "dvalues", "mask")
-
-
 class Workspace:
     """Buffers that the training steps of one model reuse.
 
@@ -219,22 +214,31 @@ class Workspace:
     but ``wdec`` and ``bdec`` whole, and of those two only the row of
     its winning mode; ``winner`` is that mode (0 before the first step,
     when every row is zero). Every other row of ``wdec`` and ``bdec``
-    stays +0.0 between steps. ``rows`` is a ``(7, m_max, d)`` array
-    holding, in ``_MAP_ROWS`` order, the per-point activations and their
-    gradients; a step on ``m`` map points uses the first ``m`` rows of
-    each, so it allocates nothing that scales with the map set. The
-    outer products of the dense layers and the winner's row take their
-    ``_outer`` scratch blocks from ``_scratch``.
+    stays +0.0 between steps. ``rows`` is a ``(4, m_max, d)`` array of
+    what the backward reads per point: keys, values and their ReLU masks
+    (pre-activations until the backward makes them masks). A step on
+    ``m`` points uses the first ``m`` rows of each, so it allocates
+    nothing that scales with the map set. ``_scratch`` holds the dense
+    layers' ``_outer`` blocks and the map encoder's factors and sums;
+    ``_map_grads`` views ``wk`` to ``bv`` (one slice of ``grads.flat``)
+    as ``[wk, bk]``, ``[wv, bv]`` rows, ``(wk.T, wv.T)`` and ``(bk, bv)``.
     """
 
-    __slots__ = ("grads", "rows", "winner", "_scratch")
+    __slots__ = ("grads", "rows", "winner", "_map_grads", "_scratch")
 
     def __init__(self, params: ModelParams, m_max: int):
         self.grads = zeros_like_params(params)
-        self.rows = np.empty((len(_MAP_ROWS), m_max, params.wk.shape[0]))
+        d = params.wk.shape[0]
+        self.rows = np.empty((4, m_max, d))
         self.winner = 0
+        lo = sum(getattr(params, name).size for name in PARAM_FIELDS[:4])
+        halves = self.grads.flat[lo:lo + 6 * d].reshape(2, 3 * d)
+        self._map_grads = (halves, halves[:, :2 * d].reshape(2, d, 2)
+                           .swapaxes(1, 2), halves[:, 2 * d:])
         self._scratch = {name: np.empty(getattr(params, name).shape[-2:])
                          for name in ("wdec", "wconf", "w2", "w1")}
+        self._scratch.update(factors=np.empty((2, 3, m_max)),
+                             sums=np.empty((2, 3, d)))
 
 
 def _live_ranges(shapes) -> list[list[tuple[int, int]]]:
@@ -287,23 +291,22 @@ def encode_map(offsets: np.ndarray, params: ModelParams,
 
     ``offsets`` are the map points relative to the last observed
     position, as ``AgentFrame.map_offsets`` holds them. ``out`` holds four
-    ``(m, d)`` arrays that receive the pre-activations and activations
-    (``zk``, ``keys``, ``zv``, ``values``); without it they are allocated.
+    ``(m, d)`` arrays, in ``Workspace.rows`` order, that receive the keys,
+    the values and their pre-activations ``zk`` and ``zv``; without it
+    they are allocated. The cache is ``(offsets, zk, zv)``.
     """
     if out is None:
         out = np.empty((4, offsets.shape[0], params.wk.shape[0]))
-    zk, keys, zv, values = out
+    keys, values, zk, zv = out
     # Each bias is copied into the activation block before the add: a
-    # broadcast ``zk += bk`` allocates a numpy iteration buffer half the
+    # broadcast ``pre += b`` allocates a numpy iteration buffer half the
     # size of a block, a same-shape add nothing. The sums are the same.
-    np.matmul(offsets, params.wk.T, out=zk)
-    np.copyto(keys, params.bk)
-    zk += keys
-    np.maximum(zk, 0.0, out=keys)
-    np.matmul(offsets, params.wv.T, out=zv)
-    np.copyto(values, params.bv)
-    zv += values
-    np.maximum(zv, 0.0, out=values)
+    for w, b, pre, act in ((params.wk, params.bk, zk, keys),
+                           (params.wv, params.bv, zv, values)):
+        np.matmul(offsets, w.T, out=pre)
+        np.copyto(act, b)
+        pre += act
+        np.maximum(pre, 0.0, out=act)
     return keys, values, (offsets, zk, zv)
 
 
@@ -312,17 +315,19 @@ def fuse(h_a: np.ndarray, keys: np.ndarray, values: np.ndarray):
     if keys.shape[0] == 0:
         return h_a.copy(), None
     scale = 1.0 / np.sqrt(h_a.size)
-    scores = keys @ h_a * scale
-    weights = _softmax(scores)
+    weights = _softmax(keys @ h_a * scale)
     xi = h_a + weights @ values
     return xi, (scale, weights)
 
 
 def decode(xi: np.ndarray, last_pos: np.ndarray, params: ModelParams):
     """Embeddings (..., d) -> k trajectories (cumulative steps) and
-    confidences each, ``(..., k, FUTURE_LEN, 2)`` and ``(..., k)``."""
-    u = np.einsum("koj,...j->...ko", params.wdec, xi) + params.bdec
-    steps = u.reshape(u.shape[:-1] + (FUTURE_LEN, 2))
+    confidences each, ``(..., k, FUTURE_LEN, 2)`` and ``(..., k)``. The
+    steps are one ``_matvec`` over ``wdec`` as a ``(k * 2 * FUTURE_LEN,
+    d)`` matrix."""
+    u = _matvec(params.wdec.reshape(-1, xi.shape[-1]), xi)
+    steps = u.reshape(xi.shape[:-1] + (-1, FUTURE_LEN, 2))
+    steps += params.bdec.reshape(-1, FUTURE_LEN, 2)
     trajectories = last_pos[..., None, None, :] + np.cumsum(steps, axis=-2)
     logits = _matvec(params.wconf, xi) + params.bconf
     confidences = _softmax(logits)
@@ -487,21 +492,25 @@ class MapGrid:
         return [sets[a:b] for a, b in zip([0] + ends, ends)]
 
 
-def _heading_rotation(observed: np.ndarray) -> np.ndarray:
-    """Rotation into the target's heading frame: ``p @ rot``.
-
-    The model sees only offsets from the last observed position, so
-    rotating about the world origin is the same as rotating about it.
+def _heading_rotations(observed: np.ndarray) -> np.ndarray:
+    """Rotations ``(..., 2, 2)`` into the heading frames of ``(...,
+    OBSERVED_LEN, 2)`` tracks: ``p @ rot``. The model sees only offsets
+    from the last observed position, so rotating about the world origin
+    is the same as rotating about it. A heading's norm is ``math.hypot``.
     """
-    if observed.shape != (OBSERVED_LEN, 2):
+    if observed.shape[-2:] != (OBSERVED_LEN, 2):
         raise ValueError(f"observed track must be ({OBSERVED_LEN}, 2), "
                          f"got {observed.shape}")
-    dx, dy = (observed[-1] - observed[-1 - HEADING_LAG]).tolist()
-    norm = math.hypot(dx, dy)
-    if norm < HEADING_MIN_DISPLACEMENT:
-        return np.eye(2)
-    c, s = dx / norm, dy / norm
-    return np.array([[c, -s], [s, c]])
+    headings = observed[..., -1, :] - observed[..., -1 - HEADING_LAG, :]
+    rots = []
+    for dx, dy in headings.reshape(-1, 2).tolist():
+        norm = math.hypot(dx, dy)
+        if norm < HEADING_MIN_DISPLACEMENT:
+            rots += (1.0, 0.0, 0.0, 1.0)
+        else:
+            c, s = dx / norm, dy / norm
+            rots += (c, -s, s, c)
+    return np.array(rots).reshape(observed.shape[:-2] + (2, 2))
 
 
 class AgentFrame:
@@ -512,16 +521,16 @@ class AgentFrame:
     its last position; ``map_offsets`` the ``(m, 2)`` map points as
     ``(map_points @ rot) - last_pos``; ``future`` the rotated ``(FUTURE_LEN,
     2)`` future, or ``None`` when none is given. This is the one
-    definition of the frame: ``forward``, ``forward_batch`` and
-    ``loss_and_grads`` read their inputs from it, and ``distill.train``
-    builds each scene's once per run.
+    definition of the frame: ``forward`` and ``loss_and_grads`` read their
+    inputs from it, ``distill.train`` builds each scene's once per run,
+    and ``forward_batch`` builds a batch's with the same arithmetic.
     """
 
     __slots__ = ("rot", "observed", "last_pos", "map_offsets", "future")
 
     def __init__(self, observed: np.ndarray, map_points: np.ndarray,
                  future: np.ndarray | None = None):
-        self.rot = rot = _heading_rotation(observed)
+        self.rot = rot = _heading_rotations(observed)
         self.observed = observed @ rot
         self.last_pos = self.observed[-1]
         # A map-free scene skips the two array calls on its empty set.
@@ -546,9 +555,8 @@ def _forward_in_frame(frame: AgentFrame, params, map_out=None):
         map_cache = None
     xi, fuse_cache = fuse(h_a, keys, values)
     local = decode(xi, frame.last_pos, params)
-    cache = ((frame.rot, local), h_a, keys, values, xi,
-             agent_cache, map_cache, fuse_cache)
-    return xi, cache
+    return xi, ((frame.rot, local), h_a, keys, values, xi,
+                agent_cache, map_cache, fuse_cache)
 
 
 def forward(observed: np.ndarray, map_points: np.ndarray,
@@ -573,34 +581,30 @@ def forward_batch(observed: np.ndarray, map_sets, params: ModelParams):
     FUTURE_LEN, 2)``, the confidences ``(n, k)`` and the embeddings
     ``(n, d)``; each scene's rows equal ``forward``'s outputs bit for bit.
 
-    Each scene's ``AgentFrame`` is built on its own, and so are its map
-    encoder and fusion, because the order of their additions depends on
-    the size of the map set. The agent encoder, the decoder and the
-    rotation back run once over the batch, through calls that add in the
-    same order per scene as the one-scene calls. A batch holds its whole
-    intermediates; ``forward_split`` passes ``FORWARD_BLOCK`` scenes.
+    The batch's frames are built in one pass. Each scene's map encoder and
+    fusion run on their own, because the order of their additions depends
+    on the size of the map set. The rest runs once over the batch, through
+    calls that add in the same order per scene as the one-scene calls. A
+    batch holds its whole intermediates; ``forward_split`` passes
+    ``FORWARD_BLOCK`` scenes.
     """
     if observed.ndim != 3 or len(map_sets) != observed.shape[0]:
         raise ValueError(f"expected (n, {OBSERVED_LEN}, 2) tracks and n map "
                          f"sets, got {observed.shape} and {len(map_sets)}")
-    n = observed.shape[0]
-    frames = [AgentFrame(track, points)
-              for track, points in zip(observed, map_sets)]
-    rots = np.empty((n, 2, 2))
-    tracks = np.empty((n, OBSERVED_LEN, 2))
-    for i, frame in enumerate(frames):
-        rots[i], tracks[i] = frame.rot, frame.observed
+    rots = _heading_rotations(observed)
+    tracks = np.matmul(observed, rots)
+    last_pos = tracks[:, -1]
     h_a, _agent_cache = encode_agent(tracks, params)
     xi = h_a.copy()
     map_out = np.empty((4, max(map(len, map_sets), default=0),
                         params.wk.shape[0]))
-    for i, frame in enumerate(frames):
-        m_points = len(frame.map_offsets)
-        if m_points:
+    for i, points in enumerate(map_sets):
+        if len(points):
             keys, values, _map_cache = encode_map(
-                frame.map_offsets, params, out=map_out[:, :m_points])
+                points @ rots[i] - last_pos[i], params,
+                out=map_out[:, :len(points)])
             xi[i] = fuse(h_a[i], keys, values)[0]
-    local = decode(xi, tracks[:, -1], params)
+    local = decode(xi, last_pos, params)
     trajectories = np.matmul(local.trajectories,
                              rots.swapaxes(1, 2)[:, None])
     return trajectories, local.confidences, xi
@@ -694,7 +698,10 @@ def loss_and_grads(frame: AgentFrame, params: ModelParams,
     The gradients are written into ``workspace.grads`` and returned, and
     the activations into the workspace's rows; it must have been made for
     parameters of this layout and at least as many map points. Without
-    it, a workspace is allocated for the call.
+    it, a workspace is allocated for the call. The map encoder's
+    gradients contract the ReLU masks with per-point factors (see the
+    body), so each is within ``4 * m * 2**-52`` times the sum of its
+    terms' magnitudes of the sum over masked ``(m, d)`` gradient blocks.
 
     The call does not clear ``workspace.grads``. It rewrites every field
     but ``wdec`` and ``bdec`` whole, writes only the winning mode's row
@@ -717,14 +724,14 @@ def loss_and_grads(frame: AgentFrame, params: ModelParams,
         raise ValueError(f"{m_points} map points exceed the workspace's "
                          f"{workspace.rows.shape[1]}")
     rows = workspace.rows[:, :m_points]
-    xi, cache = _forward_in_frame(frame, params, map_out=rows[:4])
+    xi, cache = _forward_in_frame(frame, params, map_out=rows)
     ((_rot, pred), h_a, keys, values, _xi,
      agent_cache, map_cache, fuse_cache) = cache
     x, z1, a1 = agent_cache
 
     lm, m_star = model_loss(pred, future)
     total = alpha * lm
-    grads = workspace.grads
+    grads, scratch = workspace.grads, workspace._scratch
     # Of the decoder heads only the winner's rows get a gradient: the
     # last call's winner rows go back to +0.0, as every other row is.
     if workspace.winner != m_star:
@@ -733,18 +740,15 @@ def loss_and_grads(frame: AgentFrame, params: ModelParams,
         workspace.winner = m_star
 
     # Decoder heads.
-    diff_star = pred.trajectories[m_star] - future
-    dtraj = alpha * 2.0 * diff_star / FUTURE_LEN
+    dtraj = alpha * 2.0 * (pred.trajectories[m_star] - future) / FUTURE_LEN
     du = np.cumsum(dtraj[::-1], axis=0)[::-1].ravel()
-    _outer(du, xi, grads.wdec[m_star],
-           scratch=workspace._scratch["wdec"])
+    _outer(du, xi, grads.wdec[m_star], scratch["wdec"])
     grads.bdec[m_star] = du
     dxi = params.wdec[m_star].T @ du
 
     dlogits = alpha * pred.confidences
     dlogits[m_star] -= alpha
-    _outer(dlogits, xi, grads.wconf,
-           scratch=workspace._scratch["wconf"])
+    _outer(dlogits, xi, grads.wconf, scratch["wconf"])
     grads.bconf[...] = dlogits
     dxi = dxi + params.wconf.T @ dlogits
 
@@ -754,42 +758,38 @@ def loss_and_grads(frame: AgentFrame, params: ModelParams,
         dt = teacher_embedding.size
         dxi[:dt] += beta * 2.0 * (xi[:dt] - teacher_embedding) / dt
 
-    # Fusion. The key and value gradients are masked by their ReLUs in
-    # place; the float64 mask multiplies as the boolean one did.
+    # Fusion and the map encoder. Key j's pre-activation at point i has
+    # the gradient ``Mk[i, j] * dscores[i] * s * h_a[j]``, value j's
+    # ``Mv[i, j] * weights[i] * dxi[j]``, with ReLU masks ``Mk``, ``Mv``.
+    # One stacked matmul sums the masks against ``[dscores * F, dscores]``
+    # and ``[weights * F, weights]`` (offsets ``F``); ``s * h_a``, ``dxi``
+    # scale the sums. No ``(m, d)`` gradient is built.
     dh_a = dxi.copy()
+    map_grads, map_weights, map_biases = workspace._map_grads
     if fuse_cache is None:
-        grads.wk.fill(0.0)
-        grads.bk.fill(0.0)
-        grads.wv.fill(0.0)
-        grads.bv.fill(0.0)
+        map_grads.fill(0.0)
     else:
-        feats, zk, zv = map_cache
+        offsets, masks = map_cache[0], rows[2:]
         scale, weights = fuse_cache
-        dkeys, dvalues, mask = rows[4:]
-        _outer(weights, dxi, dvalues, scratch=mask)
+        factors = scratch["factors"][:, :, :m_points]
         dweights = values @ dxi
-        dscores = weights * (dweights - weights @ dweights)
+        dscores = np.multiply(weights, dweights - weights @ dweights,
+                              out=factors[0, 2])
         dh_a += keys.T @ dscores * scale
-        _outer(dscores, h_a, dkeys, scratch=mask)
-        dkeys *= scale
-
-        np.greater(zk, 0.0, out=mask)
-        dkeys *= mask
-        np.matmul(dkeys.T, feats, out=grads.wk)
-        dkeys.sum(axis=0, out=grads.bk)
-        np.greater(zv, 0.0, out=mask)
-        dvalues *= mask
-        np.matmul(dvalues.T, feats, out=grads.wv)
-        dvalues.sum(axis=0, out=grads.bv)
+        np.greater(masks, 0.0, out=masks)
+        factors[1, 2] = weights
+        for side in factors:    # one broadcast over both would allocate
+            np.multiply(offsets.T, side[2], out=side[:2])
+        sums = np.matmul(factors, masks, out=scratch["sums"])
+        units = np.array((scale * h_a, dxi))
+        np.multiply(sums[:, :2], units[:, None], out=map_weights)
+        np.multiply(sums[:, 2], units, out=map_biases)
 
     # Agent encoder.
-    _outer(dh_a, a1, grads.w2,
-           scratch=workspace._scratch["w2"])
+    _outer(dh_a, a1, grads.w2, scratch["w2"])
     grads.b2[...] = dh_a
-    da1 = params.w2.T @ dh_a
-    dz1 = da1 * (z1 > 0.0)
-    _outer(dz1, x, grads.w1,
-           scratch=workspace._scratch["w1"])
+    dz1 = params.w2.T @ dh_a * (z1 > 0.0)
+    _outer(dz1, x, grads.w1, scratch["w1"])
     grads.b1[...] = dz1
 
     if not np.isfinite(total):

@@ -439,6 +439,21 @@ def test_histogram_rejects_bad_bin_width():
         fde_histogram([3.0], bin_width=0.0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("bin_width", -1.0), ("bin_width", math.inf), ("bin_width", math.nan),
+    ("kde_bandwidth", 0.0), ("kde_bandwidth", -1.0),
+    ("kde_bandwidth", math.inf), ("kde_bandwidth", math.nan),
+    ("kde_points", 0), ("kde_points", -3),
+])
+def test_histogram_rejects_parameters_it_cannot_use(name, value):
+    # Before, a zero or NaN bandwidth gave NaN densities, a negative one
+    # negative densities, and an infinite bin width counts summing to 0.
+    # An empty retained set is rejected too: the check comes first.
+    for values in ([3.0, 4.5], [1.0]):
+        with pytest.raises(ValueError, match=name):
+            fde_histogram(values, **{name: value})
+
+
 def test_report_table_layout():
     rng = np.random.default_rng(4)
     preds, futures = zip(*[_random_instance(rng) for _ in range(5)])

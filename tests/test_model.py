@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from navpredict.model import (
     AgentFrame,
     ModelParams,
     Workspace,
+    _forward_in_frame,
     _live_ranges,
+    decode,
     distill_loss,
     forward,
     forward_batch,
@@ -350,6 +353,133 @@ def test_gradients_with_distillation_match_finite_differences():
                                rtol=1e-4, atol=1e-7)
 
 
+def _materialised_map_grads(frame, params, teacher=None, beta=0.0):
+    """The map encoder's gradients as a backward that builds the ``(m,
+    d)`` key and value gradients computes them: each masked by its ReLU,
+    then summed over the points.
+
+    Returns that backward's ``dh_a`` (``b2``'s gradient), its ``wk``,
+    ``bk``, ``wv`` and ``bv``, and per field ``|M|^T |R|`` scaled as the
+    field is: ``|s * h_a|`` or ``|dxi|`` per unit, times the sum over the
+    unit's live points of ``|dscores * F|`` or ``|weights * F|`` (with
+    ``F`` a point's offsets, and 1 for a bias).
+    """
+    xi, cache = _forward_in_frame(frame, params)
+    ((_rot, pred), h_a, keys, values, _xi, _agent_cache,
+     (offsets, zk, zv), (scale, weights)) = cache
+    _loss, m_star = model_loss(pred, frame.future)
+    dtraj = 1.0 * 2.0 * (pred.trajectories[m_star] - frame.future) / FUTURE_LEN
+    du = np.cumsum(dtraj[::-1], axis=0)[::-1].ravel()
+    dxi = params.wdec[m_star].T @ du
+    dlogits = 1.0 * pred.confidences
+    dlogits[m_star] -= 1.0
+    dxi = dxi + params.wconf.T @ dlogits
+    if teacher is not None:
+        dxi[:teacher.size] += beta * 2.0 * (
+            xi[:teacher.size] - teacher) / teacher.size
+    dweights = values @ dxi
+    dscores = weights * (dweights - weights @ dweights)
+    dh_a = dxi + keys.T @ dscores * scale
+    key_mask, value_mask = zk > 0.0, zv > 0.0
+    dkeys = np.multiply.outer(dscores, h_a) * scale * key_mask
+    dvalues = np.multiply.outer(weights, dxi) * value_mask
+    grads = {"wk": dkeys.T @ offsets, "bk": dkeys.sum(axis=0),
+             "wv": dvalues.T @ offsets, "bv": dvalues.sum(axis=0)}
+    features = np.abs(np.column_stack([offsets, np.ones(len(offsets))]))
+    key_sums = np.abs(scale * h_a)[:, None] * (
+        key_mask.T @ (np.abs(dscores)[:, None] * features))
+    value_sums = np.abs(dxi)[:, None] * (
+        value_mask.T @ (weights[:, None] * features))
+    sums = {"wk": key_sums[:, :2], "bk": key_sums[:, 2],
+            "wv": value_sums[:, :2], "bv": value_sums[:, 2]}
+    return dh_a, grads, sums
+
+
+# Contracting the masks reorders the sums over the m points and moves
+# the per-unit factor to the end. Along each path a term takes at most 3
+# roundings and the sum m - 1 more, so each path is within (m + 2) *
+# 2**-53 of the exact sum of |terms|, and the two within (m + 2) * 2**-52
+# of each other; c = 4 covers m + 2 <= 3m with room for second-order
+# terms and for rounding in the bound itself.
+_MAP_GRAD_C = 4
+
+
+@pytest.mark.parametrize("d", [64, 96])
+@pytest.mark.parametrize("teacher", [False, True], ids=["plain", "teacher"])
+@pytest.mark.parametrize("case", ["m1", "m2", "hd", "dead-keys"])
+def test_map_grads_within_summation_bound_of_materialised_backward(
+        batch_world, case, teacher, d):
+    rng = np.random.default_rng(d + 3 * teacher + len(case))
+    cfg = ModelConfig(d=d, k=6, hidden=16)
+    params = init_params(cfg, rng)
+    params.flat[...] += rng.normal(0.0, 0.05, params.flat.size)
+    if case == "hd":
+        points = view_points(batch_world, "hd")
+        scenes = generate_scenes(batch_world, 40, seed=4)
+        sets = [select_map_points(points, s.agents[s.target][-1], 55.0)
+                for s in scenes]
+        i = int(np.argmax([len(pts) for pts in sets]))
+        frame = AgentFrame(scenes[i].agents[scenes[i].target], sets[i],
+                           scenes[i].future)
+        assert 250 <= len(sets[i]) <= 400
+    else:
+        frame = AgentFrame(*_scene(rng, n_map={"m1": 1, "m2": 2}.get(case,
+                                                                      12)))
+    if case == "dead-keys":
+        params.bk[...] = -1e6
+    embedding = rng.normal(size=d // 2) if teacher else None
+    _, grads, _ = loss_and_grads(frame, params, teacher_embedding=embedding,
+                                 beta=0.5)
+    dh_a, ref, sums = _materialised_map_grads(frame, params, embedding, 0.5)
+    # The reference takes the same upstream gradient: b2 gets dh_a.
+    assert grads.b2.tobytes() == dh_a.tobytes()
+    m = len(frame.map_offsets)
+    for name in ("wk", "bk", "wv", "bv"):
+        got = getattr(grads, name)
+        assert np.isfinite(got).all(), name
+        err = np.abs(got - ref[name])
+        bound = _MAP_GRAD_C * m * 2.0 ** -52 * sums[name]
+        assert (err <= bound).all(), (name, (err - bound).max())
+        # One point takes all the attention, so its score has no
+        # gradient; dead key units pass none.
+        keys_live = case not in ("m1", "dead-keys")
+        assert sums[name].any() == (name in ("wv", "bv") or keys_live)
+    if not keys_live:
+        assert not grads.wk.any() and not grads.bk.any()
+
+
+# Both forms of the decoder's step u add d products and the bias: each
+# within (d + 1) * 2**-53 of the exact sum of |terms|, so within (d + 1)
+# * 2**-52 of each other, and 2 * d covers d + 1 for d >= 2.
+_DECODE_C = 2
+
+
+@pytest.mark.parametrize("d, k", [(8, 3), (64, 6), (96, 6)])
+@pytest.mark.parametrize("batch", [(), (5,)], ids=["one", "batch"])
+def test_decode_steps_within_summation_bound_of_einsum(d, k, batch):
+    rng = np.random.default_rng(d + k + len(batch))
+    params = init_params(ModelConfig(d=d, k=k, hidden=8), rng)
+    params.flat[...] += rng.normal(0.0, 0.1, params.flat.size)
+    xi = rng.normal(0.0, 3.0, size=batch + (d,))
+    ref = np.einsum("koj,...j->...ko", params.wdec, xi) + params.bdec
+    sums = np.einsum("koj,...j->...ko", np.abs(params.wdec),
+                     np.abs(xi)) + np.abs(params.bdec)
+    bound = _DECODE_C * d * 2.0 ** -52 * sums
+    origin = np.zeros(batch + (2,))
+    for t in range(FUTURE_LEN):
+        # With every other step's rows zero and the origin as last
+        # position, the trajectories from step t on hold step t's u.
+        one = zeros_like_params(params)
+        one.wdec[:, 2 * t:2 * t + 2] = params.wdec[:, 2 * t:2 * t + 2]
+        one.bdec[:, 2 * t:2 * t + 2] = params.bdec[:, 2 * t:2 * t + 2]
+        trajectories = decode(xi, origin, one).trajectories
+        u = trajectories[..., t, :]
+        assert (trajectories[..., t:, :] == u[..., None, :]).all()
+        assert not trajectories[..., :t, :].any()
+        step = slice(2 * t, 2 * t + 2)
+        assert (np.abs(u - ref[..., step]) <= bound[..., step]).all(), t
+
+
 def test_zero_params_stationary_scene_has_zero_trajectory_grads():
     # All-zero parameters predict "stay at the last observed position"
     # for every mode; for a stationary agent that is exactly right, so
@@ -474,6 +604,29 @@ def test_workspace_reused_over_scaled_steps_matches_fresh(cfg):
                 workspace.grads.flat[a:b] *= factor
     changes = sum(a != b for a, b in zip(winners, winners[1:]))
     assert len(set(winners)) > 1 and changes >= 5, winners
+
+
+def test_step_allocation_does_not_grow_with_the_map_set():
+    # A step writes its (m, d) work into the workspace. What else grows
+    # with the map set is the attention's per-point vectors, six float64
+    # (48 B) per point at most alive at once. A broadcast over the points
+    # whose numpy iteration buffer grows with them adds about 100 B more.
+    cfg = ModelConfig(d=64, k=6, hidden=64)
+    rng = np.random.default_rng(41)
+    params = init_params(cfg, rng)
+    peaks = []
+    for n_map in (100, 1000):
+        frame = AgentFrame(*_scene(rng, n_map=n_map))
+        workspace = Workspace(params, n_map)
+        loss_and_grads(frame, params, workspace=workspace)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss_and_grads(frame, params, workspace=workspace)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 48 * 900, peaks
 
 
 def test_workspace_rejects_what_it_was_not_made_for():
