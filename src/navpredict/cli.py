@@ -311,8 +311,13 @@ def _write_histogram(hist, csv_path=None, svg_path=None):
         _write_histogram_svg(hist, svg_path)
 
 
-def _write_histogram_svg(hist, path, width=640, height=360, margin=40):
+# The histogram SVG's size and plot margin, in pixels.
+_SVG_WIDTH, _SVG_HEIGHT, _SVG_MARGIN = 640, 360, 40
+
+
+def _write_histogram_svg(hist, path):
     """Minimal deterministic SVG: histogram bars plus the KDE polyline."""
+    width, height, margin = _SVG_WIDTH, _SVG_HEIGHT, _SVG_MARGIN
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
                  f'width="{width}" height="{height}">\n')

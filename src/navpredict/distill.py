@@ -17,14 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as m
-from .model import distill_loss
 from .scenario import MapPair, Scene, view_points
 
 __all__ = [
     "DistillConfig",
     "TrainConfig",
     "TrainResult",
-    "distill_loss",
     "prepare_map_inputs",
     "train",
     "train_teacher",
@@ -65,9 +63,7 @@ class TrainConfig:
     # A step whose global gradient norm exceeds grad_clip is rescaled to
     # that norm. On criterion 7's set-up the median norm is 32-37, so
     # this fires on 94-97% of steps: it normalises the step length rather
-    # than capping rare large gradients. The norm is one dot per written
-    # range, added in layout order; it is within 4 ulp of per-field sums
-    # (see ``train``).
+    # than capping rare large gradients. ``train`` defines the norm.
     grad_clip: float = 5.0           # 0 turns clipping off
     seed: int = 0
 
@@ -129,20 +125,16 @@ def train(scenes: list[Scene], map_points: np.ndarray,
     sized for the largest per-scene map set and reused for the whole run,
     and updates ``params.flat`` in place.
 
-    A step's gradient is zero outside the rows that
-    ``model.loss_and_grads`` wrote: the dense fields and the winning
-    mode's decoder rows. The clip norm and the step's scale and
-    subtraction therefore touch only those four ranges; on the rest the
-    dense update would compute ``0 * c == +0.0`` and ``v - (+0.0) == v``,
-    so the bits are the same. The momentum decay and the parameter update
-    stay dense.
+    Under the workspace's sparse-step contract a step's gradient is +0.0
+    outside ``workspace.ranges[workspace.winner]``. The clip norm and the
+    step's scale and subtraction therefore touch only those four ranges;
+    on the rest the dense update would compute ``0 * c == +0.0`` and ``v
+    - (+0.0) == v``, so the bits are the same. The momentum decay and the
+    parameter update stay dense.
 
     The global gradient norm is ``sqrt`` of the sum of one ``np.dot(g,
-    g)`` per range, added in layout order (``w1`` to ``bv``, the winner's
-    ``wdec`` row, its ``bdec`` row, ``wconf`` with ``bconf``). The
-    summation order is not part of the norm's definition: this one is
-    within 4 ulp of the per-field pairwise sums over the whole buffer.
-    One dot per range, not one over the buffer, keeps the bits
+    g)`` per range, added in layout order: within 4 ulp of the per-field
+    pairwise sums over the whole buffer. One dot per range keeps the bits
     independent of the BLAS thread count: OpenBLAS splits a dot of more
     than 10,000 entries across threads, and the largest range is 7,040
     entries at d=64 and 9,312 for the d=96 student. The loop is
@@ -168,7 +160,7 @@ def train(scenes: list[Scene], map_points: np.ndarray,
     # Per winning mode, the (gradient, velocity) views of each range that
     # a step with that winner writes.
     live = [[(step[a:b], velocity[a:b]) for a, b in ranges]
-            for ranges in m._live_ranges(params.shapes)]
+            for ranges in workspace.ranges]
 
     smoothed = None
     curve = []

@@ -167,6 +167,11 @@ PITTSBURGH = CityFrame("pittsburgh", 17, 583710.0070, 4477259.9999)
 BUILTIN_FRAMES = {MIAMI.name: MIAMI, PITTSBURGH.name: PITTSBURGH}
 
 
+_FRAME_KEY_TYPES = {"name": (str,), "zone": (int,),
+                    "origin_easting": (int, float),
+                    "origin_northing": (int, float)}
+
+
 def load_frames(path) -> dict[str, CityFrame]:
     """Load city frames from a JSON config file, merged over the built-ins.
 
@@ -178,16 +183,14 @@ def load_frames(path) -> dict[str, CityFrame]:
             raw = json.load(fh)
         frames = dict(BUILTIN_FRAMES)
         for entry in raw:
-            if type(entry["zone"]) is not int:
-                raise ValueError(f"zone must be an integer, got "
-                                 f"{entry['zone']!r}")
-            # float() would also read "580000.5" and true as numbers.
-            for key in ("origin_easting", "origin_northing"):
-                if type(entry[key]) not in (int, float):
-                    raise ValueError(f"{key} must be a number, got "
-                                     f"{entry[key]!r}")
+            # Exact JSON types: str() would name frames null and 5, and
+            # float() read "580000.5" and true as numbers.
+            for key, types in _FRAME_KEY_TYPES.items():
+                if type(entry[key]) not in types:
+                    raise ValueError(f"{key} must be a JSON " + " or ".join(
+                        t.__name__ for t in types) + f", got {entry[key]!r}")
             frame = CityFrame(
-                name=str(entry["name"]),
+                name=entry["name"],
                 zone=entry["zone"],
                 origin_easting=float(entry["origin_easting"]),
                 origin_northing=float(entry["origin_northing"]),

@@ -41,7 +41,11 @@ __all__ = [
 ]
 
 MISS_DISTANCE = 2.0
-DEFAULT_KS = (1, 6)
+# The mode counts that ``evaluate_model`` scores.
+EVAL_KS = (1, 6)
+# ``fde_histogram``: the bin width in meters and the KDE's grid points.
+HIST_BIN_WIDTH = 1.0
+KDE_POINTS = 200
 
 
 @dataclass(frozen=True)
@@ -124,7 +128,7 @@ def miss_rate(min_fdes):
     return np.count_nonzero(values > MISS_DISTANCE, axis=-1) / values.shape[-1]
 
 
-def aggregate(min_ades, min_fdes, ks=DEFAULT_KS) -> MetricReport:
+def aggregate(min_ades, min_fdes, ks) -> MetricReport:
     """Split means of minADE and minFDE and the miss rate, per k.
 
     ``min_ades`` and ``min_fdes`` are ``(len(ks), n)`` columns of per-scene
@@ -138,8 +142,9 @@ def aggregate(min_ades, min_fdes, ks=DEFAULT_KS) -> MetricReport:
 
 
 def evaluate_model(params: ModelParams, config: ModelConfig, scenes,
-                   map_points, ks=DEFAULT_KS):
-    """Run the model over a split and aggregate the metric report.
+                   map_points):
+    """Run the model over a split and aggregate the metric report for
+    each k of ``EVAL_KS``.
 
     Returns the report and one row per scene, in split order; a row's
     ``"scene"`` is the scene's ``scene_id``. The model runs through
@@ -148,7 +153,7 @@ def evaluate_model(params: ModelParams, config: ModelConfig, scenes,
     trajectories, confidences, _xi = forward_split(params, config, scenes,
                                                    map_points)
     return _evaluate(trajectories, confidences,
-                     np.array([scene.future for scene in scenes]), ks,
+                     np.array([scene.future for scene in scenes]), EVAL_KS,
                      [scene.scene_id for scene in scenes])[:2]
 
 
@@ -165,37 +170,28 @@ def _silverman_bandwidth(values: np.ndarray) -> float:
     return 0.9 * spread * n ** (-0.2)
 
 
-def fde_histogram(values, bin_width: float = 1.0,
-                  kde_bandwidth: float | None = None,
-                  kde_points: int = 200) -> HistogramReport:
+def fde_histogram(values) -> HistogramReport:
     """Histogram of minFDE values beyond the miss distance, normalized.
 
-    Bins start at the miss distance; counts are normalized over the
-    retained values only. A Gaussian KDE of those values is sampled on a
-    uniform grid (Silverman's rule unless a bandwidth is given). A
-    ``bin_width`` or ``kde_bandwidth`` that is not finite and positive,
-    or ``kde_points < 1``, raises ``ValueError`` naming the parameter.
+    Bins are ``HIST_BIN_WIDTH`` (1 m) wide from the miss distance on;
+    counts are normalized over the retained values only. A Gaussian KDE
+    of those values, at Silverman's bandwidth, is sampled on a uniform
+    grid of ``KDE_POINTS`` (200) points that reaches three bandwidths
+    past the extreme values.
     """
-    for name, value in (("bin_width", bin_width),
-                        ("kde_bandwidth", kde_bandwidth)):
-        if value is not None and not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be finite and positive, "
-                             f"got {value}")
-    if kde_points < 1:
-        raise ValueError(f"kde_points must be at least 1, got {kde_points}")
     arr = np.asarray([v for v in values if v > MISS_DISTANCE])
     if arr.size == 0:
         return HistogramReport(bin_edges=[], counts=[], kde_grid=[],
                                kde_density=[], empty=True)
-    n_bins = max(int(math.ceil((arr.max() - MISS_DISTANCE) / bin_width)), 1)
-    edges = [MISS_DISTANCE + i * bin_width for i in range(n_bins + 1)]
+    n_bins = max(int(math.ceil((arr.max() - MISS_DISTANCE)
+                               / HIST_BIN_WIDTH)), 1)
+    edges = [MISS_DISTANCE + i * HIST_BIN_WIDTH for i in range(n_bins + 1)]
     counts = np.histogram(arr, bins=edges)[0] / arr.size
 
-    bw = kde_bandwidth if kde_bandwidth is not None \
-        else _silverman_bandwidth(arr)
+    bw = _silverman_bandwidth(arr)
     lo = float(arr.min() - 3.0 * bw)
     hi = float(arr.max() + 3.0 * bw)
-    grid = np.linspace(lo, hi, kde_points)
+    grid = np.linspace(lo, hi, KDE_POINTS)
     sq = (grid[:, None] - arr[None, :]) / bw
     density = np.exp(-0.5 * sq * sq).sum(axis=1) / (
         arr.size * bw * math.sqrt(2.0 * math.pi))

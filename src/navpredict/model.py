@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -100,6 +101,13 @@ class NumericError(ArithmeticError):
     """A forward or backward pass produced a non-finite value."""
 
 
+def _check_radius(radius) -> None:
+    """The one radius rule of a map set: finite and non-negative."""
+    if not (math.isfinite(radius) and radius >= 0.0):
+        raise ValueError(f"map radius must be finite and non-negative, "
+                         f"got {radius}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     d: int = 64
@@ -113,9 +121,7 @@ class ModelConfig:
             raise ValueError("d, k and hidden must be positive")
         if self.map_source not in ("hd", "nav", "none"):
             raise ValueError(f"unknown map source {self.map_source!r}")
-        if not (math.isfinite(self.map_radius) and self.map_radius >= 0.0):
-            raise ValueError(f"map radius must be finite and non-negative, "
-                             f"got {self.map_radius}")
+        _check_radius(self.map_radius)
 
 
 # Field order doubles as the checkpoint payload order.
@@ -144,17 +150,16 @@ class ModelParams:
                 or flat.ndim != 1 or not flat.flags.c_contiguous):
             raise ValueError("parameter vector must be a contiguous 1-D "
                              "float64 array")
-        sizes = [math.prod(shape) for shape in shapes]
-        if flat.size != sum(sizes):
+        spans, size = _layout(shapes)
+        if flat.size != size:
             raise ValueError(f"parameter vector has {flat.size} entries, "
-                             f"expected {sum(sizes)}")
+                             f"expected {size}")
         set_field = object.__setattr__
         set_field(self, "flat", flat)
         set_field(self, "shapes", shapes)
-        offset = 0
-        for name, shape, size in zip(PARAM_FIELDS, shapes, sizes):
-            set_field(self, name, flat[offset:offset + size].reshape(shape))
-            offset += size
+        for name, shape in zip(PARAM_FIELDS, shapes):
+            start, stop = spans[name]
+            set_field(self, name, flat[start:stop].reshape(shape))
 
     def __setattr__(self, name, value):
         # An in-place operator (``params.w1 += x``) assigns the same array.
@@ -167,6 +172,17 @@ class ModelParams:
 class PredictionSet:
     trajectories: np.ndarray             # (k, FUTURE_LEN, 2)
     confidences: np.ndarray              # (k,), on the simplex
+
+
+def _layout(shapes) -> tuple[dict[str, tuple[int, int]], int]:
+    """Each field's ``(start, stop)`` range of ``flat``, by name, and the
+    size of ``flat``: the one derivation of the flat layout."""
+    spans, start = {}, 0
+    for name, shape in zip(PARAM_FIELDS, shapes):
+        size = math.prod(shape)
+        spans[name] = (start, start + size)
+        start += size
+    return spans, start
 
 
 def _shapes(config: ModelConfig) -> tuple[tuple[int, ...], ...]:
@@ -190,7 +206,7 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
     """
     map_scale = 1.0 / max(config.map_radius, 1.0)
     shapes = _shapes(config)
-    params = ModelParams(np.zeros(sum(map(math.prod, shapes))), shapes)
+    params = ModelParams(np.zeros(_layout(shapes)[1]), shapes)
     for name, shape in zip(PARAM_FIELDS, shapes):
         if name.startswith("b"):
             continue
@@ -207,52 +223,52 @@ def zeros_like_params(params: ModelParams) -> ModelParams:
 
 
 class Workspace:
-    """Buffers that the training steps of one model reuse.
+    """Buffers that the training steps (``loss_and_grads`` calls) of one
+    model reuse, and the one statement of the sparse-step contract.
 
-    ``grads`` has the layout of the parameters the workspace was made
-    for and receives each step's gradients. A step writes every field
-    but ``wdec`` and ``bdec`` whole, and of those two only the row of
-    its winning mode; ``winner`` is that mode (0 before the first step,
-    when every row is zero). Every other row of ``wdec`` and ``bdec``
-    stays +0.0 between steps. ``rows`` is a ``(4, m_max, d)`` array of
-    what the backward reads per point: keys, values and their ReLU masks
-    (pre-activations until the backward makes them masks). A step on
-    ``m`` points uses the first ``m`` rows of each, so it allocates
-    nothing that scales with the map set. ``_scratch`` holds the dense
-    layers' ``_outer`` blocks and the map encoder's factors and sums;
-    ``_map_grads`` views ``wk`` to ``bv`` (one slice of ``grads.flat``)
-    as ``[wk, bk]``, ``[wv, bv]`` rows, ``(wk.T, wv.T)`` and ``(bk, bv)``.
+    A step does not clear ``grads``, which has the parameters' layout. It
+    rewrites every field but ``wdec`` and ``bdec`` whole, writes only its
+    winning mode's row of those two, ``winner`` (0 before the first
+    step), and resets the previous winner's rows to +0.0. ``ranges[j]``
+    lists, in layout order, the ``(start, stop)`` ranges of ``grads.flat``
+    that a step won by mode ``j`` writes: ``w1`` to ``bv``, mode j's
+    ``wdec`` and ``bdec`` rows, and ``wconf`` with ``bconf``; outside
+    ``ranges[winner]`` the gradient is +0.0. Between steps a caller may
+    scale ``grads`` in place by a finite, non-negative factor, or write
+    into what the last step wrote, but not into the rest. Within that, a
+    reused workspace gives the same values as a fresh one, bit for bit.
+
+    ``rows`` is a ``(4, m_max, d)`` array of what the backward reads per
+    point: keys, values and their ReLU masks (pre-activations until the
+    backward makes them masks); a step on ``m`` points uses the first
+    ``m`` rows of each. ``_scratch`` holds the dense layers' ``_outer``
+    blocks and the map encoder's factors and sums; ``_map_grads`` views
+    ``wk`` to ``bv`` as ``[wk, bk]``, ``[wv, bv]`` rows, ``(wk.T, wv.T)``
+    and ``(bk, bv)``.
     """
 
-    __slots__ = ("grads", "rows", "winner", "_map_grads", "_scratch")
+    __slots__ = ("grads", "rows", "winner", "ranges", "_map_grads",
+                 "_scratch")
 
     def __init__(self, params: ModelParams, m_max: int):
         self.grads = zeros_like_params(params)
-        d = params.wk.shape[0]
+        k, out, d = params.wdec.shape
         self.rows = np.empty((4, m_max, d))
         self.winner = 0
-        lo = sum(getattr(params, name).size for name in PARAM_FIELDS[:4])
-        halves = self.grads.flat[lo:lo + 6 * d].reshape(2, 3 * d)
+        spans, size = _layout(params.shapes)
+        wdec, bdec = spans["wdec"][0], spans["bdec"][0]
+        self.ranges = [[(0, wdec),
+                        (wdec + j * out * d, wdec + (j + 1) * out * d),
+                        (bdec + j * out, bdec + (j + 1) * out),
+                        (spans["wconf"][0], size)] for j in range(k)]
+        halves = self.grads.flat[spans["wk"][0]:spans["bv"][1]].reshape(
+            2, 3 * d)
         self._map_grads = (halves, halves[:, :2 * d].reshape(2, d, 2)
                            .swapaxes(1, 2), halves[:, 2 * d:])
         self._scratch = {name: np.empty(getattr(params, name).shape[-2:])
                          for name in ("wdec", "wconf", "w2", "w1")}
         self._scratch.update(factors=np.empty((2, 3, m_max)),
                              sums=np.empty((2, 3, d)))
-
-
-def _live_ranges(shapes) -> list[list[tuple[int, int]]]:
-    """Per mode, the ``(start, stop)`` ranges of ``flat`` that a step
-    with that winning mode writes: the fields ``w1`` to ``bv``, the
-    mode's rows of ``wdec`` and ``bdec``, and ``wconf`` and ``bconf``."""
-    starts = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
-    field = dict(zip(PARAM_FIELDS, starts))
-    k, out = shapes[PARAM_FIELDS.index("bdec")]
-    d = shapes[PARAM_FIELDS.index("wdec")][2]
-    return [[(0, field["wdec"]),
-             (field["wdec"] + j * out * d, field["wdec"] + (j + 1) * out * d),
-             (field["bdec"] + j * out, field["bdec"] + (j + 1) * out),
-             (field["wconf"], starts[-1])] for j in range(k)]
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -311,9 +327,8 @@ def encode_map(offsets: np.ndarray, params: ModelParams,
 
 
 def fuse(h_a: np.ndarray, keys: np.ndarray, values: np.ndarray):
-    """Single-query attention over the map set, residual on the agent."""
-    if keys.shape[0] == 0:
-        return h_a.copy(), None
+    """Single-query attention over a non-empty map set, residual on the
+    agent."""
     scale = 1.0 / np.sqrt(h_a.size)
     weights = _softmax(keys @ h_a * scale)
     xi = h_a + weights @ values
@@ -365,8 +380,11 @@ def select_map_points(points: np.ndarray, center: np.ndarray,
     The result equals ``points[np.linalg.norm(points - center, axis=1)
     <= radius]`` bit for bit: the same points in the same order, through
     the disc test of ``_in_disc``. This is the definition of a map set;
-    ``MapGrid`` returns the same sets for many centres at once.
+    ``MapGrid`` returns the same sets for many centres at once. A radius
+    that is negative, NaN or infinite raises ``ValueError``, as it does
+    for ``MapGrid`` and ``ModelConfig``.
     """
+    _check_radius(radius)
     if points.shape[0] == 0:
         return points
     return points.take(_in_disc(points, center[0], center[1], radius),
@@ -404,9 +422,7 @@ class MapGrid:
                  "_starts", "_order", "_sorted")
 
     def __init__(self, points: np.ndarray, radius: float):
-        if not (math.isfinite(radius) and radius >= 0.0):
-            raise ValueError(f"map radius must be finite and non-negative, "
-                             f"got {radius}")
+        _check_radius(radius)
         self.points, self.radius = points, radius
         if points.shape[0] == 0:
             return
@@ -543,17 +559,17 @@ def _forward_in_frame(frame: AgentFrame, params, map_out=None):
     """``forward`` without the rotation back to world coordinates.
 
     Returns ``(xi, cache)``; ``map_out`` is ``encode_map``'s ``out``. An
-    empty map set skips the map encoder, and its cache entry is ``None``.
+    empty map set skips the map encoder and the fusion, as ``forward_batch``
+    does: ``xi`` is a copy of ``h_a`` and the cache's map entries ``None``.
     """
     h_a, agent_cache = encode_agent(frame.observed, params)
+    keys = values = map_cache = fuse_cache = None
     if len(frame.map_offsets):
         keys, values, map_cache = encode_map(frame.map_offsets, params,
                                              out=map_out)
+        xi, fuse_cache = fuse(h_a, keys, values)
     else:
-        # ``fuse`` returns ``h_a`` for an empty set; nothing to encode.
-        keys = values = np.empty((0, params.wk.shape[0]))
-        map_cache = None
-    xi, fuse_cache = fuse(h_a, keys, values)
+        xi = h_a.copy()
     local = decode(xi, frame.last_pos, params)
     return xi, ((frame.rot, local), h_a, keys, values, xi,
                 agent_cache, map_cache, fuse_cache)
@@ -698,19 +714,12 @@ def loss_and_grads(frame: AgentFrame, params: ModelParams,
     The gradients are written into ``workspace.grads`` and returned, and
     the activations into the workspace's rows; it must have been made for
     parameters of this layout and at least as many map points. Without
-    it, a workspace is allocated for the call. The map encoder's
-    gradients contract the ReLU masks with per-point factors (see the
-    body), so each is within ``4 * m * 2**-52`` times the sum of its
-    terms' magnitudes of the sum over masked ``(m, d)`` gradient blocks.
-
-    The call does not clear ``workspace.grads``. It rewrites every field
-    but ``wdec`` and ``bdec`` whole, writes only the winning mode's row
-    of those two, and resets the previous call's winner row to +0.0. So
-    between calls a caller may scale the buffer in place by a finite,
-    non-negative factor, or write into what the last call wrote, but
-    must not write into the rows that it did not write. Within that
-    contract a reused workspace gives the same values as a fresh one,
-    bit for bit.
+    it, a workspace is allocated for the call. The call is one step of
+    the sparse-step contract in ``Workspace``'s docstring. The map
+    encoder's gradients contract the ReLU masks with per-point factors
+    (see the body), so each is within ``4 * m * 2**-52`` times the sum of
+    its terms' magnitudes of the sum over masked ``(m, d)`` gradient
+    blocks.
     """
     future = frame.future
     if future is None:
@@ -849,23 +858,23 @@ def load_checkpoint(path):
             if header["shapes"] != expected:
                 raise ValueError(f"checkpoint layout {header['shapes']} does "
                                  f"not match its config, expected {expected}")
-            nbytes = 8 * sum(map(math.prod, shapes))
-            payload = fh.read(nbytes)
-            if len(payload) != nbytes:
+            # Sized from the file before reading: a header may claim a
+            # payload far beyond memory or the index range.
+            nbytes = 8 * _layout(shapes)[1]
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if left < nbytes:
                 raise ValueError(f"checkpoint truncated: payload has "
-                                 f"{len(payload)} bytes, expected {nbytes}")
-            if fh.read(1):
+                                 f"{left} bytes, expected {nbytes}")
+            if left > nbytes:
                 raise ValueError("checkpoint has trailing bytes after its "
                                  "payload")
+            payload = fh.read(nbytes)
         flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
         if not np.isfinite(flat).all():
             raise ValueError("checkpoint payload holds non-finite values")
-    except KeyError as exc:
-        raise ValueError(f"{path}: checkpoint header has no key "
-                         f"{exc}") from exc
-    except TypeError as exc:
-        raise ValueError(f"{path}: checkpoint header has a mistyped field "
-                         f"({exc})") from exc
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: bad checkpoint header "
+                         f"({type(exc).__name__}: {exc})") from exc
     except ValueError as exc:
         # JSONDecodeError and UnicodeDecodeError are ValueErrors too.
         raise ValueError(f"{path}: {exc}") from exc

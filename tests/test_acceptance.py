@@ -21,11 +21,10 @@ from click.testing import CliRunner
 from navpredict import model as M
 from navpredict.benchmark import BenchmarkSpec, run_benchmark
 from navpredict.cli import main as cli_main
-from navpredict.distill import distill_loss
 from navpredict.geo import MIAMI, PITTSBURGH, GeoPoint, UtmPoint, \
     utm_to_local, utm_to_wgs84, wgs84_to_utm
 from navpredict.metrics import min_ade, min_fde, miss_rate
-from navpredict.model import PredictionSet
+from navpredict.model import PredictionSet, distill_loss
 from navpredict.osm_ingest import build_nav_graph, parse_osm
 from navpredict.road_graph import (
     NavGraph,

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 import navpredict
 from navpredict.cli import main
-from navpredict.model import PARAM_FIELDS, ModelConfig, init_params
+from navpredict.model import PARAM_FIELDS, ModelConfig, _shapes, init_params
 
 FIXTURE = pathlib.Path(__file__).parent / "data" / "fixture.osm"
 
@@ -99,8 +99,13 @@ def test_ingest_malformed_osm_reports_error_code(tmp_path, runner):
      '"origin_northing": 0}]', "invalid-input"),
     ('[{"name": "x", "zone": 17, "origin_easting": 0, '
      '"origin_northing": true}]', "invalid-input"),
+    ('[{"name": null, "zone": 17, "origin_easting": 0, '
+     '"origin_northing": 0}]', "invalid-input"),
+    ('[{"name": 5, "zone": 17, "origin_easting": 0, '
+     '"origin_northing": 0}]', "invalid-input"),
 ], ids=["missing-key", "nan-origin", "broken-json", "fractional-zone",
-        "bool-zone", "string-origin", "bool-origin"])
+        "bool-zone", "string-origin", "bool-origin", "null-name",
+        "number-name"])
 def test_malformed_frames_config_reports_error_code(tmp_path, runner,
                                                     command, text, code):
     config = tmp_path / "frames.json"
@@ -356,6 +361,16 @@ def _checkpoint(header_config, **layout):
             + params.flat.astype("<f8").tobytes())
 
 
+def _claimed_checkpoint(d):
+    """Checkpoint bytes whose header claims width ``d`` with the layout of
+    that config, over a 64-byte payload."""
+    config = dict(_CKPT_CONFIG, d=d)
+    header = {"version": 2, "config": config,
+              "shapes": [[name, list(shape)] for name, shape
+                         in zip(PARAM_FIELDS, _shapes(ModelConfig(**config)))]}
+    return json.dumps(header).encode() + b"\n" + bytes(64)
+
+
 @pytest.mark.parametrize("command", ["eval", "distill"])
 @pytest.mark.parametrize("content", [
     b'{"version": 2,\n',
@@ -367,8 +382,11 @@ def _checkpoint(header_config, **layout):
     _checkpoint({"d": 4.7}),
     _checkpoint({"hidden": True}, hidden=1),
     _checkpoint({"map_radius": "50"}),
+    _claimed_checkpoint(2 ** 40),
+    _claimed_checkpoint(2 ** 62),
 ], ids=["not-json", "not-object", "no-config", "no-shapes", "mistyped",
-        "fractional-d", "bool-hidden", "string-radius"])
+        "fractional-d", "bool-hidden", "string-radius", "huge-d",
+        "index-overflow-d"])
 def test_malformed_checkpoint_header_is_invalid_input(tmp_path, runner,
                                                       dataset, command,
                                                       content):

@@ -8,13 +8,13 @@ from navpredict import model as M
 from navpredict.distill import (
     DistillConfig,
     TrainConfig,
-    distill_loss,
     prepare_map_inputs,
     student_width,
     train,
     train_student,
     train_teacher,
 )
+from navpredict.model import distill_loss
 from navpredict.scenario import WorldSpec, generate_scenes, generate_world, \
     view_points
 

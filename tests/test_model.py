@@ -16,7 +16,7 @@ from navpredict.model import (
     ModelParams,
     Workspace,
     _forward_in_frame,
-    _live_ranges,
+    _shapes,
     decode,
     distill_loss,
     forward,
@@ -574,7 +574,7 @@ def test_workspace_reused_over_scaled_steps_matches_fresh(cfg):
     rng = np.random.default_rng(31)
     params = init_params(cfg, rng)
     workspace = Workspace(params, 12)
-    live = _live_ranges(params.shapes)
+    live = workspace.ranges
     winners = []
     for step in range(60):
         observed, map_points, future = _scene(
@@ -698,7 +698,7 @@ def _assert_same_selection(points, center, radius):
     assert got.tobytes() == want.tobytes()
 
 
-_RADII = (0.0, 1.5, 50.0, 300.0, np.inf, np.nan,
+_RADII = (0.0, 1.5, 50.0, 300.0, 1e308,
           np.nextafter(50.0, 0.0), np.nextafter(50.0, 100.0))
 
 
@@ -881,10 +881,27 @@ def test_map_grid_degenerate_views():
     _assert_grid_matches(wide, list(wide), 0.0)
 
 
-@pytest.mark.parametrize("radius", [-1.0, np.nan, np.inf, -np.inf])
-def test_map_grid_rejects_bad_radius(radius):
-    with pytest.raises(ValueError, match="radius"):
-        MapGrid(np.zeros((3, 2)), radius)
+_BAD_RADII = (-1.0, np.nan, np.inf, -np.inf)
+_RADIUS_RULES = {
+    "MapGrid": lambda points, radius: MapGrid(points, radius).select(
+        np.zeros((1, 2))),
+    "select_map_points": lambda points, radius: select_map_points(
+        points, np.zeros(2), radius),
+    "ModelConfig": lambda points, radius: ModelConfig(map_radius=radius),
+}
+
+
+@pytest.mark.parametrize("rule, radius", [
+    (rule, radius) for rule in _RADIUS_RULES for radius in _BAD_RADII
+], ids=[("" if rule == "MapGrid" else rule + "-") + str(radius)
+        for rule in _RADIUS_RULES for radius in _BAD_RADII])
+def test_map_grid_rejects_bad_radius(rule, radius):
+    # One radius rule and one message for both selectors and the config,
+    # on an empty view as on a full one.
+    message = f"^map radius must be finite and non-negative, got {radius}$"
+    for n_points in (0, 3):
+        with pytest.raises(ValueError, match=message):
+            _RADIUS_RULES[rule](np.zeros((n_points, 2)), radius)
 
 
 @pytest.mark.parametrize("centers", [
@@ -927,6 +944,27 @@ def test_checkpoint_truncation_detected(tmp_path):
     path.write_bytes(raw[:-16])
     with pytest.raises(ValueError, match="truncated"):
         load_checkpoint(path)
+
+
+def test_checkpoint_truncation_detected_before_reading(tmp_path):
+    # The header claims d = 2**20, a 3.2 GB payload, over 64 bytes: the
+    # loader compares the two sizes instead of reading the claim.
+    config = ModelConfig(d=2 ** 20, k=6, hidden=4)
+    header = {"version": CHECKPOINT_VERSION,
+              "config": {"d": config.d, "k": 6, "hidden": 4,
+                         "map_radius": 50.0, "map_source": "nav"},
+              "shapes": [[name, list(shape)] for name, shape
+                         in zip(PARAM_FIELDS, _shapes(config))]}
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(64))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="checkpoint truncated"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 18
 
 
 def test_checkpoint_trailing_bytes_rejected(tmp_path):
