@@ -43,8 +43,10 @@ __all__ = [
 MISS_DISTANCE = 2.0
 # The mode counts that ``evaluate_model`` scores.
 EVAL_KS = (1, 6)
-# ``fde_histogram``: the bin width in meters and the KDE's grid points.
+# ``fde_histogram``: the bin width in meters, the most bins it makes and
+# the KDE's grid points.
 HIST_BIN_WIDTH = 1.0
+HIST_MAX_BINS = 1000
 KDE_POINTS = 200
 
 
@@ -161,7 +163,13 @@ def _silverman_bandwidth(values: np.ndarray) -> float:
     n = values.size
     if n < 2:
         return 1.0
-    std = float(np.std(values, ddof=1))
+    # Values far apart may take the sum of squares past the float range;
+    # the spread of the values scaled to at most 1 does not.
+    with np.errstate(over="ignore"):
+        std = float(np.std(values, ddof=1))
+    if not math.isfinite(std):
+        top = float(np.abs(values).max())
+        std = float(np.std(values / top, ddof=1)) * top
     q75, q25 = np.percentile(values, [75.0, 25.0])
     iqr = float(q75 - q25)
     spread = min(std, iqr / 1.34) if iqr > 0.0 else std
@@ -173,19 +181,28 @@ def _silverman_bandwidth(values: np.ndarray) -> float:
 def fde_histogram(values) -> HistogramReport:
     """Histogram of minFDE values beyond the miss distance, normalized.
 
-    Bins are ``HIST_BIN_WIDTH`` (1 m) wide from the miss distance on;
-    counts are normalized over the retained values only. A Gaussian KDE
-    of those values, at Silverman's bandwidth, is sampled on a uniform
-    grid of ``KDE_POINTS`` (200) points that reaches three bandwidths
-    past the extreme values.
+    Bins are ``HIST_BIN_WIDTH`` (1 m) wide from the miss distance on, at
+    most ``HIST_MAX_BINS`` of them: when the values reach further, the
+    last bin collects every value from its left edge on and is closed at
+    the largest value. Counts are normalized over the retained values
+    only. A Gaussian KDE of those values, at Silverman's bandwidth, is
+    sampled on a uniform grid of ``KDE_POINTS`` (200) points that reaches
+    three bandwidths past the extreme values. A non-finite value raises
+    ``ValueError``.
     """
-    arr = np.asarray([v for v in values if v > MISS_DISTANCE])
+    values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError("minFDE values must be finite")
+    arr = values[values > MISS_DISTANCE]
     if arr.size == 0:
         return HistogramReport(bin_edges=[], counts=[], kde_grid=[],
                                kde_density=[], empty=True)
-    n_bins = max(int(math.ceil((arr.max() - MISS_DISTANCE)
-                               / HIST_BIN_WIDTH)), 1)
-    edges = [MISS_DISTANCE + i * HIST_BIN_WIDTH for i in range(n_bins + 1)]
+    top = float(arr.max())
+    n_bins = max(math.ceil((top - MISS_DISTANCE) / HIST_BIN_WIDTH), 1)
+    edges = [MISS_DISTANCE + i * HIST_BIN_WIDTH
+             for i in range(min(n_bins, HIST_MAX_BINS) + 1)]
+    if n_bins > HIST_MAX_BINS:
+        edges[-1] = top
     counts = np.histogram(arr, bins=edges)[0] / arr.size
 
     bw = _silverman_bandwidth(arr)

@@ -16,7 +16,8 @@ Architecture, kept deliberately small and fully transparent:
   observed track (translation invariant), flattened and passed through
   two affine layers with a ReLU in between;
 * map encoder: each map point, expressed relative to the last observed
-  position, is lifted by affine+ReLU layers to a key and a value vector;
+  position as a homogeneous row ``[x, y, 1]``, is lifted by affine+ReLU
+  layers to a key and a value vector, one GEMM and one ReLU per side;
 * fusion: single-query scaled dot-product attention of the agent vector
   over the map keys, added residually -- this produces the latent
   embedding that distillation attaches to;
@@ -242,9 +243,10 @@ class Workspace:
     point: keys, values and their ReLU masks (pre-activations until the
     backward makes them masks); a step on ``m`` points uses the first
     ``m`` rows of each. ``_scratch`` holds the dense layers' ``_outer``
-    blocks and the map encoder's factors and sums; ``_map_grads`` views
-    ``wk`` to ``bv`` as ``[wk, bk]``, ``[wv, bv]`` rows, ``(wk.T, wv.T)``
-    and ``(bk, bv)``.
+    blocks, the map encoder's augmented weights (``_map_affine``), which a
+    step rebuilds from the parameters, and its factors and sums;
+    ``_map_grads`` views ``wk`` to ``bv`` as ``[wk, bk]``, ``[wv, bv]``
+    rows, ``(wk.T, wv.T)`` and ``(bk, bv)``.
     """
 
     __slots__ = ("grads", "rows", "winner", "ranges", "_map_grads",
@@ -267,7 +269,11 @@ class Workspace:
                            .swapaxes(1, 2), halves[:, 2 * d:])
         self._scratch = {name: np.empty(getattr(params, name).shape[-2:])
                          for name in ("wdec", "wconf", "w2", "w1")}
-        self._scratch.update(factors=np.empty((2, 3, m_max)),
+        # The two sides' factor rows interleave, so that no side's (3, m)
+        # block is contiguous: numpy would coalesce one and then allocate
+        # an iteration buffer for the broadcast operand of its product.
+        self._scratch.update(affine=np.empty((2, 3, d)),
+                             factors=np.empty((3, 2, m_max)).swapaxes(0, 1),
                              sums=np.empty((2, 3, d)))
 
 
@@ -301,29 +307,61 @@ def encode_agent(observed: np.ndarray, params: ModelParams):
     return h_a, (x, z1, a1)
 
 
-def encode_map(offsets: np.ndarray, params: ModelParams,
-               out: np.ndarray | None = None):
-    """Map point offsets (m, 2) -> per-point key and value vectors (m, d).
-
-    ``offsets`` are the map points relative to the last observed
-    position, as ``AgentFrame.map_offsets`` holds them. ``out`` holds four
-    ``(m, d)`` arrays, in ``Workspace.rows`` order, that receive the keys,
-    the values and their pre-activations ``zk`` and ``zv``; without it
-    they are allocated. The cache is ``(offsets, zk, zv)``.
-    """
+def _map_affine(params: ModelParams, out: np.ndarray | None = None):
+    """The map encoder's augmented weights ``[[wk.T; bk], [wv.T; bv]]``,
+    ``(2, 3, d)``: a homogeneous row ``[x, y, 1]`` times a side's ``(3,
+    d)`` block is that side's affine map of the offset ``(x, y)``. Built
+    into ``out`` when given."""
     if out is None:
-        out = np.empty((4, offsets.shape[0], params.wk.shape[0]))
+        out = np.empty((2, 3, params.wk.shape[0]))
+    keys, values = out
+    keys[:2], keys[2] = params.wk.T, params.bk
+    values[:2], values[2] = params.wv.T, params.bv
+    return out
+
+
+def _frame_rows(points: np.ndarray, rot: np.ndarray, last_pos: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """Write the offsets ``points @ rot - last_pos`` of ``(m, 2)`` map
+    points into the first two columns of ``(m, 3)`` ``out``, whose third
+    column the caller holds at 1; returns ``out``."""
+    offsets = out[:, :2]
+    np.matmul(points, rot, out=offsets)
+    offsets -= last_pos
+    return out
+
+
+def encode_map(features: np.ndarray, params: ModelParams,
+               out: np.ndarray | None = None,
+               affine: np.ndarray | None = None):
+    """Homogeneous map rows (m, 3) -> per-point key and value vectors (m, d).
+
+    ``features`` holds each map point as ``[x, y, 1]``, its offset from the
+    last observed position followed by a 1, as ``AgentFrame.map_rows``
+    holds them. Each side is one GEMM of the rows by its ``(3, d)``
+    augmented weights ``[w.T; b]``, and one ReLU pass covers both sides:
+    the bias rides on the 1 column, so no bias pass is made. Every entry is a three-term dot
+    product, within ``3 * 2**-53 * (|x*w0| + |y*w1| + |b|)`` of the exact
+    sum; with an FMA kernel that adds the terms in order it equals the
+    two-pass ``offsets @ w.T + b`` bit for bit, since ``fma(1, b, s)``
+    rounds ``s + b``.
+
+    ``affine`` is ``_map_affine(params)``, which a caller that encodes many
+    sets with the same parameters builds once; without it, it is built
+    here. ``out`` holds four ``(m, d)`` arrays, in ``Workspace.rows``
+    order, that receive the keys, the values and their pre-activations
+    ``zk`` and ``zv``; without it they are allocated. The cache is
+    ``(offsets, zk, zv)``, with ``offsets`` the ``(m, 2)`` view of the
+    rows' first two columns.
+    """
+    if affine is None:
+        affine = _map_affine(params)
+    if out is None:
+        out = np.empty((4, features.shape[0], affine.shape[2]))
+    np.matmul(features, affine, out=out[2:])    # one GEMM per side
+    np.maximum(out[2:], 0.0, out=out[:2])
     keys, values, zk, zv = out
-    # Each bias is copied into the activation block before the add: a
-    # broadcast ``pre += b`` allocates a numpy iteration buffer half the
-    # size of a block, a same-shape add nothing. The sums are the same.
-    for w, b, pre, act in ((params.wk, params.bk, zk, keys),
-                           (params.wv, params.bv, zv, values)):
-        np.matmul(offsets, w.T, out=pre)
-        np.copyto(act, b)
-        pre += act
-        np.maximum(pre, 0.0, out=act)
-    return keys, values, (offsets, zk, zv)
+    return keys, values, (features[:, :2], zk, zv)
 
 
 def fuse(h_a: np.ndarray, keys: np.ndarray, values: np.ndarray):
@@ -534,39 +572,45 @@ class AgentFrame:
 
     ``rot`` is the ``(2, 2)`` rotation ``p @ rot`` into the frame;
     ``observed`` the rotated ``(OBSERVED_LEN, 2)`` track and ``last_pos``
-    its last position; ``map_offsets`` the ``(m, 2)`` map points as
-    ``(map_points @ rot) - last_pos``; ``future`` the rotated ``(FUTURE_LEN,
+    its last position; ``map_rows`` the ``(m, 3)`` homogeneous rows ``[x,
+    y, 1]`` of the map points, with offsets ``(map_points @ rot) -
+    last_pos``, that ``encode_map`` reads; ``map_offsets`` the ``(m, 2)``
+    view of their first two columns; ``future`` the rotated ``(FUTURE_LEN,
     2)`` future, or ``None`` when none is given. This is the one
     definition of the frame: ``forward`` and ``loss_and_grads`` read their
     inputs from it, ``distill.train`` builds each scene's once per run,
     and ``forward_batch`` builds a batch's with the same arithmetic.
     """
 
-    __slots__ = ("rot", "observed", "last_pos", "map_offsets", "future")
+    __slots__ = ("rot", "observed", "last_pos", "map_rows", "map_offsets",
+                 "future")
 
     def __init__(self, observed: np.ndarray, map_points: np.ndarray,
                  future: np.ndarray | None = None):
         self.rot = rot = _heading_rotations(observed)
         self.observed = observed @ rot
         self.last_pos = self.observed[-1]
+        rows = np.ones((len(map_points), 3))
         # A map-free scene skips the two array calls on its empty set.
-        self.map_offsets = (map_points @ rot - self.last_pos
-                            if len(map_points) else map_points)
+        if len(rows):
+            _frame_rows(map_points, rot, self.last_pos, rows)
+        self.map_rows, self.map_offsets = rows, rows[:, :2]
         self.future = None if future is None else future @ rot
 
 
-def _forward_in_frame(frame: AgentFrame, params, map_out=None):
+def _forward_in_frame(frame: AgentFrame, params, map_out=None, affine=None):
     """``forward`` without the rotation back to world coordinates.
 
-    Returns ``(xi, cache)``; ``map_out`` is ``encode_map``'s ``out``. An
-    empty map set skips the map encoder and the fusion, as ``forward_batch``
-    does: ``xi`` is a copy of ``h_a`` and the cache's map entries ``None``.
+    Returns ``(xi, cache)``; ``map_out`` and ``affine`` are
+    ``encode_map``'s. An empty map set skips the map encoder and the
+    fusion, as ``forward_batch`` does: ``xi`` is a copy of ``h_a`` and the
+    cache's map entries ``None``.
     """
     h_a, agent_cache = encode_agent(frame.observed, params)
     keys = values = map_cache = fuse_cache = None
-    if len(frame.map_offsets):
-        keys, values, map_cache = encode_map(frame.map_offsets, params,
-                                             out=map_out)
+    if len(frame.map_rows):
+        keys, values, map_cache = encode_map(frame.map_rows, params,
+                                             out=map_out, affine=affine)
         xi, fuse_cache = fuse(h_a, keys, values)
     else:
         xi = h_a.copy()
@@ -597,11 +641,13 @@ def forward_batch(observed: np.ndarray, map_sets, params: ModelParams):
     FUTURE_LEN, 2)``, the confidences ``(n, k)`` and the embeddings
     ``(n, d)``; each scene's rows equal ``forward``'s outputs bit for bit.
 
-    The batch's frames are built in one pass. Each scene's map encoder and
-    fusion run on their own, because the order of their additions depends
-    on the size of the map set. The rest runs once over the batch, through
-    calls that add in the same order per scene as the one-scene calls. A
-    batch holds its whole intermediates; ``forward_split`` passes
+    The batch's frames and the map encoder's augmented weights are built
+    in one pass; each scene's homogeneous map rows go into one block
+    buffer whose third column is 1. Each scene's map encoder and fusion
+    run on their own, because the order of their additions depends on the
+    size of the map set. The rest runs once over the batch, through calls
+    that add in the same order per scene as the one-scene calls. A batch
+    holds its whole intermediates; ``forward_split`` passes
     ``FORWARD_BLOCK`` scenes.
     """
     if observed.ndim != 3 or len(map_sets) != observed.shape[0]:
@@ -612,13 +658,16 @@ def forward_batch(observed: np.ndarray, map_sets, params: ModelParams):
     last_pos = tracks[:, -1]
     h_a, _agent_cache = encode_agent(tracks, params)
     xi = h_a.copy()
-    map_out = np.empty((4, max(map(len, map_sets), default=0),
-                        params.wk.shape[0]))
+    m_max = max(map(len, map_sets), default=0)
+    map_rows = np.ones((m_max, 3))
+    map_out = np.empty((4, m_max, params.wk.shape[0]))
+    affine = _map_affine(params)
     for i, points in enumerate(map_sets):
-        if len(points):
+        m = len(points)
+        if m:
             keys, values, _map_cache = encode_map(
-                points @ rots[i] - last_pos[i], params,
-                out=map_out[:, :len(points)])
+                _frame_rows(points, rots[i], last_pos[i], map_rows[:m]),
+                params, out=map_out[:, :m], affine=affine)
             xi[i] = fuse(h_a[i], keys, values)[0]
     local = decode(xi, last_pos, params)
     trajectories = np.matmul(local.trajectories,
@@ -716,8 +765,10 @@ def loss_and_grads(frame: AgentFrame, params: ModelParams,
     parameters of this layout and at least as many map points. Without
     it, a workspace is allocated for the call. The call is one step of
     the sparse-step contract in ``Workspace``'s docstring. The map
-    encoder's gradients contract the ReLU masks with per-point factors
-    (see the body), so each is within ``4 * m * 2**-52`` times the sum of
+    encoder's gradients contract the ReLU masks with per-point factors:
+    each side's ``(3, m)`` factor block is one product of the frame's
+    homogeneous rows, transposed, with ``dscores`` or ``weights`` (see the
+    body). So each gradient is within ``4 * m * 2**-52`` times the sum of
     its terms' magnitudes of the sum over masked ``(m, d)`` gradient
     blocks.
     """
@@ -733,9 +784,12 @@ def loss_and_grads(frame: AgentFrame, params: ModelParams,
         raise ValueError(f"{m_points} map points exceed the workspace's "
                          f"{workspace.rows.shape[1]}")
     rows = workspace.rows[:, :m_points]
-    xi, cache = _forward_in_frame(frame, params, map_out=rows)
+    affine = (_map_affine(params, workspace._scratch["affine"])
+              if m_points else None)
+    xi, cache = _forward_in_frame(frame, params, map_out=rows,
+                                  affine=affine)
     ((_rot, pred), h_a, keys, values, _xi,
-     agent_cache, map_cache, fuse_cache) = cache
+     agent_cache, _map_cache, fuse_cache) = cache
     x, z1, a1 = agent_cache
 
     lm, m_star = model_loss(pred, future)
@@ -770,25 +824,24 @@ def loss_and_grads(frame: AgentFrame, params: ModelParams,
     # Fusion and the map encoder. Key j's pre-activation at point i has
     # the gradient ``Mk[i, j] * dscores[i] * s * h_a[j]``, value j's
     # ``Mv[i, j] * weights[i] * dxi[j]``, with ReLU masks ``Mk``, ``Mv``.
-    # One stacked matmul sums the masks against ``[dscores * F, dscores]``
-    # and ``[weights * F, weights]`` (offsets ``F``); ``s * h_a``, ``dxi``
-    # scale the sums. No ``(m, d)`` gradient is built.
+    # One stacked matmul sums the masks against ``R.T * dscores`` and
+    # ``R.T * weights``, with ``R`` the homogeneous rows ``[x, y, 1]``
+    # (``x * 1.0 == x``, so the bias rows are ``dscores`` and ``weights``);
+    # ``s * h_a``, ``dxi`` scale the sums. No ``(m, d)`` gradient is built.
     dh_a = dxi.copy()
     map_grads, map_weights, map_biases = workspace._map_grads
     if fuse_cache is None:
         map_grads.fill(0.0)
     else:
-        offsets, masks = map_cache[0], rows[2:]
+        features, masks = frame.map_rows.T, rows[2:]
         scale, weights = fuse_cache
         factors = scratch["factors"][:, :, :m_points]
         dweights = values @ dxi
-        dscores = np.multiply(weights, dweights - weights @ dweights,
-                              out=factors[0, 2])
+        dscores = weights * (dweights - weights @ dweights)
         dh_a += keys.T @ dscores * scale
         np.greater(masks, 0.0, out=masks)
-        factors[1, 2] = weights
-        for side in factors:    # one broadcast over both would allocate
-            np.multiply(offsets.T, side[2], out=side[:2])
+        np.multiply(features, dscores, out=factors[0])
+        np.multiply(features, weights, out=factors[1])
         sums = np.matmul(factors, masks, out=scratch["sums"])
         units = np.array((scale * h_a, dxi))
         np.multiply(sums[:, :2], units[:, None], out=map_weights)

@@ -36,6 +36,10 @@ __all__ = [
 EdgeId = tuple[int, int]
 
 _GRID_CELL = 100.0  # meters; index cell size
+# Most resample intervals a step may give over a graph's edges (or one
+# chord): a polyline point takes 16 bytes, so this keeps the points of a
+# query over the whole graph to 256 MB.
+MAX_RESAMPLE_INTERVALS = 2 ** 24
 _NO_EDGES = np.empty(0, dtype=np.int64)
 # Relative width of the band around a query radius in which the scalar
 # hit test decides: far wider than the last-bit gap between np.hypot and
@@ -223,13 +227,25 @@ def resample_polyline(src: LocalPoint, dst: LocalPoint,
 
 
 def _interval_counts(deltas: np.ndarray, step: float) -> np.ndarray:
-    """n = max(1, ceil(length / step)) per ``(k, 2)`` chord delta row."""
+    """n = max(1, ceil(length / step)) per ``(k, 2)`` chord delta row.
+
+    Raises ``ValueError`` naming the step when the counts add up to more
+    than ``MAX_RESAMPLE_INTERVALS``, before any is cast to an integer.
+    """
     # math.hypot, not np.hypot: the two can differ in the last bit, which
     # moves n when length / step sits on an integer. Mapping over the
     # columns, not over .tolist(), holds no list of every delta.
     lengths = np.fromiter(map(math.hypot, deltas[:, 0], deltas[:, 1]),
                           float, len(deltas))
-    return np.maximum(1.0, np.ceil(lengths / step)).astype(np.int64)
+    # A tiny step may take a quotient or the total past the float range.
+    with np.errstate(over="ignore"):
+        counts = np.maximum(1.0, np.ceil(lengths / step))
+        total = counts.sum()
+    if not total <= MAX_RESAMPLE_INTERVALS:
+        raise ValueError(f"resample step {step} gives {total:.4g} "
+                         f"intervals, more than the "
+                         f"{MAX_RESAMPLE_INTERVALS} allowed")
+    return counts.astype(np.int64)
 
 
 def _resample_chords(ends: np.ndarray, n: np.ndarray) -> list[np.ndarray]:

@@ -3,6 +3,8 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -735,3 +737,31 @@ def test_query_bad_radius_or_step_is_invalid_input(tmp_path, runner, flag,
     assert result.exit_code == 1
     assert "error code=invalid-input" in result.stderr
     assert message in result.stderr
+
+
+@pytest.mark.parametrize("step", ["1e-7", "1e-12", "1e-300"])
+def test_query_tiny_step_is_invalid_input_without_allocating(tmp_path, runner,
+                                                            step):
+    graph = tmp_path / "graph.txt"
+    result = runner.invoke(main, [
+        "ingest", str(FIXTURE), "--frame", "miami", "--out", str(graph),
+    ])
+    assert result.exit_code == 0
+    args = ["query", "--graph", str(graph), "--frame", "miami",
+            "--x", "0", "--y", "0", "--radius", "1e300", "--step", step]
+    runner.invoke(main, args)    # loads what the command imports lazily
+    # Every step asks for over 2**24 intervals (1e-7: about 3.7e9 over
+    # the fixture's 25 edges); the bound rejects it before any cast or
+    # allocation, so no warning is raised on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert result.exit_code == 1
+    assert "error code=invalid-input" in result.stderr
+    assert f"resample step {float(step)} gives" in result.stderr
+    assert peak < 4 * 2 ** 20

@@ -1,11 +1,14 @@
 import math
 import statistics
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from navpredict.metrics import (
     EVAL_KS,
+    HIST_MAX_BINS,
     MISS_DISTANCE,
     _evaluate,
     aggregate,
@@ -403,6 +406,46 @@ def test_histogram_two_bin_example():
     assert hist.bin_edges == [2.0, 3.0, 4.0]
     assert hist.counts == pytest.approx([2.0 / 3.0, 1.0 / 3.0])
     assert len(hist.kde_grid) == len(hist.kde_density) == 200
+
+
+@pytest.mark.parametrize("top", [1e6, 1e300])
+def test_histogram_bins_capped_by_overflow_bin(top):
+    fde_histogram([3.0, 4.0])    # loads what the first call loads lazily
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tracemalloc.start()
+        try:
+            hist = fde_histogram([3.0, top])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    edges = hist.bin_edges
+    assert len(edges) == HIST_MAX_BINS + 1
+    assert edges[:-1] == [MISS_DISTANCE + i for i in range(HIST_MAX_BINS)]
+    assert edges[-1] == top
+    assert sum(hist.counts) == pytest.approx(1.0)
+    assert hist.counts[1] == hist.counts[-1] == 0.5    # 3.0 is in [3, 4)
+    assert np.isfinite(hist.kde_grid).all()
+    assert np.isfinite(hist.kde_density).all()
+    assert peak < 2 ** 20
+
+
+def test_histogram_bins_below_cap_are_uncapped():
+    top = MISS_DISTANCE + HIST_MAX_BINS
+    hist = fde_histogram([2.5, top])
+    assert hist.bin_edges == [MISS_DISTANCE + i
+                              for i in range(HIST_MAX_BINS + 1)]
+    assert hist.counts[0] == hist.counts[-1] == 0.5
+    # Half a meter past the cap: the last bin reaches the value.
+    hist = fde_histogram([2.5, top + 0.5])
+    assert hist.bin_edges[-2:] == [top - 1.0, top + 0.5]
+    assert hist.counts[-1] == 0.5
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_histogram_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="finite"):
+        fde_histogram([3.0, bad])
 
 
 def test_kde_single_value_peaks_there():

@@ -19,6 +19,7 @@ from navpredict.model import (
     _shapes,
     decode,
     distill_loss,
+    encode_map,
     forward,
     forward_batch,
     forward_split,
@@ -446,6 +447,50 @@ def test_map_grads_within_summation_bound_of_materialised_backward(
         assert sums[name].any() == (name in ("wv", "bv") or keys_live)
     if not keys_live:
         assert not grads.wk.any() and not grads.bk.any()
+
+
+# Each pre-activation of the encoder is a three-term dot product ``x*w0 +
+# y*w1 + 1*b``, and so is the two-pass reference's ``(x*w0 + y*w1) + b``:
+# each within 3 * 2**-53 of the exact sum of |terms| (two products, two
+# additions, to first order), so within 3 * 2**-52 of each other in
+# whatever order a GEMM adds the terms. A ReLU moves no two values apart.
+_ENCODE_C = 3 * 2.0 ** -52
+
+
+@pytest.mark.parametrize("d", [8, 64, 96])
+@pytest.mark.parametrize("case", ["m1", "m2", "hd", "m787"])
+def test_encode_map_within_dot_bound_of_two_pass_reference(batch_world,
+                                                           case, d):
+    rng = np.random.default_rng(d + len(case))
+    params = init_params(ModelConfig(d=d, k=6, hidden=8), rng)
+    params.flat[...] += rng.normal(0.0, 0.05, params.flat.size)
+    if case == "hd":
+        points = view_points(batch_world, "hd")
+        scenes = generate_scenes(batch_world, 40, seed=4)
+        sets = [select_map_points(points, s.agents[s.target][-1], 55.0)
+                for s in scenes]
+        i = int(np.argmax([len(pts) for pts in sets]))
+        frame = AgentFrame(scenes[i].agents[scenes[i].target], sets[i])
+        assert 250 <= len(sets[i]) <= 400
+    else:
+        m = {"m1": 1, "m2": 2, "m787": 787}[case]
+        frame = AgentFrame(*_scene(rng, n_map=m)[:2])
+    m = len(frame.map_rows)
+    assert (frame.map_rows[:, 2] == 1.0).all()
+    keys, values, (offsets, zk, zv) = encode_map(frame.map_rows, params)
+    assert offsets.shape == (m, 2)
+    assert offsets.tobytes() == frame.map_offsets.tobytes()
+    x, y = offsets.T[:, :, None]
+    for w, b, pre, act in ((params.wk, params.bk, zk, keys),
+                           (params.wv, params.bv, zv, values)):
+        ref = offsets @ w.T + b
+        bound = _ENCODE_C * (np.abs(x * w[:, 0]) + np.abs(y * w[:, 1])
+                             + np.abs(b))
+        assert (np.abs(pre - ref) <= bound).all()
+        assert (np.abs(act - np.maximum(ref, 0.0)) <= bound).all()
+        assert act.tobytes() == np.maximum(pre, 0.0).tobytes()
+        if m > 2:    # both sides of the ReLU are reached
+            assert (act > 0.0).any() and (act == 0.0).any()
 
 
 # Both forms of the decoder's step u add d products and the bias: each

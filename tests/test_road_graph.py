@@ -2,10 +2,12 @@ import gc
 import math
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+from navpredict import road_graph
 from navpredict.geo import MIAMI, CityFrame, GeoPoint, LocalPoint
 from navpredict.osm_ingest import build_nav_graph, parse_osm
 from navpredict.road_graph import (
@@ -174,6 +176,27 @@ def test_localize_rejects_bad_resample_step(local):
     for step in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="resample step"):
             localize(local.graph, local.frame, resample_step=step)
+
+
+def test_localize_bounds_total_resample_intervals(local, monkeypatch):
+    total = int(local._intervals.sum())
+    monkeypatch.setattr(road_graph, "MAX_RESAMPLE_INTERVALS", total)
+    assert localize(local.graph, local.frame)._intervals.sum() == total
+    monkeypatch.setattr(road_graph, "MAX_RESAMPLE_INTERVALS", total - 1)
+    with pytest.raises(ValueError, match=f"resample step 2.0 gives {total} "):
+        localize(local.graph, local.frame)
+
+
+@pytest.mark.parametrize("step", [1e-7, 1e-12, 1e-300])
+def test_tiny_resample_step_rejected_before_any_cast(local, step):
+    # A cast of the counts to integers would warn, and an allocation of
+    # the points would fail, long before any is returned.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"resample step {step} "):
+            localize(local.graph, local.frame, resample_step=step)
+        with pytest.raises(ValueError, match=f"resample step {step} "):
+            resample_polyline(LocalPoint(0, 0), LocalPoint(1e300, 0), step)
 
 
 def test_successors_exclude_u_turn(local):
