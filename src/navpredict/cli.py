@@ -56,7 +56,12 @@ def _fail(exc: BaseException):
 
 
 def _write_manifest(output_path: str, command: str, config: dict,
-                    seed, inputs: list[str], started: float):
+                    seed, inputs: list[str], started: float,
+                    stages_s: dict[str, float] | None = None):
+    """Write the run manifest; ``started`` is a ``time.perf_counter()``.
+
+    ``stages_s``, if given, maps each stage of the command to its seconds.
+    """
     manifest = {
         "command": command,
         "config": config,
@@ -64,8 +69,11 @@ def _write_manifest(output_path: str, command: str, config: dict,
         "inputs": sorted(inputs),
         "outputs": [os.path.basename(output_path)],
         "version": __version__,
-        "duration_s": round(time.time() - started, 3),
+        "duration_s": round(time.perf_counter() - started, 3),
     }
+    if stages_s is not None:
+        manifest["stages_s"] = {name: round(seconds, 3)
+                                for name, seconds in stages_s.items()}
     path = output_path + ".manifest.json"
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
@@ -123,17 +131,24 @@ def ingest(osm_path, frame_name, frames_config, out_path):
     """Parse OSM XML into a serialized navigation graph."""
     from . import osm_ingest, road_graph
 
-    started = time.time()
+    started = time.perf_counter()
     frame = _resolve_frame(frame_name, frames_config)
+    marks = [time.perf_counter()]
     with open(osm_path, "rb") as fh:
         nodes, ways = osm_ingest.parse_osm(fh)
+    marks.append(time.perf_counter())
     graph = osm_ingest.build_nav_graph(nodes, ways)
+    marks.append(time.perf_counter())
     # Localizing validates that every node projects into the frame.
     road_graph.localize(graph, frame)
+    marks.append(time.perf_counter())
     road_graph.save_graph(graph, out_path)
+    marks.append(time.perf_counter())
+    stages_s = {name: end - start for name, start, end in zip(
+        ("parse", "build", "localize", "save"), marks, marks[1:])}
     _write_manifest(out_path, "ingest",
                     {"frame": frame.name, "zone": frame.zone},
-                    None, [osm_path], started)
+                    None, [osm_path], started, stages_s)
     click.echo(f"ingested {len(graph.nodes)} nodes, "
                f"{len(graph.edges)} edges -> {out_path}")
 
@@ -164,7 +179,7 @@ def gen(out_dir, n, seed, roads, lanes, lane_width, curvature,
     """Generate a synthetic world and scene dataset."""
     from . import scenario
 
-    started = time.time()
+    started = time.perf_counter()
     if not (math.isfinite(train_fraction)
             and 0.0 <= train_fraction <= 1.0):
         raise ValueError(f"--split must be a train fraction in [0, 1], "
@@ -235,7 +250,7 @@ def train(data_dir, map_source, teacher_path, variant, alpha, beta, seed,
     from . import distill, scenario
     from . import model as model_mod
 
-    started = time.time()
+    started = time.perf_counter()
     if teacher_path is not None and map_source != "nav":
         raise click.UsageError("--distill requires --map nav")
     # A flag that the run would ignore is a usage error: a student's
@@ -365,7 +380,7 @@ def eval_cmd(data_dir, ckpt_path, split, json_path, csv_path, hist_path,
     from . import metrics, scenario
     from . import model as model_mod
 
-    started = time.time()
+    started = time.perf_counter()
     params, config = model_mod.load_checkpoint(ckpt_path)
     scenes = scenario.read_scenes(
         os.path.join(data_dir, f"scenes_{split}.ndjson")

@@ -3,7 +3,13 @@
 All computation is in 64-bit floats. The forward/inverse transverse
 Mercator projection uses a 6th-order Krueger series on the WGS84
 ellipsoid, which keeps the error well below 1 mm anywhere inside a UTM
-zone (and the slightly widened band this module accepts).
+zone (and the slightly widened band this module accepts); the series'
+own truncation error is a few nanometres (Karney, J. Geod. 2011).
+
+The forward projection is one array kernel, :func:`geo_to_local_arrays`.
+:func:`wgs84_to_utm` and :func:`geo_to_local` run it on one-element
+arrays, so a point gets the same bits on its own as in a batch. numpy is
+imported on the first projection, not with this module.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ __all__ = [
     "utm_to_local",
     "local_to_utm",
     "geo_to_local",
+    "geo_to_local_arrays",
 ]
 
 # WGS84 ellipsoid and UTM projection constants.
@@ -209,40 +216,80 @@ def central_meridian_deg(zone: int) -> float:
     return -183.0 + 6.0 * zone
 
 
-def wgs84_to_utm(p: GeoPoint, zone: int) -> UtmPoint:
-    """Project a WGS84 point into the given (caller-chosen) UTM zone."""
+def geo_to_local_arrays(lat, lon, frame: CityFrame):
+    """Project WGS84 latitude and longitude arrays (degrees) into a frame.
+
+    Returns the local ``(x, y)`` float64 arrays. Row i gets the bits and
+    the checks of :func:`geo_to_local` on ``GeoPoint(lat[i], lon[i])``:
+    the first row that fails a check raises what ``GeoPoint``,
+    ``wgs84_to_utm``, ``UtmPoint`` or ``LocalPoint`` raises for it.
+    numpy is imported here, on the first projection, so that importing
+    this module loads no numpy.
+    """
+    import numpy as np
+
+    zone = frame.zone
     if not 1 <= zone <= 60:
         raise InvalidCoordinateError(f"zone out of range: {zone}")
-    lon0 = central_meridian_deg(zone)
-    dlon = p.lon - lon0
-    if abs(dlon) > _MAX_MERIDIAN_OFFSET_DEG:
-        raise OutOfZoneError(
-            f"longitude {p.lon} is {abs(dlon):.3f} deg from the central "
-            f"meridian of zone {zone} (limit {_MAX_MERIDIAN_OFFSET_DEG})"
-        )
+    lat = np.asarray(lat, dtype=np.float64)
+    lon = np.asarray(lon, dtype=np.float64)
+    dlon = lon - central_meridian_deg(zone)
+    far = np.abs(dlon) > _MAX_MERIDIAN_OFFSET_DEG
+    # A row out of range or out of zone may overflow; it raises below.
+    with np.errstate(all="ignore"):
+        phi = np.radians(lat)
+        lam = np.radians(dlon)
 
-    phi = math.radians(p.lat)
-    lam = math.radians(dlon)
+        tau = np.tan(phi)
+        hypot_tau = np.hypot(1.0, tau)
+        sigma = np.sinh(_E * np.arctanh(_E * tau / hypot_tau))
+        taup = tau * np.hypot(1.0, sigma) - sigma * hypot_tau
 
-    tau = math.tan(phi)
-    sigma = math.sinh(_E * math.atanh(_E * tau / math.hypot(1.0, tau)))
-    taup = tau * math.hypot(1.0, sigma) - sigma * math.hypot(1.0, tau)
+        cos_lam = np.cos(lam)
+        xi_p = np.arctan2(taup, cos_lam)
+        eta_p = np.arcsinh(np.sin(lam) / np.hypot(taup, cos_lam))
 
-    xi_p = math.atan2(taup, math.cos(lam))
-    eta_p = math.asinh(math.sin(lam) / math.hypot(taup, math.cos(lam)))
+        xi = xi_p.copy()
+        eta = eta_p.copy()
+        for j, a in enumerate(_ALPHA, start=1):
+            xi += a * np.sin(2 * j * xi_p) * np.cosh(2 * j * eta_p)
+            eta += a * np.cos(2 * j * xi_p) * np.sinh(2 * j * eta_p)
 
-    xi = xi_p
-    eta = eta_p
-    for j, a in enumerate(_ALPHA, start=1):
-        xi += a * math.sin(2 * j * xi_p) * math.cosh(2 * j * eta_p)
-        eta += a * math.cos(2 * j * xi_p) * math.sinh(2 * j * eta_p)
+        easting = _FALSE_EASTING + _K0 * _RECT_RADIUS * eta
+        northing = _K0 * _RECT_RADIUS * xi
+        south = lat < 0.0
+        northing[south] += _FALSE_NORTHING_SOUTH
+        x = easting - frame.origin_easting
+        y = northing - frame.origin_northing
 
-    easting = _FALSE_EASTING + _K0 * _RECT_RADIUS * eta
-    northing = _K0 * _RECT_RADIUS * xi
-    hemisphere = "N" if p.lat >= 0.0 else "S"
-    if hemisphere == "S":
-        northing += _FALSE_NORTHING_SOUTH
-    return UtmPoint(easting, northing, zone, hemisphere)
+    # The conditions of GeoPoint, the zone limit, UtmPoint and LocalPoint.
+    ok = ((-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon < 180.0)
+          & ~far
+          & (0.0 < easting) & (easting < 1000000.0) & np.isfinite(northing)
+          & (south | (northing >= 0.0))
+          & np.isfinite(x) & np.isfinite(y))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        GeoPoint(float(lat[i]), float(lon[i]))
+        if far[i]:
+            raise OutOfZoneError(
+                f"longitude {float(lon[i])} is {abs(float(dlon[i])):.3f} deg "
+                f"from the central meridian of zone {zone} "
+                f"(limit {_MAX_MERIDIAN_OFFSET_DEG})"
+            )
+        UtmPoint(float(easting[i]), float(northing[i]), zone,
+                 "S" if south[i] else "N")
+        LocalPoint(float(x[i]), float(y[i]))
+    return x, y
+
+
+def wgs84_to_utm(p: GeoPoint, zone: int) -> UtmPoint:
+    """Project a WGS84 point into the given (caller-chosen) UTM zone."""
+    # UTM coordinates are local ones in a frame at the zone's origin.
+    (easting,), (northing,) = geo_to_local_arrays(
+        (p.lat,), (p.lon,), CityFrame("utm", zone, 0.0, 0.0))
+    return UtmPoint(float(easting), float(northing), zone,
+                    "N" if p.lat >= 0.0 else "S")
 
 
 def _tau_from_taup(taup: float) -> float:
@@ -306,4 +353,5 @@ def local_to_utm(p: LocalPoint, frame: CityFrame) -> UtmPoint:
 
 def geo_to_local(p: GeoPoint, frame: CityFrame) -> LocalPoint:
     """WGS84 -> UTM -> city frame, in one step."""
-    return utm_to_local(wgs84_to_utm(p, frame.zone), frame)
+    (x,), (y,) = geo_to_local_arrays((p.lat,), (p.lon,), frame)
+    return LocalPoint(float(x), float(y))

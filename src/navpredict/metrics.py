@@ -21,6 +21,7 @@ takes per-k columns of per-scene values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,8 +188,8 @@ def fde_histogram(values) -> HistogramReport:
     the largest value. Counts are normalized over the retained values
     only. A Gaussian KDE of those values, at Silverman's bandwidth, is
     sampled on a uniform grid of ``KDE_POINTS`` (200) points that reaches
-    three bandwidths past the extreme values. A non-finite value raises
-    ``ValueError``.
+    three bandwidths past the extreme values, or to the largest float if
+    that is nearer. A non-finite value raises ``ValueError``.
     """
     values = np.asarray(values, dtype=np.float64)
     if not np.isfinite(values).all():
@@ -205,15 +206,25 @@ def fde_histogram(values) -> HistogramReport:
         edges[-1] = top
     counts = np.histogram(arr, bins=edges)[0] / arr.size
 
-    bw = _silverman_bandwidth(arr)
-    lo = float(arr.min() - 3.0 * bw)
-    hi = float(arr.max() + 3.0 * bw)
-    grid = np.linspace(lo, hi, KDE_POINTS)
-    sq = (grid[:, None] - arr[None, :]) / bw
-    density = np.exp(-0.5 * sq * sq).sum(axis=1) / (
-        arr.size * bw * math.sqrt(2.0 * math.pi))
+    # Near the float maximum the reach past the values, and the grid's
+    # span, would overflow. There the KDE runs in units of a power of two,
+    # which scales every value exactly, and the reach stops at the largest
+    # float. Below 2**1020 the unit is 1.
+    scale = 2.0 ** max(0, math.frexp(top)[1] - 1020)
+    scaled = arr / scale
+    bw = _silverman_bandwidth(scaled)
+    limit = sys.float_info.max / scale
+    grid = np.linspace(max(float(scaled.min() - 3.0 * bw), -limit),
+                       min(float(scaled.max() + 3.0 * bw), limit), KDE_POINTS)
+    # A value some 39 bandwidths from a grid point adds exactly 0 there;
+    # further out its squared distance may overflow on the way.
+    with np.errstate(over="ignore"):
+        sq = (grid[:, None] - scaled[None, :]) / bw
+        kernel = np.exp(-0.5 * sq * sq)
+    density = kernel.sum(axis=1) / (arr.size * bw * math.sqrt(2.0 * math.pi))
     return HistogramReport(bin_edges=edges, counts=counts.tolist(),
-                           kde_grid=grid.tolist(), kde_density=density.tolist())
+                           kde_grid=(grid * scale).tolist(),
+                           kde_density=(density / scale).tolist())
 
 
 def format_report_table(report: MetricReport) -> str:

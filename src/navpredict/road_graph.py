@@ -12,11 +12,12 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geo import CityFrame, GeoPoint, LocalPoint, geo_to_local
+from .geo import CityFrame, GeoPoint, LocalPoint, geo_to_local_arrays
 
 __all__ = [
     "EdgeId",
@@ -290,7 +291,14 @@ def _cell(x: float, y: float) -> tuple[int, int]:
 def localize(g: NavGraph, frame: CityFrame,
              resample_step: float = 2.0) -> LocalNavGraph:
     """Project every node into the frame and build the spatial index."""
-    local = {nid: geo_to_local(p, frame) for nid, p in g.nodes.items()}
+    points = g.nodes.values()
+    x, y = geo_to_local_arrays(
+        np.fromiter(map(operator.attrgetter("lat"), points), float,
+                    len(points)),
+        np.fromiter(map(operator.attrgetter("lon"), points), float,
+                    len(points)),
+        frame)
+    local = dict(zip(g.nodes, map(LocalPoint, x.tolist(), y.tolist())))
     return LocalNavGraph(graph=g, frame=frame, local=local,
                          resample_step=resample_step)
 

@@ -54,6 +54,11 @@ def test_ingest_writes_graph_and_manifest(tmp_path, runner):
     assert manifest["command"] == "ingest"
     assert manifest["config"]["frame"] == "miami"
     assert manifest["outputs"] == ["graph.txt"]
+    stages = manifest["stages_s"]
+    assert set(stages) == {"parse", "build", "localize", "save"}
+    assert all(type(s) in (int, float) and s >= 0.0 for s in stages.values())
+    # Each of the five figures is rounded to the millisecond.
+    assert sum(stages.values()) <= manifest["duration_s"] + 5 * 0.0005 + 1e-9
 
 
 def test_ingest_is_byte_deterministic(tmp_path, runner):

@@ -1,6 +1,9 @@
 import json
 import math
 import pathlib
+import re
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from navpredict.geo import (
     OutOfZoneError,
     UtmPoint,
     geo_to_local,
+    geo_to_local_arrays,
     load_frames,
     local_to_utm,
     utm_to_local,
@@ -27,6 +31,10 @@ from navpredict.geo import (
 import geodesy_oracle
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+# A southern-hemisphere frame: its origin northing includes the false
+# northing of 10,000 km.
+SYDNEY = CityFrame("sydney", 56, 334000.0, 6250000.0)
 
 
 def test_central_meridian_equator_maps_to_false_easting():
@@ -174,3 +182,52 @@ def test_load_frames_merges_builtins(tmp_path):
 def test_local_point_requires_finite():
     with pytest.raises(InvalidCoordinateError):
         LocalPoint(float("inf"), 0.0)
+
+
+@pytest.mark.parametrize("frame,lat0", [
+    (MIAMI, 25.8),
+    (PITTSBURGH, 40.44),
+    (SYDNEY, -33.87),
+])
+def test_array_kernel_matches_oracle_on_grid(frame, lat0):
+    meridian = -183.0 + 6.0 * frame.zone
+    lat, lon = (a.ravel() for a in np.meshgrid(
+        np.linspace(lat0 - 1.0, lat0 + 1.0, 9),
+        np.linspace(meridian - 1.5, meridian + 1.5, 9)))
+    x, y = geo_to_local_arrays(lat, lon, frame)
+    for la, lo, px, py in zip(lat.tolist(), lon.tolist(),
+                              x.tolist(), y.tolist()):
+        e_ref, n_ref = geodesy_oracle.forward(la, lo, frame.zone)
+        if la < 0.0:
+            n_ref += 10000000.0
+        assert abs(px - (e_ref - frame.origin_easting)) < 1e-3
+        assert abs(py - (n_ref - frame.origin_northing)) < 1e-3
+
+
+@pytest.mark.parametrize("zone", [0, 61])
+def test_bad_zone_rejected(zone):
+    message = f"^zone out of range: {zone}$"
+    with pytest.raises(InvalidCoordinateError, match=message):
+        wgs84_to_utm(GeoPoint(0.0, -81.0), zone)
+    # A frame that skipped CityFrame's own check.
+    frame = types.SimpleNamespace(zone=zone, origin_easting=0.0,
+                                  origin_northing=0.0)
+    with pytest.raises(InvalidCoordinateError, match=message):
+        geo_to_local_arrays([0.0], [-81.0], frame)
+
+
+@pytest.mark.parametrize("lat,lon,error,message", [
+    (95.0, -80.2, InvalidCoordinateError, "latitude out of range: 95.0"),
+    (math.nan, -80.2, InvalidCoordinateError, "non-finite coordinate"),
+    (25.8, 180.0, InvalidCoordinateError, "longitude out of range: 180.0"),
+    (25.8, -90.5, OutOfZoneError, "longitude -90.5 is 9.500 deg from the "
+                                  "central meridian of zone 17 (limit 3.5)"),
+])
+def test_array_kernel_raises_for_first_bad_row(lat, lon, error, message):
+    # Row 1 is bad and row 2 out of zone: row 1's error, without a
+    # floating-point warning on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=re.escape(message)):
+            geo_to_local_arrays([25.8, lat, 25.8], [-80.2, lon, -70.0],
+                                MIAMI)

@@ -1,5 +1,6 @@
 import math
 import statistics
+import sys
 import tracemalloc
 import warnings
 
@@ -408,7 +409,7 @@ def test_histogram_two_bin_example():
     assert len(hist.kde_grid) == len(hist.kde_density) == 200
 
 
-@pytest.mark.parametrize("top", [1e6, 1e300])
+@pytest.mark.parametrize("top", [1e6, 1e300, 1.7e308, sys.float_info.max])
 def test_histogram_bins_capped_by_overflow_bin(top):
     fde_histogram([3.0, 4.0])    # loads what the first call loads lazily
     with warnings.catch_warnings():
@@ -427,7 +428,21 @@ def test_histogram_bins_capped_by_overflow_bin(top):
     assert hist.counts[1] == hist.counts[-1] == 0.5    # 3.0 is in [3, 4)
     assert np.isfinite(hist.kde_grid).all()
     assert np.isfinite(hist.kde_density).all()
+    assert hist.kde_grid[0] < 3.0 and hist.kde_grid[-1] >= top
     assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("top", [1e170, 1e300])
+def test_kde_of_far_outlier_runs_without_overflow(top):
+    # The cluster's small bandwidth puts the outlier over 1e154
+    # bandwidths from the grid points near the cluster.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hist = fde_histogram([3.0, 3.0, 3.0, 3.1, top])
+    density = hist.kde_density
+    # Only the grid's ends lie within reach of a value.
+    assert density[0] > 0.0 and density[-1] > 0.0
+    assert density[1:-1] == [0.0] * (len(density) - 2)
 
 
 def test_histogram_bins_below_cap_are_uncapped():

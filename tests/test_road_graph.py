@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from navpredict import road_graph
-from navpredict.geo import MIAMI, CityFrame, GeoPoint, LocalPoint
+from navpredict.geo import (MIAMI, CityFrame, GeoPoint, LocalPoint,
+                            OutOfZoneError, geo_to_local)
 from navpredict.osm_ingest import build_nav_graph, parse_osm
 from navpredict.road_graph import (
     GraphFormatError,
@@ -197,6 +198,33 @@ def test_tiny_resample_step_rejected_before_any_cast(local, step):
             localize(local.graph, local.frame, resample_step=step)
         with pytest.raises(ValueError, match=f"resample step {step} "):
             resample_polyline(LocalPoint(0, 0), LocalPoint(1e300, 0), step)
+
+
+def test_localize_matches_one_point_projection_bit_for_bit():
+    # localize projects all nodes in one array call; geo_to_local runs the
+    # same kernel on one point. Each node gets the same bits from both.
+    rng = np.random.default_rng(7)
+    nodes = {nid: GeoPoint(lat, lon) for nid, (lat, lon) in enumerate(zip(
+        rng.uniform(25.6, 26.0, 300).tolist(),
+        rng.uniform(-80.4, -80.0, 300).tolist()))}
+    edges = tuple((nid, nid + 1) for nid in range(299))
+    g = localize(NavGraph(nodes=nodes, edges=edges), MIAMI)
+    for nid, p in nodes.items():
+        one = geo_to_local(p, MIAMI)
+        assert (g.local[nid].x.hex(), g.local[nid].y.hex()) == (
+            one.x.hex(), one.y.hex())
+
+
+def test_localize_names_first_out_of_zone_node_in_node_order():
+    # Nodes 2 and 5 in insertion order (ids 3 and 5) are out of zone 17.
+    lons = {10: -81.0, 3: -85.123456789, 7: -80.5, 1: -81.5, 5: -90.25}
+    nodes = {nid: GeoPoint(0.001 * k, lon)
+             for k, (nid, lon) in enumerate(lons.items())}
+    with pytest.raises(OutOfZoneError) as info:
+        localize(NavGraph(nodes=nodes, edges=()), FRAME)
+    assert str(info.value) == (
+        "longitude -85.123456789 is 4.123 deg from the central meridian "
+        "of zone 17 (limit 3.5)")
 
 
 def test_successors_exclude_u_turn(local):
