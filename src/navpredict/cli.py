@@ -189,11 +189,14 @@ def gen(out_dir, n, seed, roads, lanes, lane_width, curvature,
         lane_width=lane_width, curvature_range=tuple(curvature),
         intersection_count=intersections,
     )
+    marks = [time.perf_counter()]
     world = scenario.generate_world(spec)
+    marks.append(time.perf_counter())
     scenes = scenario.generate_scenes(
         world, n, seed=seed, noise_sigma=noise, p_turn=p_turn,
         p_lane_change=p_lane_change,
     )
+    marks.append(time.perf_counter())
     os.makedirs(out_dir, exist_ok=True)
     scenario.write_world(world, *_world_paths(out_dir))
     splits = {"train": [], "val": []}
@@ -203,12 +206,15 @@ def gen(out_dir, n, seed, roads, lanes, lane_width, curvature,
         scenario.write_scenes(
             subset, os.path.join(out_dir, f"scenes_{name}.ndjson")
         )
+    marks.append(time.perf_counter())
+    stages_s = {name: end - start for name, start, end in zip(
+        ("world", "scenes", "write"), marks, marks[1:])}
     config = {
         "world": asdict(spec), "n": n, "noise": noise, "p_turn": p_turn,
         "p_lane_change": p_lane_change, "train_fraction": train_fraction,
     }
     _write_manifest(os.path.join(out_dir, "scenes_train.ndjson"), "gen",
-                    config, seed, [], started)
+                    config, seed, [], started, stages_s)
     click.echo(f"generated {len(splits['train'])} train / "
                f"{len(splits['val'])} val scenes -> {out_dir}")
 

@@ -10,7 +10,13 @@ may hold several agents per scene with a ``target`` index, and
 :func:`read_scenes` reads them.
 
 All randomness is derived from (seed, scene_id), so generation is
-deterministic and order-independent.
+deterministic and order-independent. Scenes are generated in blocks of
+up to ``_BLOCK``, in two phases. Each scene first makes its scalar draws
+from its own generator: a maneuver record (two lane runs and a blend
+window) and its noise. One array pass then computes the block's paths
+from the stacked records over the HD view and adds the stacked noise.
+A scene's observed track and future are views of its own row of the
+block's ``(B, 50, 2)`` array.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +53,7 @@ _SAMPLE_STEP = 2.0  # polyline sampling step along road centerlines [m]
 _T = np.arange(OBSERVED_LEN + FUTURE_LEN) * DT  # step times of a path [s]
 _SPEED_RANGE = (3.0, 15.0)  # agent speeds [m/s]
 _TURN_MAX_SPEED = 12.0      # turns are drawn below this speed [m/s]
+_BLOCK = 128                # scenes per array pass of generate_scenes
 
 # The anchors of intersections are drawn in a 500 m box at least 150 m
 # apart. Past about 9 anchors the box can fill up so that no draw fits;
@@ -253,28 +261,22 @@ class Scene:
             raise ValueError("scene holds non-finite coordinates")
 
 
-def _lane_pos(lane: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Linear interpolation of an (n, 2) lane at road arc positions s."""
-    grid_pos = s / _SAMPLE_STEP
-    idx = np.clip(np.floor(grid_pos).astype(np.intp), 0, len(lane) - 2)
-    frac = (grid_pos - idx)[:, None]
-    return lane[idx] + frac * (lane[idx + 1] - lane[idx])
+def _road_rows(world: MapPair) -> list[tuple[int, int, int]]:
+    """``(lanes, points per lane, first row)`` of each road in the HD view.
 
-
-def _road_length(lanes: np.ndarray) -> float:
-    """Arc length of a road from its (lanes, n, 2) grid [m]."""
-    return (lanes.shape[1] - 1) * _SAMPLE_STEP
-
-
-def _blend(pa: np.ndarray, pb: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Per-step mix of two paths, weight the smoothstep of t in [0, 1]."""
-    t = np.clip(t, 0.0, 1.0)[:, None]
-    w = t * t * (3.0 - 2.0 * t)
-    return (1.0 - w) * pa + w * pb
+    The rows are those of ``view_points(world, "hd")``, which is
+    road-major, so lane k of a road starts ``k * points`` rows after its
+    first row and runs contiguously.
+    """
+    roads, row = [], 0
+    for lanes in world.hd_roads:
+        roads.append((lanes.shape[0], lanes.shape[1], row))
+        row += lanes.shape[0] * lanes.shape[1]
+    return roads
 
 
 def _lane_arc(rng, length):
-    """Arc positions of a lane-following run along a road, or None.
+    """Start arc and signed speed of a lane-following run, or None.
 
     Draws a direction and a speed, then a start that keeps the whole run
     5 m inside a road of ``length``; None (after the speed draw) when it
@@ -290,41 +292,48 @@ def _lane_arc(rng, length):
         s0 = float(rng.uniform(lo, hi - travel))
     else:
         s0 = float(rng.uniform(lo + travel, hi))
-    return s0 + direction * speed * _T
+    return s0, direction * speed
 
 
-def _straight_track(world, rng):
-    """A lane-following path, or None."""
+# A maneuver draw returns a record of 12 numbers: two lane runs a and b,
+# each (first row in the HD view, points, start arc, signed speed, time
+# shift), then the blend window (start, width) [s]. A run is at arc
+# position start + speed * (t - shift) at time t; the path blends from
+# run a to run b. A straight record repeats run a as run b.
+
+def _straight_draw(roads, rng):
+    """Record of a lane-following path, or None."""
     for _ in range(20):
-        lanes = world.hd_roads[int(rng.integers(0, len(world.hd_roads)))]
-        lane = lanes[int(rng.choice(len(lanes)))]
-        s = _lane_arc(rng, _road_length(lanes))
-        if s is not None:
-            return _lane_pos(lane, s)
+        n_lanes, n_pts, row = roads[int(rng.integers(0, len(roads)))]
+        lane = row + int(rng.integers(0, n_lanes)) * n_pts
+        arc = _lane_arc(rng, (n_pts - 1) * _SAMPLE_STEP)
+        if arc is not None:
+            run = (lane, n_pts, *arc, 0.0)
+            return (*run, *run, 0.0, 1.0)
     return None
 
 
-def _turn_track(world, rng):
-    """Path entering an intersection and continuing onto a crossing road."""
+def _turn_draw(roads, intersections, rng):
+    """Record of a path entering an intersection onto a crossing road."""
     tau = 0.5  # blend half-window [s]
     for _ in range(20):
-        members = world.intersections[
-            int(rng.integers(0, len(world.intersections)))]
+        members = intersections[int(rng.integers(0, len(intersections)))]
         ia = int(rng.integers(0, len(members)))
         ib = int(rng.integers(0, len(members)))
         if ia == ib:
             continue
         ra, sa = members[ia]
         rb, sb = members[ib]
-        lanes_a, lanes_b = world.hd_roads[ra], world.hd_roads[rb]
-        lane_a = lanes_a[int(rng.choice(len(lanes_a)))]
-        lane_b = lanes_b[int(rng.choice(len(lanes_b)))]
+        lanes_a, n_a, row_a = roads[ra]
+        lanes_b, n_b, row_b = roads[rb]
+        lane_a = row_a + int(rng.integers(0, lanes_a)) * n_a
+        lane_b = row_b + int(rng.integers(0, lanes_b)) * n_b
         dir_a = 1.0 if rng.random() < 0.5 else -1.0
         dir_b = 1.0 if rng.random() < 0.5 else -1.0
         speed = float(rng.uniform(_SPEED_RANGE[0], _TURN_MAX_SPEED))
         t_turn = float(rng.uniform(2.3, 4.3))
 
-        len_a, len_b = _road_length(lanes_a), _road_length(lanes_b)
+        len_a, len_b = (n_a - 1) * _SAMPLE_STEP, (n_b - 1) * _SAMPLE_STEP
         sa0 = sa - dir_a * speed * t_turn
         ok_a = (5.0 < sa0 < len_a - 5.0
                 and 5.0 < sa + dir_a * speed * (tau + 0.1) < len_a - 5.0)
@@ -333,30 +342,74 @@ def _turn_track(world, rng):
                 and 5.0 < sb - dir_b * speed * (tau + 0.1) < len_b - 5.0)
         if not (ok_a and ok_b):
             continue
-        pa = _lane_pos(lane_a, sa0 + dir_a * speed * _T)
-        pb = _lane_pos(lane_b, sb + dir_b * speed * (_T - t_turn))
-        return _blend(pa, pb, (_T - (t_turn - tau)) / (2.0 * tau))
+        return (lane_a, n_a, sa0, dir_a * speed, 0.0,
+                lane_b, n_b, sb, dir_b * speed, t_turn,
+                t_turn - tau, 2.0 * tau)
     return None
 
 
-def _lane_change_track(world, rng):
-    """A lane-following path with one lateral change to an adjacent lane."""
+def _lane_change_draw(roads, rng):
+    """Record of a lane-following path with one change to an adjacent lane."""
     for _ in range(20):
-        lanes = world.hd_roads[int(rng.integers(0, len(world.hd_roads)))]
-        if len(lanes) < 2:
+        n_lanes, n_pts, row = roads[int(rng.integers(0, len(roads)))]
+        if n_lanes < 2:
             return None
-        i1 = int(rng.integers(0, len(lanes) - 1))
-        lane1, lane2 = lanes[i1], lanes[i1 + 1]
+        i1 = int(rng.integers(0, n_lanes - 1))
+        lane1, lane2 = row + i1 * n_pts, row + (i1 + 1) * n_pts
         if rng.random() < 0.5:
             lane1, lane2 = lane2, lane1
-        s = _lane_arc(rng, _road_length(lanes))
-        if s is None:
+        arc = _lane_arc(rng, (n_pts - 1) * _SAMPLE_STEP)
+        if arc is None:
             continue
         t0 = float(rng.uniform(1.0, 3.0))
         dur = float(rng.uniform(1.5, 2.5))
-        return _blend(_lane_pos(lane1, s), _lane_pos(lane2, s),
-                      (_T - t0) / dur)
+        return (lane1, n_pts, *arc, 0.0, lane2, n_pts, *arc, 0.0, t0, dur)
     return None
+
+
+def _lane_pos(xy: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    """Positions ``(2, ..., 50)`` of lane runs ``(..., 5)`` over ``xy``.
+
+    ``xy`` is the HD view as a ``(2, n)`` array of x and y rows. A run is
+    ``(first point, points, start arc, signed speed, time shift)`` of a
+    lane in that view. It is linearly interpolated on the lane's 2 m
+    grid, clamped to the lane's first and last segments.
+    """
+    row, n_pts, s0, speed, shift = (runs[..., k, None] for k in range(5))
+    frac = s0 + speed * (_T - shift)
+    frac /= _SAMPLE_STEP
+    idx = np.floor(frac).astype(np.intp)
+    np.clip(idx, 0, n_pts.astype(np.intp) - 2, out=idx)
+    frac -= idx
+    idx += row.astype(np.intp)
+    lo = np.take(xy, idx, axis=1)
+    idx += 1
+    pos = np.take(xy, idx, axis=1)
+    pos -= lo
+    pos *= frac
+    pos += lo
+    return pos
+
+
+def _paths(xy: np.ndarray, records: list[float], straight: np.ndarray
+           ) -> np.ndarray:
+    """``(B, 50, 2)`` paths of B maneuver records over the HD view ``xy``.
+
+    ``records`` holds the B records one after another. Each path mixes
+    run a into run b by the smoothstep of its blend window; ``straight``
+    rows take run a itself.
+    """
+    rec = np.array(records).reshape(-1, 12)
+    lanes = _lane_pos(xy, rec[:, :10].reshape(-1, 2, 5))     # (2, B, 2, 50)
+    pa, pb = lanes[:, :, 0], lanes[:, :, 1]
+    t = np.clip((_T - rec[:, 10:11]) / rec[:, 11:12], 0.0, 1.0)
+    w = t * t * (3.0 - 2.0 * t)
+    paths = np.empty((len(rec), len(_T), 2))
+    mix = paths.transpose(2, 0, 1)                           # (2, B, 50) view
+    np.multiply(1.0 - w, pa, out=mix)
+    mix += w * pb
+    mix[:, straight] = pa[:, straight]
+    return paths
 
 
 def generate_scenes(world: MapPair, n: int, seed: int,
@@ -369,9 +422,23 @@ def generate_scenes(world: MapPair, n: int, seed: int,
     probability ``p_lane_change`` and straight otherwise, so the two must
     sum to at most 1. A turn or lane change the world cannot hold (no
     intersections, single-lane roads, or no fitting draw in 20 tries)
-    falls back to straight.
+    falls back to straight. ``n`` must be an integer other than a bool.
+
+    Scenes are made in blocks of up to ``_BLOCK``, in two phases. First,
+    each scene of the block makes its scalar draws from its own
+    ``default_rng([seed, scene_id])``: the maneuver record, then the
+    noise. Then one array pass turns the block's records into a
+    ``(B, 50, 2)`` array of paths and adds the stacked noise. Each
+    scene's observed track and future are views of its own row of that
+    array, so no two scenes share a coordinate.
     """
-    if n < 0:
+    try:
+        count = operator.index(n)
+    except TypeError:
+        count = None
+    if count is None or isinstance(n, bool):
+        raise ValueError(f"scene count n must be an integer, got {n!r}")
+    if count < 0:
         raise ValueError(f"scene count must be non-negative, got {n}")
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
         raise ValueError(f"noise sigma must be finite and non-negative, "
@@ -381,7 +448,7 @@ def generate_scenes(world: MapPair, n: int, seed: int,
         raise ValueError(f"p_turn {p_turn} and p_lane_change "
                          f"{p_lane_change} must be probabilities summing "
                          f"to at most 1")
-    if n == 0:
+    if count == 0:
         return []
     if not world.hd_roads:
         raise ValueError("world has no roads")
@@ -389,25 +456,37 @@ def generate_scenes(world: MapPair, n: int, seed: int,
         raise ValueError("world has no intersections to sample scenes "
                          "from; world files do not store them, so sample "
                          "from a generated world")
+    xy = np.ascontiguousarray(view_points(world, "hd").T)
+    roads = _road_rows(world)
     scenes = []
-    for scene_id in range(n):
-        rng = np.random.default_rng([seed, scene_id])
-        draw = rng.random()
-        pos = None
-        if draw < p_turn:
-            if world.intersections:
-                pos, maneuver = _turn_track(world, rng), "turn"
-        elif draw < p_turn + p_lane_change:
-            pos, maneuver = _lane_change_track(world, rng), "lane_change"
-        if pos is None:
-            pos, maneuver = _straight_track(world, rng), "straight"
-            if pos is None:
-                raise ValueError("world roads too short for any track")
-        if noise_sigma > 0.0:
-            pos = pos + rng.normal(0.0, noise_sigma, size=pos.shape)
-        scenes.append(Scene(scene_id=scene_id, agents=[pos[:OBSERVED_LEN]],
-                            target=0, future=pos[OBSERVED_LEN:],
-                            maneuver=maneuver))
+    for first in range(0, count, _BLOCK):
+        ids = range(first, min(first + _BLOCK, count))
+        records, maneuvers, noise = [], [], []
+        for scene_id in ids:
+            rng = np.random.default_rng([seed, scene_id])
+            draw = rng.random()
+            record = None
+            if draw < p_turn:
+                if world.intersections:
+                    record = _turn_draw(roads, world.intersections, rng)
+                    maneuver = "turn"
+            elif draw < p_turn + p_lane_change:
+                record, maneuver = _lane_change_draw(roads, rng), "lane_change"
+            if record is None:
+                record, maneuver = _straight_draw(roads, rng), "straight"
+                if record is None:
+                    raise ValueError("world roads too short for any track")
+            records.extend(record)
+            maneuvers.append(maneuver)
+            if noise_sigma > 0.0:
+                noise.append(rng.normal(0.0, noise_sigma, size=(len(_T), 2)))
+        paths = _paths(xy, records, np.array(maneuvers) == "straight")
+        if noise:
+            paths += np.array(noise)
+        scenes.extend(
+            Scene(scene_id=scene_id, agents=[path[:OBSERVED_LEN]], target=0,
+                  future=path[OBSERVED_LEN:], maneuver=maneuver)
+            for scene_id, maneuver, path in zip(ids, maneuvers, paths))
     return scenes
 
 

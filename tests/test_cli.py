@@ -182,6 +182,14 @@ def test_gen_outputs(dataset):
     assert n_train + n_val == 60
     # hash split lands near 80/20 without being exact
     assert 40 <= n_train <= 58
+    manifest = json.loads(
+        (dataset / "scenes_train.ndjson.manifest.json").read_text())
+    assert manifest["command"] == "gen"
+    stages = manifest["stages_s"]
+    assert set(stages) == {"world", "scenes", "write"}
+    assert all(type(s) in (int, float) and s >= 0.0 for s in stages.values())
+    # Each of the four figures is rounded to the millisecond.
+    assert sum(stages.values()) <= manifest["duration_s"] + 4 * 0.0005 + 1e-9
 
 
 def test_gen_is_byte_deterministic(tmp_path, runner):

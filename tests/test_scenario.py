@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from navpredict.scenario import (
     write_scenes,
     write_world,
 )
+from navpredict.scenario import _BLOCK
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +82,30 @@ def test_generate_scenes_rejects_bad_parameters(world, kwargs, message):
     args = {"n": 3, "seed": 0, **kwargs}
     with pytest.raises(ValueError, match=message):
         generate_scenes(world, **args)
+
+
+@pytest.mark.parametrize("n", [2.5, True, np.float64(3.0), np.True_, "3",
+                               None],
+                         ids=["float", "bool", "numpy-float", "numpy-bool",
+                              "str", "none"])
+def test_generate_scenes_rejects_non_integer_count_before_any_draw(
+        world, monkeypatch, n):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("rng created before the count was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match=r"^scene count n must be an integer, "
+                                         r"got "):
+        generate_scenes(world, n, seed=0)
+
+
+def test_generate_scenes_takes_any_integer_count(world):
+    want = generate_scenes(world, 3, seed=0)
+    for n in (np.int64(3), np.uint8(3)):
+        got = generate_scenes(world, n, seed=0)
+        assert [s.scene_id for s in got] == [0, 1, 2]
+        for a, b in zip(got, want):
+            assert np.array_equal(a.future, b.future)
 
 
 def test_generate_zero_scenes_from_any_world():
@@ -432,7 +458,9 @@ def test_world_read_back_cannot_sample_scenes(tmp_path, world, monkeypatch):
 # The per-step generator that the array form replaced, kept as the
 # reference for bit-identity. It also draws the background agents and the
 # target index that generated scenes no longer hold; those draws came
-# after the target's path and noise, so the target keeps its bits.
+# after the target's path and noise, so the target keeps its bits. A turn
+# draw in a world without intersections falls back to straight, as in
+# generate_scenes (the original fell through to a lane change).
 
 def _reference_lane_pos(lane, s):
     grid_pos = s / 2.0
@@ -558,10 +586,11 @@ def _reference_scenes(world, n, seed, noise_sigma=0.1, p_turn=0.35,
         draw = rng.random()
         pos = None
         maneuver = "straight"
-        if draw < p_turn and world.intersections:
-            pos = _reference_turn_track(world, rng, speed_range)
-            if pos is not None:
-                maneuver = "turn"
+        if draw < p_turn:
+            if world.intersections:
+                pos = _reference_turn_track(world, rng, speed_range)
+                if pos is not None:
+                    maneuver = "turn"
         elif draw < p_turn + p_lane_change:
             pos = _reference_lane_change_track(world, rng, speed_range)
             if pos is not None:
@@ -586,24 +615,71 @@ def _reference_scenes(world, n, seed, noise_sigma=0.1, p_turn=0.35,
     return out
 
 
-@pytest.mark.parametrize("spec, kwargs", [
-    (WorldSpec(seed=1), {"seed": 7}),
-    (WorldSpec(seed=1), {"seed": 8, "p_turn": 0.5, "p_lane_change": 0.5}),
-    (WorldSpec(seed=1, num_roads=16, lanes_per_road=3), {"seed": 2}),
+_ALL_MANEUVERS = {"straight", "turn", "lane_change"}
+
+
+@pytest.mark.parametrize("spec, kwargs, n, maneuvers", [
+    (WorldSpec(seed=1), {"seed": 7}, 1000, _ALL_MANEUVERS),
+    (WorldSpec(seed=1), {"seed": 8, "p_turn": 0.5, "p_lane_change": 0.5},
+     1000, {"turn", "lane_change"}),
+    (WorldSpec(seed=1, num_roads=16, lanes_per_road=3), {"seed": 2}, 1000,
+     _ALL_MANEUVERS),
     (WorldSpec(seed=3, curvature_range=(-0.006, 0.006)),
-     {"seed": 5, "noise_sigma": 0.0}),
+     {"seed": 5, "noise_sigma": 0.0}, 1000, _ALL_MANEUVERS),
     (WorldSpec(seed=5, num_roads=3, lanes_per_road=1, intersection_count=1),
-     {"seed": 11, "noise_sigma": 0.4, "p_turn": 0.2, "p_lane_change": 0.7}),
+     {"seed": 11, "noise_sigma": 0.4, "p_turn": 0.2, "p_lane_change": 0.7},
+     1000, {"straight", "turn"}),
+    # Every turn draw falls back to straight in a world without
+    # intersections.
+    (WorldSpec(seed=1, intersection_count=0),
+     {"seed": 7, "p_turn": 1.0, "p_lane_change": 0.0}, 1000, {"straight"}),
+    (WorldSpec(seed=1, num_roads=16, lanes_per_road=3),
+     {"seed": 2, "p_turn": 0.0, "p_lane_change": 1.0}, 1000,
+     {"lane_change"}),
+    # A one-scene block, and a full block followed by a one-scene block.
+    (WorldSpec(seed=1), {"seed": 7}, 1, {"straight"}),
+    (WorldSpec(seed=1), {"seed": 7}, _BLOCK + 1, _ALL_MANEUVERS),
 ], ids=["criterion-7-world", "criterion-7-world-no-straight-draws",
-        "16-roads-3-lanes", "curved-noise-free", "one-lane-roads"])
-def test_scenes_match_per_step_reference(spec, kwargs):
+        "16-roads-3-lanes", "curved-noise-free", "one-lane-roads",
+        "no-intersections-all-turn-draws", "16-roads-3-lanes-all-lane-changes",
+        "one-scene", "one-more-than-a-block"])
+def test_scenes_match_per_step_reference(spec, kwargs, n, maneuvers):
     world = generate_world(spec)
-    assert world.intersections
-    got = generate_scenes(world, 1000, **kwargs)
-    want = _reference_scenes(world, 1000, **kwargs)
-    assert len(got) == len(want)
+    got = generate_scenes(world, n, **kwargs)
+    want = _reference_scenes(world, n, **kwargs)
+    assert len(got) == len(want) == n
     for scene, (track, future, maneuver) in zip(got, want):
         assert np.array_equal(scene.agents[scene.target], track)
         assert np.array_equal(scene.future, future)
         assert scene.maneuver == maneuver
-    assert "turn" in {m for _, _, m in want}
+    assert {m for _, _, m in want} == maneuvers
+
+
+def test_generate_scenes_transient_memory_is_bounded():
+    # Paths are computed one block at a time, so what generation allocates
+    # beyond the scenes it returns does not grow with the scene count. One
+    # pass over all 512 scenes at once takes about 2.5 MB.
+    world = generate_world(WorldSpec(seed=1))
+    n = 4 * _BLOCK
+    generate_scenes(world, n, seed=7)
+    tracemalloc.start()
+    try:
+        scenes = generate_scenes(world, n, seed=7)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scenes) == n
+    assert peak - held < 1_000_000
+
+
+def test_generated_scenes_share_no_rows():
+    world = generate_world(WorldSpec(seed=1))
+    scenes = generate_scenes(world, _BLOCK + 1, seed=7)
+    before = [(s.agents[0].copy(), s.future.copy()) for s in scenes]
+    for changed in (0, _BLOCK - 1, _BLOCK):
+        scenes[changed].future[...] = 1e6
+        for i, (scene, (track, future)) in enumerate(zip(scenes, before)):
+            assert np.array_equal(scene.agents[0], track)
+            if i != changed:
+                assert np.array_equal(scene.future, future)
+        scenes[changed].future[...] = before[changed][1]
