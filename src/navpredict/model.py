@@ -38,6 +38,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .grid import MIN_REACH, CellGrid
 from .scenario import FUTURE_LEN, OBSERVED_LEN, _json_int
 
 __all__ = [
@@ -86,16 +87,6 @@ HEADING_MIN_DISPLACEMENT = 0.1
 FORWARD_BLOCK = 32
 
 _N_DELTA_FEATURES = 2 * (OBSERVED_LEN - 1)
-
-# Half-width below which the strip of ``select_map_points`` is not
-# narrowed: the square of 2**-511 is the smallest normal float64.
-_STRIP_MIN_HALF_WIDTH = 2.0 ** -511
-
-# ``MapGrid``: the cell count its cell size keeps to (the grid has at
-# most about three times as many), and the relative band that widens a
-# centre's cell box past rounding.
-_GRID_MAX_CELLS = 2 ** 14
-_BOX_BAND = 2.0 ** -40
 
 
 class NumericError(ArithmeticError):
@@ -403,7 +394,7 @@ def _in_disc(points, cx, cy, radius):
     ``|dx| < 2**-511``, so the strip is never narrower than that.
     """
     dx = np.abs(points[:, 0] - cx)
-    near = np.flatnonzero(dx <= max(radius, _STRIP_MIN_HALF_WIDTH))
+    near = np.flatnonzero(dx <= max(radius, MIN_REACH))
     # ``take`` copies whole rows far faster than fancy indexing does.
     dx = dx.take(near)
     dy = points.take(near, axis=0)[:, 1] - (
@@ -434,59 +425,21 @@ class MapGrid:
     centres: ``select(centers)[i]`` equals ``select_map_points(points,
     centers[i], radius)`` bit for bit, the same points in the same order.
 
-    The build sorts the points by cell, column-major, with a stable
-    argsort, so each cell holds its rows in ascending order and the cells
-    ``(x, y0..y1)`` of one column are one contiguous run. Cells are
-    ``radius / 2`` wide, and never so small that the grid has more than
-    about ``3 * _GRID_MAX_CELLS`` of them.
-
-    ``select`` takes, per centre, the cells that the box ``|dx|, |dy| <=
-    reach`` touches, with ``reach = max(radius, 2**-511)`` plus a band of
-    ``2**-40 * (|c| + reach)`` on each axis. That box holds every point
-    the exact test keeps. Such a point has computed offsets ``|dx|, |dy|
-    <= max(radius, 2**-511)`` (see ``_in_disc``), and a computed
-    difference is off from the true one by at most one rounding, relative
-    to ``|c| + reach``; so is each edge ``c -/+ reach`` the box computes.
-    The band covers both with room to spare. A point's cell and the
-    box's cells go through the same monotone arithmetic,
-    ``floor((x - origin) / cell)``, so a point inside the box lies in one
-    of its cells. The candidates then get the exact test of ``_in_disc``
-    all at once, and one sort by ``(centre, row)`` restores view order.
-    ``select`` handles ``FORWARD_BLOCK`` centres per pass, so that its
-    temporaries stay small.
+    The points index a :class:`navpredict.grid.CellGrid` of ``radius / 2``
+    cells. A centre's box of cells holds every point ``_in_disc`` keeps,
+    whose computed offsets are at most ``max(radius, 2**-511)``, each one
+    rounding off. ``select`` runs that exact test on the candidates of
+    ``FORWARD_BLOCK`` centres at once and sorts back to view order.
     """
 
-    __slots__ = ("points", "radius", "_origin", "_cell", "_shape",
-                 "_starts", "_order", "_sorted")
+    __slots__ = ("points", "radius", "_index", "_sorted")
 
     def __init__(self, points: np.ndarray, radius: float):
         _check_radius(radius)
         self.points, self.radius = points, radius
-        if points.shape[0] == 0:
-            return
-        x, y = points.T.copy()      # contiguous columns: faster passes
-        x0, y0 = x.min(), y.min()
-        width, height = float(x.max() - x0), float(y.max() - y0)
-        if not (math.isfinite(width) and math.isfinite(height)):
-            raise ValueError("map points must be finite")
-        cell = max(radius / 2.0,
-                   math.sqrt(width) * math.sqrt(height / _GRID_MAX_CELLS),
-                   max(width, height) / _GRID_MAX_CELLS,
-                   _STRIP_MIN_HALF_WIDTH)
-        nx = math.floor(width / cell) + 1
-        ny = math.floor(height / cell) + 1
-        # Fewer than 2**16 cells: a uint16 key takes numpy's radix sort.
-        key = np.floor((x - x0) / cell)
-        key *= ny
-        key += np.floor((y - y0) / cell)
-        key = key.astype(np.uint16)
-        order = np.argsort(key, kind="stable")
-        starts = np.zeros(nx * ny + 1, dtype=np.intp)
-        np.cumsum(np.bincount(key, minlength=nx * ny), out=starts[1:])
-        self._origin, self._cell = np.array([x0, y0]), cell
-        self._shape = np.array([nx, ny])
-        self._starts, self._order = starts, order
-        self._sorted = points.take(order, axis=0)
+        xy = points.T.copy()        # contiguous rows: faster passes
+        self._index = CellGrid(xy, xy, radius / 2.0)
+        self._sorted = points.take(self._index.order, axis=0)
 
     def select(self, centers: np.ndarray) -> list[np.ndarray]:
         """The map sets of ``(n, 2)`` centres, one ``(m, 2)`` array each."""
@@ -495,39 +448,25 @@ class MapGrid:
                 or not np.isfinite(centers).all()):
             raise ValueError(f"centres must be finite (n, 2), got shape "
                              f"{centers.shape}")
-        if self.points.shape[0] == 0:
-            return [self.points] * len(centers)
         out = []
         for lo in range(0, len(centers), FORWARD_BLOCK):
             out += self._select_block(centers[lo:lo + FORWARD_BLOCK])
         return out
 
-    def _cells(self, centers):
-        """First and last cell index, ``(n, 2)`` each, of each centre's box
-        along x and y; first > last where the box misses the grid."""
-        half = max(self.radius, _STRIP_MIN_HALF_WIDTH)
-        # Offsets past the float range become infinities, which clip.
-        with np.errstate(over="ignore"):
-            reach = half + (np.abs(centers) + half) * _BOX_BAND
-            first = np.floor((centers - reach - self._origin) / self._cell)
-            last = np.floor((centers + reach - self._origin) / self._cell)
-        return (first.clip(0, self._shape).astype(np.intp),
-                last.clip(-1, self._shape - 1).astype(np.intp))
-
     def _select_block(self, centers):
-        first, last = self._cells(centers)
-        (x_first, y_first), (x_last, y_last) = first.T, last.T
+        index = self._index
+        (x_first, y_first), (x_stop, y_stop) = index.cells(
+            centers, self.radius).transpose(0, 2, 1)
         n_centers, n_points = len(centers), self.points.shape[0]
         # One run of sorted rows per centre and cell column of its box.
-        columns = np.where(y_first <= y_last,
-                           np.maximum(x_last - x_first + 1, 0), 0)
+        columns = np.where(y_first < y_stop, x_stop - x_first, 0)
         run_owner = np.repeat(np.arange(n_centers), columns)
         run_column = np.arange(run_owner.size) - np.repeat(
             np.cumsum(columns) - columns - x_first, columns)
-        cell = run_column * self._shape[1] + y_first.take(run_owner)
-        begin = self._starts.take(cell)
-        lengths = self._starts.take(
-            cell + (y_last - y_first + 1).take(run_owner)) - begin
+        cell = run_column * index.shape[1] + y_first.take(run_owner)
+        begin = index.starts.take(cell)
+        lengths = index.starts.take(
+            cell + (y_stop - y_first).take(run_owner)) - begin
         at = np.arange(lengths.sum()) - np.repeat(
             np.cumsum(lengths) - lengths - begin, lengths)
         run_centers = centers.take(run_owner, axis=0)
@@ -536,7 +475,7 @@ class MapGrid:
                         np.repeat(run_centers[:, 1], lengths), self.radius)
         # Keys ``centre * n_points + row`` sort into view order per centre.
         rows = np.repeat(run_owner * n_points, lengths).take(kept)
-        rows += self._order.take(at.take(kept))
+        rows += index.order.take(at.take(kept))
         rows.sort()
         ends = np.searchsorted(rows, np.arange(1, n_centers + 1) * n_points)
         rows -= np.repeat(np.arange(n_centers) * n_points,

@@ -1,10 +1,10 @@
 """Directed navigation graph with an HD-map-style query API.
 
 A :class:`NavGraph` stores geographic nodes and directed road-segment
-edges. :func:`localize` projects it into a city frame and builds a
-uniform-grid spatial index, after which road segments can be queried by
-radius and walked via successor/predecessor relations, mirroring the
-query surface of a lane-level HD map API.
+edges. :func:`localize` projects it into a city frame and indexes its
+chords in a :class:`navpredict.grid.CellGrid`, after which road segments
+can be queried by radius and walked via successor/predecessor relations,
+mirroring the query surface of a lane-level HD map API.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geo import CityFrame, GeoPoint, LocalPoint, geo_to_local_arrays
+from .grid import CellGrid
 
 __all__ = [
     "EdgeId",
@@ -36,12 +37,11 @@ __all__ = [
 # and survives serialization, unlike positional indices.
 EdgeId = tuple[int, int]
 
-_GRID_CELL = 100.0  # meters; index cell size
+_GRID_CELL = 100.0  # meters; the index's minimum cell size
 # Most resample intervals a step may give over a graph's edges (or one
 # chord): a polyline point takes 16 bytes, so this keeps the points of a
 # query over the whole graph to 256 MB.
 MAX_RESAMPLE_INTERVALS = 2 ** 24
-_NO_EDGES = np.empty(0, dtype=np.int64)
 # Relative width of the band around a query radius in which the scalar
 # hit test decides: far wider than the last-bit gap between np.hypot and
 # math.hypot.
@@ -145,8 +145,8 @@ class LocalNavGraph:
     Construction builds the index. ``_edges`` holds the edge ids in
     ascending order, so an edge's position is found by bisection; row i of
     ``_ends`` is edge i's chord as ``x0 y0 x1 y1`` and ``_intervals[i]``
-    its resample interval count. ``_grid`` maps each 100 m cell to the
-    ascending positions of the edges whose bounding box touches it.
+    its resample interval count. ``_index`` lists edge positions by the
+    cells, at least 100 m wide, that each chord's box touches.
     ``_edge_set`` answers membership: a set lookup, which the walks make
     once per step, is one memory access cheaper than a dict lookup.
     """
@@ -161,7 +161,7 @@ class LocalNavGraph:
     _edge_set: set[EdgeId] = _index_field()
     _ends: np.ndarray = _index_field()
     _intervals: np.ndarray = _index_field()
-    _grid: dict[tuple[int, int], np.ndarray] = _index_field()
+    _index: CellGrid = _index_field()
 
     def __post_init__(self):
         _check_positive("resample step", self.resample_step)
@@ -180,7 +180,8 @@ class LocalNavGraph:
                                         4 * len(edges)).reshape(-1, 4)
         self._intervals = _interval_counts(ends[:, 2:] - ends[:, :2],
                                            self.resample_step)
-        self._grid = _grid_index(ends)
+        self._index = CellGrid(np.minimum(ends.T[:2], ends.T[2:]),
+                               np.maximum(ends.T[:2], ends.T[2:]), _GRID_CELL)
 
     def _check_edge(self, edge_id: EdgeId):
         if edge_id not in self._edge_set:
@@ -190,26 +191,6 @@ class LocalNavGraph:
         self._check_edge(edge_id)
         position = bisect.bisect_left(self._edges, edge_id)
         return _segments(self, np.array([position]))[0]
-
-
-def _grid_index(ends: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
-    """Cell -> ascending positions of the chords whose box touches it."""
-    lo = np.floor(np.minimum(ends[:, :2], ends[:, 2:]) / _GRID_CELL)
-    hi = np.floor(np.maximum(ends[:, :2], ends[:, 2:]) / _GRID_CELL)
-    lo = lo.astype(np.int64)
-    span = hi.astype(np.int64) - lo + 1          # cells along x and along y
-    counts = span[:, 0] * span[:, 1]
-    position = np.repeat(np.arange(len(ends)), counts)
-    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    cx = lo[position, 0] + k // span[position, 1]
-    cy = lo[position, 1] + k % span[position, 1]
-    # lexsort is stable, so the positions within a cell stay ascending.
-    order = np.lexsort((cy, cx))
-    cx, cy, position = cx[order], cy[order], position[order]
-    first = np.flatnonzero(np.diff(cx, prepend=cx[:1] - 1)
-                           | np.diff(cy, prepend=cy[:1] - 1))
-    return dict(zip(zip(cx[first].tolist(), cy[first].tolist()),
-                    np.split(position, first[1:])))
 
 
 def resample_polyline(src: LocalPoint, dst: LocalPoint,
@@ -284,10 +265,6 @@ def _check_positive(name: str, value: float):
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-def _cell(x: float, y: float) -> tuple[int, int]:
-    return (math.floor(x / _GRID_CELL), math.floor(y / _GRID_CELL))
-
-
 def localize(g: NavGraph, frame: CityFrame,
              resample_step: float = 2.0) -> LocalNavGraph:
     """Project every node into the frame and build the spatial index."""
@@ -344,23 +321,23 @@ def segments_in_radius(g: LocalNavGraph, center: LocalPoint,
     Distance is measured to the straight src-dst chord, as by
     :func:`point_segment_distance`; results carry the resampled polyline
     and are ordered by edge id for determinism.
+
+    The index's box holds every edge the scalar test keeps (see
+    :mod:`navpredict.grid`): its offsets to the point at the clamped
+    ``t``, in the chord's box, are at most its distance, a hypot.
     """
     _check_positive("radius", radius)
-    cx0, cy0 = _cell(center.x - radius, center.y - radius)
-    cx1, cy1 = _cell(center.x + radius, center.y + radius)
-    n_cells = (cx1 - cx0 + 1) * (cy1 - cy0 + 1)
-    if n_cells <= len(g._grid):
-        buckets = [g._grid.get((cx, cy), _NO_EDGES)
-                   for cx in range(cx0, cx1 + 1)
-                   for cy in range(cy0, cy1 + 1)]
-    else:
-        # The query box covers more cells than the index holds; walking
-        # the occupied cells directly is cheaper.
-        buckets = [bucket for (cx, cy), bucket in g._grid.items()
-                   if cx0 <= cx <= cx1 and cy0 <= cy <= cy1]
+    index = g._index
+    (x0, y0), (x1, y1) = index.cells(np.array([[center.x, center.y]]),
+                                     radius)[:, 0].tolist()
+    starts, order, ny = index.starts, index.order, int(index.shape[1])
+    # One run of the index per cell column of the box; ``order[:0]``
+    # keeps the concatenation typed when there is none.
+    runs = [order[starts[x * ny + y0]:starts[x * ny + y1]]
+            for x in range(x0, x1)]
     # Ascending and without repeats, which is edge-id order. np.unique
     # does the same, slower on a few hundred positions.
-    candidates = np.sort(np.concatenate([_NO_EDGES, *buckets]))
+    candidates = np.sort(np.concatenate([order[:0], *runs]))
     candidates = candidates[np.diff(candidates, prepend=-1) != 0]
     distance = _chord_distances(center.x, center.y, g._ends[candidates])
     inside = distance <= radius

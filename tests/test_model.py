@@ -854,7 +854,7 @@ def test_map_grid_matches_select_map_points(world_spec, source):
         if source != "none" and radius <= 50.0:
             grid = MapGrid(points, radius)
             # Centres on cell edges, and one on a corner of four cells.
-            edges = grid._origin + grid._cell * np.array(
+            edges = grid._index.origin + grid._index.cell * np.array(
                 [[4, 0.3], [0.7, 6], [9, 9]])
             centers = centers + list(edges) + list(points[:3])
         _assert_grid_matches(points, centers, radius)
@@ -922,7 +922,7 @@ def test_map_grid_degenerate_views():
     # A view 2000 km wide at radius 0 keeps to the cell cap.
     wide = np.array([[-1e6, -1e6], [1e6, 1e6], [0.0, 0.0]])
     grid = MapGrid(wide, 0.0)
-    assert np.prod(grid._shape) <= 3 * 2 ** 14 + 1
+    assert np.prod(grid._index.shape) <= 3 * 2 ** 14 + 1
     _assert_grid_matches(wide, list(wide), 0.0)
 
 

@@ -2,6 +2,7 @@ import gc
 import math
 import pathlib
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from navpredict.geo import (MIAMI, CityFrame, GeoPoint, LocalPoint,
 from navpredict.osm_ingest import build_nav_graph, parse_osm
 from navpredict.road_graph import (
     GraphFormatError,
+    LocalNavGraph,
     NavGraph,
     UnknownEdgeError,
     load_graph,
@@ -383,8 +385,8 @@ def test_radius_equal_to_an_edge_distance_keeps_that_edge(graph, frame):
         pool = zero_length if zero_length and k % 7 == 0 else edges
         eid = pool[rng.integers(len(pool))]
         a, b = g.local[eid[0]], g.local[eid[1]]
-        # Every fifth centre lies so far off that the query box covers
-        # more cells than the index holds.
+        # Every fifth centre lies so far off that the grid clips the
+        # query box.
         offset = 20000.0 if k % 5 == 0 else 150.0
         cx, cy = np.array([a.x, a.y]) + rng.uniform(-offset, offset, size=2)
         radius = point_segment_distance(cx, cy, a, b)
@@ -393,6 +395,56 @@ def test_radius_equal_to_an_edge_distance_keeps_that_edge(graph, frame):
         assert eid in got
         assert got == [e for e in edges if point_segment_distance(
             cx, cy, g.local[e[0]], g.local[e[1]]) <= radius]
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_radius_equal_to_an_edge_distance_keeps_an_edge_on_a_cell_edge(axis):
+    # The chord at 0 puts cell edges at 0 and 100 m. 100 - 2**-46 lies
+    # just below the one at 100, and its offset from a centre at 228
+    # rounds to exactly -128: the scalar test keeps the chord at radius
+    # 128, though its true distance exceeds 128 and the box edge
+    # 228 - 128 falls in the next cell.
+    near_edge = 100.0 - 2.0 ** -46
+    xy = [(near_edge, -10.0), (near_edge, 10.0), (0.0, -10.0), (0.0, 10.0),
+          (300.0, -10.0), (300.0, 10.0)]
+    center = (228.0, 0.0)
+    if axis:
+        xy, center = [p[::-1] for p in xy], center[::-1]
+    local = {nid: LocalPoint(*p) for nid, p in enumerate(xy)}
+    graph = NavGraph(nodes={nid: GeoPoint(25.0, -80.2) for nid in local},
+                     edges=((0, 1), (2, 3), (4, 5)))
+    g = LocalNavGraph(graph=graph, frame=MIAMI, local=local)
+    assert point_segment_distance(*center, local[0], local[1]) == 128.0
+    got = segments_in_radius(g, LocalPoint(*center), 128.0)
+    assert [s.edge_id for s in got] == [(0, 1), (4, 5)]
+
+
+def test_long_edge_is_cheap_to_index():
+    # Two nodes some 30 km apart, joined both ways: each chord's box
+    # touches every cell of the grid, which the cell cap keeps small.
+    graph = NavGraph(nodes={0: GeoPoint(25.0, -80.5),
+                            1: GeoPoint(25.2, -80.3)},
+                     edges=((0, 1), (1, 0)))
+    tracemalloc.start()
+    try:
+        g = localize(graph, MIAMI)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert np.prod(g._index.shape) <= 3 * 2 ** 14 + 1
+    hits = segments_in_radius(g, g.local[1], 1.0)
+    assert [s.edge_id for s in hits] == [(0, 1), (1, 0)]
+
+
+@pytest.mark.parametrize("nodes", [
+    {}, {1: GeoPoint(0.0, -81.0), 2: GeoPoint(0.0, -81.0 + 100 * DEG)},
+], ids=["empty", "no-edges"])
+def test_radius_query_on_a_graph_without_edges_is_empty(nodes):
+    g = localize(NavGraph(nodes=nodes, edges=()), FRAME)
+    for center in (LocalPoint(0.0, 0.0), LocalPoint(-9e5, 9e5)):
+        for radius in (1e-300, 1.0, 1e6, 1e308):
+            assert segments_in_radius(g, center, radius) == []
 
 
 def test_resample_polyline_matches_per_point_reference():
@@ -417,8 +469,8 @@ def test_zero_length_edge_has_two_coincident_points():
     assert seg in hits
 
 
-def test_radius_covering_whole_graph_walks_occupied_cells(local):
-    # The query box spans far more cells than the index holds.
+def test_radius_covering_whole_graph_returns_every_edge(local):
+    # The grid clips a query box far wider than the graph.
     segs = segments_in_radius(local, LocalPoint(0.0, 0.0), 1e6)
     assert [s.edge_id for s in segs] == sorted(local.graph.edges)
     assert segs == [local.segment(eid) for eid in sorted(local.graph.edges)]
