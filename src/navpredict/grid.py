@@ -52,13 +52,25 @@ class CellGrid:
         key = first[0] * ny + first[1]
         one_cell = np.array_equal(last, first)
         if not one_cell:
-            # List each item once per cell of its box.
+            # List each item once per cell of its box: entry k of an item
+            # is the cell k // rows columns and k % rows rows on from its
+            # first. In-place steps keep few entry-sized arrays alive.
             spans = (last - first + 1).astype(np.intp)
+            del first, last
             counts = spans[0] * spans[1]
             item = np.repeat(np.arange(n), counts)
-            k = np.arange(len(item)) - (counts.cumsum() - counts)[item]
+            k = np.arange(len(item))
+            k -= (counts.cumsum() - counts).take(item)
             rows = spans[1].take(item)
-            key = key.take(item) + (k // rows * ny + k % rows)
+            del spans, counts
+            column = k // rows
+            k -= column * rows
+            column *= ny
+            column += k
+            del k, rows
+            key = key.take(item)
+            key += column
+            del column
         # A uint16 key takes numpy's radix sort.
         key = key.astype(np.uint16)
         order = np.argsort(key, kind="stable")
@@ -69,6 +81,11 @@ class CellGrid:
         self.order = order if one_cell else item.take(order)
         self._extent = float(np.abs([origin, top]).max())
 
+    def _reach(self, magnitude, half):
+        """A box's reach: ``half`` plus the band, for ``|c|`` given as a
+        float or an array; ``half`` is at least ``MIN_REACH``."""
+        return half + (magnitude + (half + self._extent)) * _BAND
+
     def cells(self, centers: np.ndarray, half: float) -> np.ndarray:
         """The cells of the boxes of ``(n, 2)`` centres, ``(2, n, 2)``:
         ``[0]`` holds each box's first cell along x and y, and ``[1]`` one
@@ -76,8 +93,28 @@ class CellGrid:
         half = max(half, MIN_REACH)
         # Offsets past the float range become infinities, which clip.
         with np.errstate(over="ignore"):
-            reach = half + (np.abs(centers) + (half + self._extent)) * _BAND
+            reach = self._reach(np.abs(centers), half)
             box = np.floor((centers + reach * _SIDES - self.origin)
                            / self.cell)
         box[1] += 1.0
         return box.clip(0, self.shape).astype(np.intp)
+
+    def box(self, x: float, y: float, half: float) -> tuple[int, ...]:
+        """:meth:`cells` of the one centre ``(x, y)`` as ``(x0, x1, y0,
+        y1)``, bit for bit, in float arithmetic without numpy calls."""
+        half = max(half, MIN_REACH)
+        (ox, oy), (nx, ny) = self.origin.tolist(), self.shape.tolist()
+        return (*self._span(x, ox, nx, half), *self._span(y, oy, ny, half))
+
+    def _span(self, c: float, origin: float, n: int, half: float):
+        """The first cell and one past the last of a box along one axis."""
+        reach = self._reach(abs(c), half)
+        first = (c - reach - origin) / self.cell
+        last = (c + reach - origin) / self.cell
+        # Clipped as ``cells`` clips, and math.floor never sees infinity:
+        # floor(v) clipped to [0, n] is floor of v clipped to [0, n], and
+        # floor(v) + 1 clipped to [0, n] is 1 + floor of v clipped to
+        # [-1, n - 1].
+        return (0 if first < 0.0 else n if first >= n else math.floor(first),
+                0 if last < -1.0 else n if last >= n - 1
+                else math.floor(last) + 1)

@@ -8,12 +8,15 @@ each retained way into per-pair directed edges, honoring ``oneway``.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
-from .geo import GeoPoint
-from .road_graph import EdgeId, NavGraph
+import numpy as np
+
+from .geo import InvalidCoordinateError
+from .road_graph import _INT64_MAX, _INT64_MIN, NavGraph, _NodeError
 
 __all__ = [
     "OsmNode",
@@ -61,7 +64,8 @@ def parse_osm(source) -> tuple[dict[int, OsmNode], list[OsmWay]]:
     """Stream-parse an ``.osm`` document (path or binary file object).
 
     Returns nodes keyed by id plus ways in document order. Elements other
-    than ``<node>`` and ``<way>`` (relations, bounds, ...) are skipped.
+    than ``<node>`` and ``<way>`` (relations, bounds, ...) are skipped. A
+    node id or ``nd`` ref must fit in int64.
     """
     nodes: dict[int, OsmNode] = {}
     ways: list[OsmWay] = []
@@ -69,6 +73,8 @@ def parse_osm(source) -> tuple[dict[int, OsmNode], list[OsmWay]]:
         for _event, elem in ET.iterparse(source, events=("end",)):
             if elem.tag == "node":
                 nid = int(elem.attrib["id"])
+                if not _INT64_MIN <= nid <= _INT64_MAX:
+                    raise ValueError(f"node id {nid} is outside int64")
                 if nid in nodes:
                     raise DuplicateNodeError(f"duplicate node id {nid}")
                 nodes[nid] = OsmNode(
@@ -85,6 +91,11 @@ def parse_osm(source) -> tuple[dict[int, OsmNode], list[OsmWay]]:
                         refs.append(int(child.attrib["ref"]))
                     elif child.tag == "tag":
                         tags[child.attrib["k"]] = child.attrib["v"]
+                if refs and not (_INT64_MIN <= min(refs)
+                                 and max(refs) <= _INT64_MAX):
+                    ref = next(r for r in refs
+                               if not _INT64_MIN <= r <= _INT64_MAX)
+                    raise ValueError(f"nd ref {ref} is outside int64")
                 ways.append(OsmWay(id=int(elem.attrib["id"]),
                                    node_refs=tuple(refs), tags=tags))
                 elem.clear()
@@ -116,23 +127,13 @@ def build_nav_graph(nodes: dict[int, OsmNode], ways) -> NavGraph:
     """Filter ways to the road-type whitelist and expand them into edges.
 
     Ways referencing nodes absent from the document are skipped whole
-    with a warning; nodes not used by any retained way are dropped.
+    with a warning; nodes not used by any retained way are dropped. Each
+    consecutive ref pair gives its forward edge, then its backward one, as
+    ``oneway`` allows; self-loops and repeats of an earlier edge are
+    dropped. The pairs of all retained ways are expanded in one array
+    pass, in way order.
     """
-    edges: list[EdgeId] = []
-    edge_set: set[EdgeId] = set()
-    used: set[int] = set()
-
-    def add(src: int, dst: int):
-        if src == dst:
-            return
-        eid = (src, dst)
-        if eid in edge_set:
-            return
-        edge_set.add(eid)
-        edges.append(eid)
-        used.add(src)
-        used.add(dst)
-
+    kept = []
     for way in ways:
         if way.tags.get("highway") not in ROAD_TYPE_WHITELIST:
             continue
@@ -142,14 +143,29 @@ def build_nav_graph(nodes: dict[int, OsmNode], ways) -> NavGraph:
         if len(way.node_refs) < 2:
             log.warning("skipping way %d: fewer than 2 node refs", way.id)
             continue
-        forward, backward = _way_directions(way)
-        for a, b in zip(way.node_refs, way.node_refs[1:]):
-            if forward:
-                add(a, b)
-            if backward:
-                add(b, a)
-
-    graph_nodes = {
-        nid: GeoPoint(nodes[nid].lat, nodes[nid].lon) for nid in sorted(used)
-    }
-    return NavGraph(nodes=graph_nodes, edges=tuple(edges))
+        kept.append(way)
+    refs = np.fromiter(itertools.chain.from_iterable(
+        way.node_refs for way in kept), np.int64)
+    sizes = np.fromiter((len(way.node_refs) for way in kept), np.intp,
+                        len(kept))
+    # Pair k joins refs k and k + 1, unless ref k ends its way.
+    joined = np.ones(max(len(refs) - 1, 0), dtype=bool)
+    joined[np.cumsum(sizes)[:-1] - 1] = False
+    a, b = refs[:-1][joined], refs[1:][joined]
+    directions = np.array([_way_directions(way) for way in kept],
+                          dtype=bool).reshape(-1, 2)
+    emitted = np.repeat(directions, sizes - 1, axis=0)
+    edges = np.stack([a, b, b, a], axis=1).reshape(-1, 2, 2)[emitted]
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    ids = np.unique(edges)
+    ends = np.searchsorted(ids, edges)
+    _, first = np.unique(ends[:, 0] * len(ids) + ends[:, 1],
+                         return_index=True)
+    points = [nodes[nid] for nid in ids.tolist()]
+    try:
+        return NavGraph._from_arrays(
+            ids, np.fromiter((p.lat for p in points), float, len(points)),
+            np.fromiter((p.lon for p in points), float, len(points)),
+            edges[np.sort(first)])
+    except _NodeError as exc:
+        raise InvalidCoordinateError(str(exc)) from None

@@ -1,10 +1,12 @@
 """Directed navigation graph with an HD-map-style query API.
 
-A :class:`NavGraph` stores geographic nodes and directed road-segment
-edges. :func:`localize` projects it into a city frame and indexes its
-chords in a :class:`navpredict.grid.CellGrid`, after which road segments
-can be queried by radius and walked via successor/predecessor relations,
-mirroring the query surface of a lane-level HD map API.
+A :class:`NavGraph` holds geographic nodes and directed road-segment
+edges as arrays. :func:`localize` projects it into a city frame in one
+array pass and indexes its chords in a :class:`navpredict.grid.CellGrid`,
+after which road segments can be queried by radius and walked via
+successor/predecessor relations, mirroring the query surface of a
+lane-level HD map API. No Python object is made per node until one is
+read through ``NavGraph.nodes`` or ``LocalNavGraph.local``.
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import operator
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 
 import numpy as np
 
-from .geo import CityFrame, GeoPoint, LocalPoint, geo_to_local_arrays
+from .geo import (CityFrame, GeoPoint, InvalidCoordinateError, LocalPoint,
+                  geo_to_local_arrays)
 from .grid import CellGrid
 
 __all__ = [
@@ -46,6 +48,7 @@ MAX_RESAMPLE_INTERVALS = 2 ** 24
 # hit test decides: far wider than the last-bit gap between np.hypot and
 # math.hypot.
 _BORDER_BAND = 1e-9
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
 class UnknownEdgeError(KeyError):
@@ -56,35 +59,158 @@ class GraphFormatError(ValueError):
     """A serialized graph file violates the line format."""
 
 
-class _EdgeError(ValueError):
-    """An edge breaks a NavGraph rule; ``index`` is its place in ``edges``."""
+class _RecordError(ValueError):
+    """A record breaks a NavGraph rule; ``index`` is its place in the
+    input."""
 
     def __init__(self, index: int, message: str):
         super().__init__(message)
         self.index = index
 
 
-@dataclass(frozen=True)
-class NavGraph:
-    """Directed road graph in geographic coordinates.
+class _NodeError(_RecordError):
+    """A node breaks a NavGraph rule."""
 
-    Each edge joins two distinct nodes, and no edge repeats.
+
+class _EdgeError(_RecordError):
+    """An edge breaks a NavGraph rule."""
+
+
+def _int64_ids(ids: list) -> np.ndarray:
+    """``ids`` as an int64 array; a ValueError names one outside int64."""
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:
+        nid = next(v for v in ids if not _INT64_MIN <= v <= _INT64_MAX)
+        raise ValueError(f"node id {nid} is outside int64") from None
+
+
+class NavGraph:
+    """Directed road graph in geographic coordinates, held as arrays.
+
+    ``ids`` holds the node ids, ascending int64, with their WGS84 ``lat``
+    and ``lon`` in degrees beside them. Row i of the ``(E, 2)`` array
+    ``edge_nodes`` holds the positions in ``ids`` of edge i's src and
+    dst. ``nodes`` is a read-only id -> ``GeoPoint`` view of the nodes,
+    and ``edges`` the tuple of ``(src, dst)`` ids in edge order.
+
+    Every node has finite, in-range coordinates and a unique id; each edge
+    joins two distinct nodes, and no edge repeats. A fault raises at the
+    first faulty node, else at the first faulty edge, in input order.
     """
 
-    nodes: dict[int, GeoPoint]
-    edges: tuple[EdgeId, ...]
+    __slots__ = ("ids", "lat", "lon", "edge_nodes", "_by_id", "_edges",
+                 "_positions")
 
-    def __post_init__(self):
-        seen = set()
-        for index, (src, dst) in enumerate(self.edges):
-            if src not in self.nodes or dst not in self.nodes:
-                raise _EdgeError(index, f"edge ({src}, {dst}) references "
-                                        f"missing node")
-            if src == dst:
-                raise _EdgeError(index, f"self-loop edge at node {src}")
-            if (src, dst) in seen:
-                raise _EdgeError(index, f"repeated edge ({src}, {dst})")
-            seen.add((src, dst))
+    def __init__(self, nodes: Mapping[int, GeoPoint], edges):
+        edges = tuple(edges)
+        points = nodes.values()
+        self._set(_int64_ids(list(nodes)),
+                  np.fromiter((p.lat for p in points), float, len(points)),
+                  np.fromiter((p.lon for p in points), float, len(points)),
+                  _int64_ids(list(itertools.chain.from_iterable(edges)))
+                  .reshape(-1, 2), edges)
+
+    @classmethod
+    def _from_arrays(cls, ids, lat, lon, pairs) -> NavGraph:
+        """The graph of int64 node ``ids`` at float ``lat`` and ``lon``
+        and of the ``(E, 2)`` int64 ``pairs`` of edge end ids, each in
+        input order."""
+        graph = cls.__new__(cls)
+        graph._set(ids, lat, lon, pairs, None)
+        return graph
+
+    def _set(self, ids, lat, lon, pairs, edges):
+        """Check the records and hold them sorted; ``edges`` is ``pairs``
+        as a tuple of tuples, or None to build it when first read."""
+        n = len(ids)
+        order = np.argsort(ids, kind="stable")
+        keys = ids[order]
+        # A node repeats an earlier one where it follows an equal id in
+        # the stable sort; the repeat is checked before the coordinates.
+        repeat = np.zeros(n, dtype=bool)
+        repeat[order[1:][keys[1:] == keys[:-1]]] = True
+        in_range = (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (
+            lon < 180.0)
+        faults = np.flatnonzero(repeat | ~in_range)
+        if len(faults):
+            i = int(faults[0])
+            if repeat[i]:
+                raise _NodeError(i, f"repeated node {ids[i]}")
+            try:
+                GeoPoint(float(lat[i]), float(lon[i]))
+            except InvalidCoordinateError as exc:
+                raise _NodeError(i, str(exc)) from None
+        ends = np.searchsorted(keys, pairs)
+        found = (keys.take(ends, mode="clip") == pairs if n
+                 else np.zeros(pairs.shape, dtype=bool))
+        missing = ~found.all(axis=1)
+        loop = pairs[:, 0] == pairs[:, 1]
+        # Edge keys in id order; the stable sort puts a repeat right after
+        # the edge it repeats, and is the order LocalNavGraph indexes in.
+        edge_keys = ends[:, 0] * n + ends[:, 1]
+        by_id = np.argsort(edge_keys, kind="stable")
+        edge_keys = edge_keys[by_id]
+        repeat = np.zeros(len(pairs), dtype=bool)
+        repeat[by_id[1:][edge_keys[1:] == edge_keys[:-1]]] = True
+        faults = np.flatnonzero(missing | loop | repeat)
+        if len(faults):
+            i = int(faults[0])
+            src, dst = pairs[i].tolist()
+            raise _EdgeError(i, f"edge ({src}, {dst}) references missing "
+                                f"node" if missing[i] else
+                                f"self-loop edge at node {src}" if loop[i]
+                                else f"repeated edge ({src}, {dst})")
+        self.ids, self.lat, self.lon = keys, lat[order], lon[order]
+        self.edge_nodes, self._by_id = ends, by_id
+        for array in (self.ids, self.lat, self.lon, ends, by_id):
+            array.flags.writeable = False
+        self._edges, self._positions = edges, None
+
+    @property
+    def nodes(self) -> Mapping[int, GeoPoint]:
+        return _PointView(self, GeoPoint, self.lat, self.lon)
+
+    @property
+    def edges(self) -> tuple[EdgeId, ...]:
+        if self._edges is None:
+            src, dst = self.ids[self.edge_nodes].T.tolist()
+            self._edges = tuple(zip(src, dst))
+        return self._edges
+
+    def _position(self) -> dict[int, int]:
+        """Node id -> position in ``ids``, built on first use."""
+        if self._positions is None:
+            self._positions = dict(zip(self.ids.tolist(),
+                                       range(len(self.ids))))
+        return self._positions
+
+    def __repr__(self):
+        return (f"NavGraph({len(self.ids)} nodes, "
+                f"{len(self.edge_nodes)} edges)")
+
+
+class _PointView(Mapping):
+    """Read-only id -> point view of a graph's two coordinate arrays; a
+    point is built each time one is read."""
+
+    __slots__ = ("_graph", "_point", "_a", "_b")
+
+    def __init__(self, graph: NavGraph, point, a: np.ndarray, b: np.ndarray):
+        self._graph, self._point, self._a, self._b = graph, point, a, b
+
+    def __getitem__(self, nid):
+        i = self._graph._position()[nid]
+        return self._point(float(self._a[i]), float(self._b[i]))
+
+    def __contains__(self, nid):
+        return nid in self._graph._position()
+
+    def __iter__(self):
+        return iter(self._graph.ids.tolist())
+
+    def __len__(self):
+        return len(self._graph.ids)
 
 
 class RoadSegment:
@@ -133,55 +259,48 @@ class RoadSegment:
         return f"RoadSegment(edge_id={self.edge_id!r}, points={self.points!r})"
 
 
-def _index_field():
-    # Built by __post_init__ from the other fields, which determine it.
-    return field(init=False, repr=False, compare=False)
-
-
-@dataclass
 class LocalNavGraph:
     """A NavGraph projected into a city frame, ready for queries.
 
+    ``x`` and ``y`` hold the nodes' frame coordinates by position in
+    ``graph.ids``; ``local`` is their read-only id -> ``LocalPoint`` view.
     Construction builds the index. ``_edges`` holds the edge ids in
     ascending order, so an edge's position is found by bisection; row i of
     ``_ends`` is edge i's chord as ``x0 y0 x1 y1`` and ``_intervals[i]``
     its resample interval count. ``_index`` lists edge positions by the
-    cells, at least 100 m wide, that each chord's box touches.
-    ``_edge_set`` answers membership: a set lookup, which the walks make
-    once per step, is one memory access cheaper than a dict lookup.
+    cells, at least 100 m wide, that each chord's box touches. ``_out``
+    and ``_in`` map a node id to the edges leaving and entering it, runs
+    of the edges sorted by source and by destination. ``_edge_set``
+    answers membership: a set lookup, which the walks make once per step,
+    is one memory access cheaper than a dict lookup.
     """
 
-    graph: NavGraph
-    frame: CityFrame
-    local: dict[int, LocalPoint]
-    resample_step: float = 2.0
-    _out: dict[int, list[EdgeId]] = _index_field()
-    _in: dict[int, list[EdgeId]] = _index_field()
-    _edges: list[EdgeId] = _index_field()
-    _edge_set: set[EdgeId] = _index_field()
-    _ends: np.ndarray = _index_field()
-    _intervals: np.ndarray = _index_field()
-    _index: CellGrid = _index_field()
+    __slots__ = ("graph", "frame", "x", "y", "resample_step", "_edges",
+                 "_edge_set", "_out", "_in", "_ends", "_intervals", "_index")
 
-    def __post_init__(self):
-        _check_positive("resample step", self.resample_step)
-        self._edge_set = set(self.graph.edges)
-        self._out = {}
-        self._in = {}
-        for eid in self.graph.edges:
-            self._out.setdefault(eid[0], []).append(eid)
-            self._in.setdefault(eid[1], []).append(eid)
-        self._edges = edges = sorted(self.graph.edges)
-        local = self.local
-        coords = itertools.chain.from_iterable(
-            (local[src].x, local[src].y, local[dst].x, local[dst].y)
-            for src, dst in edges)
-        self._ends = ends = np.fromiter(coords, float,
-                                        4 * len(edges)).reshape(-1, 4)
-        self._intervals = _interval_counts(ends[:, 2:] - ends[:, :2],
-                                           self.resample_step)
-        self._index = CellGrid(np.minimum(ends.T[:2], ends.T[2:]),
-                               np.maximum(ends.T[:2], ends.T[2:]), _GRID_CELL)
+    def __init__(self, graph: NavGraph, frame: CityFrame, x: np.ndarray,
+                 y: np.ndarray, resample_step: float = 2.0):
+        _check_positive("resample step", resample_step)
+        self.graph, self.frame, self.resample_step = graph, frame, resample_step
+        self.x, self.y = x, y
+        ends = graph.edge_nodes[graph._by_id]      # in edge-id order
+        self._edges = edges = tuple(map(graph.edges.__getitem__,
+                                        graph._by_id.tolist()))
+        self._edge_set = set(edges)
+        self._out = _runs(edges, ends[:, 0], 0)
+        into = np.argsort(ends[:, 1], kind="stable")
+        self._in = _runs(tuple(map(edges.__getitem__, into.tolist())),
+                         ends[into, 1], 1)
+        self._ends = chords = np.column_stack([x, y])[ends].reshape(-1, 4)
+        self._intervals = _interval_counts(chords[:, 2:] - chords[:, :2],
+                                           resample_step)
+        self._index = CellGrid(np.minimum(chords.T[:2], chords.T[2:]),
+                               np.maximum(chords.T[:2], chords.T[2:]),
+                               _GRID_CELL)
+
+    @property
+    def local(self) -> Mapping[int, LocalPoint]:
+        return _PointView(self.graph, LocalPoint, self.x, self.y)
 
     def _check_edge(self, edge_id: EdgeId):
         if edge_id not in self._edge_set:
@@ -191,6 +310,14 @@ class LocalNavGraph:
         self._check_edge(edge_id)
         position = bisect.bisect_left(self._edges, edge_id)
         return _segments(self, np.array([position]))[0]
+
+
+def _runs(edges: tuple, nodes: np.ndarray, side: int) -> dict:
+    """``{node id: edges}`` for ``edges`` whose ``side`` end is at the
+    ascending node positions ``nodes``; each value is a slice."""
+    starts = np.flatnonzero(np.diff(nodes, prepend=-1)).tolist()
+    return {edges[lo][side]: edges[lo:hi]
+            for lo, hi in zip(starts, starts[1:] + [len(edges)])}
 
 
 def resample_polyline(src: LocalPoint, dst: LocalPoint,
@@ -209,19 +336,23 @@ def resample_polyline(src: LocalPoint, dst: LocalPoint,
 
 
 def _interval_counts(deltas: np.ndarray, step: float) -> np.ndarray:
-    """n = max(1, ceil(length / step)) per ``(k, 2)`` chord delta row.
+    """n = max(1, ceil(length / step)) per ``(k, 2)`` chord delta row,
+    with the length taken by ``math.hypot``.
 
     Raises ``ValueError`` naming the step when the counts add up to more
     than ``MAX_RESAMPLE_INTERVALS``, before any is cast to an integer.
     """
-    # math.hypot, not np.hypot: the two can differ in the last bit, which
-    # moves n when length / step sits on an integer. Mapping over the
-    # columns, not over .tolist(), holds no list of every delta.
-    lengths = np.fromiter(map(math.hypot, deltas[:, 0], deltas[:, 1]),
-                          float, len(deltas))
     # A tiny step may take a quotient or the total past the float range.
-    with np.errstate(over="ignore"):
-        counts = np.maximum(1.0, np.ceil(lengths / step))
+    with np.errstate(over="ignore", invalid="ignore"):
+        quotients = np.hypot(deltas[:, 0], deltas[:, 1]) / step
+        # np.hypot and math.hypot can differ in the last bit, which
+        # moves the quotient by a few ulps: where that could cross an
+        # integer, and so move n, math.hypot decides.
+        near = np.abs(quotients - np.rint(quotients)) <= 16 * np.spacing(
+            quotients)
+        for i in np.flatnonzero(near).tolist():
+            quotients[i] = math.hypot(*deltas[i].tolist()) / step
+        counts = np.maximum(1.0, np.ceil(quotients))
         total = counts.sum()
     if not total <= MAX_RESAMPLE_INTERVALS:
         raise ValueError(f"resample step {step} gives {total:.4g} "
@@ -267,17 +398,21 @@ def _check_positive(name: str, value: float):
 
 def localize(g: NavGraph, frame: CityFrame,
              resample_step: float = 2.0) -> LocalNavGraph:
-    """Project every node into the frame and build the spatial index."""
-    points = g.nodes.values()
-    x, y = geo_to_local_arrays(
-        np.fromiter(map(operator.attrgetter("lat"), points), float,
-                    len(points)),
-        np.fromiter(map(operator.attrgetter("lon"), points), float,
-                    len(points)),
-        frame)
-    local = dict(zip(g.nodes, map(LocalPoint, x.tolist(), y.tolist())))
-    return LocalNavGraph(graph=g, frame=frame, local=local,
-                         resample_step=resample_step)
+    """Project every node into the frame and build the spatial index.
+
+    The nodes are projected by one :func:`geo_to_local_arrays` call. A
+    frame's northings hold one hemisphere, so a graph with nodes on both
+    sides of the equator raises ``InvalidCoordinateError``.
+    """
+    south = g.lat < 0.0
+    if south.any() and not south.all():
+        s, n = int(np.argmax(south)), int(np.argmin(south))
+        raise InvalidCoordinateError(
+            f"graph spans the equator: node {g.ids[s]} at latitude "
+            f"{g.lat[s].item()} and node {g.ids[n]} at latitude "
+            f"{g.lat[n].item()} need frames of two hemispheres")
+    x, y = geo_to_local_arrays(g.lat, g.lon, frame)
+    return LocalNavGraph(g, frame, x, y, resample_step)
 
 
 def point_segment_distance(px: float, py: float, a: LocalPoint,
@@ -328,8 +463,7 @@ def segments_in_radius(g: LocalNavGraph, center: LocalPoint,
     """
     _check_positive("radius", radius)
     index = g._index
-    (x0, y0), (x1, y1) = index.cells(np.array([[center.x, center.y]]),
-                                     radius)[:, 0].tolist()
+    x0, x1, y0, y1 = index.box(center.x, center.y, radius)
     starts, order, ny = index.starts, index.order, int(index.shape[1])
     # One run of the index per cell column of the box; ``order[:0]``
     # keeps the concatenation typed when there is none.
@@ -345,9 +479,10 @@ def segments_in_radius(g: LocalNavGraph, center: LocalPoint,
     # test decides, so membership is exactly point_segment_distance's.
     for i in np.flatnonzero(
             np.abs(distance - radius) <= _BORDER_BAND * radius).tolist():
-        src, dst = g._edges[candidates[i]]
+        ax, ay, bx, by = g._ends[candidates[i]].tolist()
         inside[i] = point_segment_distance(
-            center.x, center.y, g.local[src], g.local[dst]) <= radius
+            center.x, center.y, LocalPoint(ax, ay), LocalPoint(bx, by)
+        ) <= radius
     return _segments(g, candidates[inside])
 
 
@@ -372,49 +507,91 @@ def predecessors(g: LocalNavGraph, edge_id: EdgeId) -> set[EdgeId]:
 def save_graph(g: NavGraph, path):
     """Write the line-oriented text format: ``N id lat lon`` / ``E src dst``.
 
-    Coordinates use exactly 9 fractional digits so output is bit-exact
-    across platforms.
+    Nodes come in id order and edges in edge order. Coordinates use
+    exactly 9 fractional digits so output is bit-exact across platforms.
     """
+    # Each id is formatted once; edges take their ends' strings.
+    names = list(map(str, g.ids.tolist()))
+    src, dst = g.edge_nodes.T.tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for nid in sorted(g.nodes):
-            p = g.nodes[nid]
-            fh.write(f"N {nid} {p.lat:.9f} {p.lon:.9f}\n")
-        for src, dst in g.edges:
-            fh.write(f"E {src} {dst}\n")
+        fh.write("".join([
+            f"N {nid} {lat:.9f} {lon:.9f}\n" for nid, lat, lon
+            in zip(names, g.lat.tolist(), g.lon.tolist())]))
+        fh.write("".join([f"E {names[a]} {names[b]}\n"
+                          for a, b in zip(src, dst)]))
 
 
 def load_graph(path) -> NavGraph:
     """Read a graph written by :func:`save_graph`.
 
-    ``E`` lines may come before the ``N`` lines of their nodes. The edges
-    are checked by :class:`NavGraph` once the whole file has been read.
+    ``E`` lines may come before the ``N`` lines of their nodes. The first
+    line of the file that breaks the format or a node rule of
+    :class:`NavGraph`, or holds an id outside int64, is named. Only when
+    there is none are the edges checked, naming the first faulty edge's
+    line.
     """
-    nodes: dict[int, GeoPoint] = {}
-    edges: list[EdgeId] = []
-    edge_lines: list[int] = []           # the file line of each edge
+    ids, lat, lon, node_lines = [], [], [], []
+    src, dst, edge_lines = [], [], []
+    fault = None            # (line number, message) of the line that broke
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             parts = line.split()
+            if not parts:
+                continue
             try:
                 if parts[0] == "N" and len(parts) == 4:
                     nid = int(parts[1])
-                    if nid in nodes:
-                        raise ValueError(f"repeated node {nid}")
-                    nodes[nid] = GeoPoint(float(parts[2]), float(parts[3]))
+                    try:
+                        y, x = float(parts[2]), float(parts[3])
+                    except ValueError:
+                        # A repeat is reported before the coordinates.
+                        if nid in ids:
+                            raise ValueError(f"repeated node {nid}") from None
+                        raise
+                    ids.append(nid)
+                    lat.append(y)
+                    lon.append(x)
+                    node_lines.append(lineno)
                 elif parts[0] == "E" and len(parts) == 3:
-                    edges.append((int(parts[1]), int(parts[2])))
+                    a, b = int(parts[1]), int(parts[2])
+                    src.append(a)
+                    dst.append(b)
                     edge_lines.append(lineno)
                 else:
                     raise ValueError("unrecognized record")
             except ValueError as exc:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: bad graph line {line!r} ({exc})"
-                ) from exc
+                fault = lineno, str(exc)
+                break
     try:
-        return NavGraph(nodes=nodes, edges=tuple(edges))
+        keys = np.array(ids, dtype=np.int64)
+        pairs = np.array([src, dst], dtype=np.int64).T
+    except OverflowError:
+        # A line with an id outside int64 is faulty. The first such line
+        # comes before the one the loop broke at, so only the nodes above
+        # it are checked.
+        lineno, _, nid = min(
+            (line, k, v) for k, (values, lines) in enumerate(
+                ((ids, node_lines), (src, edge_lines), (dst, edge_lines)))
+            for v, line in zip(values, lines)
+            if not _INT64_MIN <= v <= _INT64_MAX)
+        fault = lineno, f"node id {nid} is outside int64"
+        keys = np.array(ids[:bisect.bisect_left(node_lines, lineno)],
+                        dtype=np.int64)
+    if fault is not None:
+        pairs = np.zeros((0, 2), dtype=np.int64)
+    n = len(keys)
+    try:
+        graph = NavGraph._from_arrays(keys, np.array(lat[:n], dtype=float),
+                                      np.array(lon[:n], dtype=float), pairs)
+    except _NodeError as exc:
+        fault = node_lines[exc.index], str(exc)
     except _EdgeError as exc:
         raise GraphFormatError(
-            f"{path}:{edge_lines[exc.index]}: {exc}") from exc
+            f"{path}:{edge_lines[exc.index]}: {exc}") from None
+    if fault is not None:
+        lineno, message = fault
+        with open(path, encoding="utf-8") as fh:
+            line = next(itertools.islice(fh, lineno - 1, None)).strip()
+        raise GraphFormatError(
+            f"{path}:{lineno}: bad graph line {line!r} ({message})")
+    return graph

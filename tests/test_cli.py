@@ -72,6 +72,55 @@ def test_ingest_is_byte_deterministic(tmp_path, runner):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_ingest_writes_the_golden_fixture_graph(tmp_path, runner):
+    out = tmp_path / "graph.txt"
+    result = runner.invoke(main, [
+        "ingest", str(FIXTURE), "--frame", "miami", "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    assert out.read_bytes() == (FIXTURE.parent
+                                / "fixture-graph.txt").read_bytes()
+
+
+@pytest.mark.parametrize("text,line", [
+    ("N 9223372036854775808 25.0 -80.0\n", 1),
+    ("N 1 25.0 -80.0\nN -2 25.0 -80.1\nE -2 -9223372036854775809\n", 3),
+], ids=["node", "edge"])
+def test_query_id_outside_int64_is_graph_format_error(tmp_path, runner, text,
+                                                      line):
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    result = runner.invoke(main, [
+        "query", "--graph", str(graph), "--frame", "miami",
+        "--x", "0", "--y", "0", "--radius", "10",
+    ])
+    assert result.exit_code == 1
+    assert "error code=graph-format" in result.stderr
+    assert f"{graph}:{line}: " in result.stderr
+    assert "outside int64" in result.stderr
+
+
+@pytest.mark.parametrize("body,code", [
+    ('<node id="1" lat="25.0" lon="-80.0"/>'
+     '<node id="18446744073709551616" lat="25.0" lon="-80.1"/>',
+     "parse-error"),
+    ('<node id="1" lat="0.00001" lon="-81.0"/>'
+     '<node id="2" lat="-0.00001" lon="-81.0"/>'
+     '<way id="3"><nd ref="1"/><nd ref="2"/>'
+     '<tag k="highway" v="residential"/></way>', "invalid-coordinate"),
+], ids=["id-outside-int64", "across-the-equator"])
+def test_ingest_rejects_unmappable_graph(tmp_path, runner, body, code):
+    osm = tmp_path / "bad.osm"
+    osm.write_text(f'<?xml version="1.0"?><osm>{body}</osm>')
+    result = runner.invoke(main, [
+        "ingest", str(osm), "--frame", "miami",
+        "--out", str(tmp_path / "g.txt"),
+    ])
+    assert result.exit_code == 1
+    assert f"error code={code}" in result.stderr
+    assert not (tmp_path / "g.txt").exists()
+
+
 def test_ingest_unknown_frame_is_usage_error(tmp_path, runner):
     result = runner.invoke(main, [
         "ingest", str(FIXTURE), "--frame", "atlantis",

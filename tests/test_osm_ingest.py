@@ -1,12 +1,15 @@
 import io
 import pathlib
+import random
 
 import pytest
 
 from navpredict.osm_ingest import (
     ROAD_TYPE_WHITELIST,
     DuplicateNodeError,
+    OsmNode,
     OsmParseError,
+    OsmWay,
     build_nav_graph,
     parse_osm,
 )
@@ -184,3 +187,84 @@ def test_save_load_round_trip(tmp_path):
     path2 = tmp_path / "graph2.txt"
     save_graph(reloaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "fixture-graph.txt"
+
+
+def test_fixture_graph_round_trips_the_golden_file(tmp_path):
+    # fixture-graph.txt is `navpredict ingest tests/data/fixture.osm
+    # --frame miami` as the per-node loader wrote it.
+    with open(FIXTURE, "rb") as fh:
+        graph = build_nav_graph(*parse_osm(fh))
+    save_graph(graph, tmp_path / "built.txt")
+    assert (tmp_path / "built.txt").read_bytes() == GOLDEN.read_bytes()
+    save_graph(load_graph(GOLDEN), tmp_path / "loaded.txt")
+    assert (tmp_path / "loaded.txt").read_bytes() == GOLDEN.read_bytes()
+
+
+@pytest.mark.parametrize("body,what", [
+    ('<node id="9223372036854775808" lat="0" lon="0"/>',
+     "node id 9223372036854775808 is outside int64"),
+    ('<node id="-9223372036854775809" lat="0" lon="0"/>',
+     "node id -9223372036854775809 is outside int64"),
+    ('<node id="1" lat="0" lon="0"/><way id="7"><nd ref="1"/>'
+     '<nd ref="99999999999999999999"/><tag k="highway" v="residential"/>'
+     '</way>', "nd ref 99999999999999999999 is outside int64"),
+], ids=["node", "negative-node", "nd-ref"])
+def test_ids_outside_int64_rejected(body, what):
+    with pytest.raises(OsmParseError, match=what):
+        parse_osm(_doc(body))
+
+
+def test_negative_and_extreme_int64_ids_accepted():
+    lo, hi = -2 ** 63, 2 ** 63 - 1
+    nodes, ways = parse_osm(_doc(
+        f'<node id="{lo}" lat="0" lon="0"/><node id="-2" lat="0" '
+        f'lon="0.001"/><node id="{hi}" lat="0" lon="0.002"/>'
+        f'<way id="7"><nd ref="{hi}"/><nd ref="-2"/><nd ref="{lo}"/>'
+        f'<tag k="highway" v="residential"/></way>'))
+    graph = build_nav_graph(nodes, ways)
+    assert list(graph.nodes) == [lo, -2, hi]
+    assert graph.edges == ((hi, -2), (-2, hi), (-2, lo), (lo, -2))
+
+
+def _reference_edges(nodes, ways):
+    """The per-pair expansion the array pass must reproduce in order."""
+    edges = []
+    for way in ways:
+        refs = way.node_refs
+        if (way.tags.get("highway") not in ROAD_TYPE_WHITELIST
+                or any(ref not in nodes for ref in refs) or len(refs) < 2):
+            continue
+        oneway = way.tags.get("oneway", "")
+        forward = oneway != "-1"
+        backward = oneway not in ("yes", "true", "1")
+        for a, b in zip(refs, refs[1:]):
+            for keep, edge in ((forward, (a, b)), (backward, (b, a))):
+                if keep and a != b and edge not in edges:
+                    edges.append(edge)
+    return edges
+
+
+def test_build_matches_per_pair_expansion():
+    # Random ways over few nodes: repeated pairs, self-loops, one-way
+    # tags, unresolved refs, single-ref ways and non-car roads.
+    rng = random.Random(5)
+    nodes = {nid: OsmNode(nid, 25.0 + nid * 1e-4, -80.0)
+             for nid in range(-6, 14)}
+    for trial in range(40):
+        ways = []
+        for wid in range(rng.randint(0, 12)):
+            refs = tuple(rng.choice([*nodes, 99])
+                         for _ in range(rng.randint(1, 7)))
+            tags = {"highway": rng.choice(["residential", "footway",
+                                           "motorway"])}
+            oneway = rng.choice([None, "yes", "-1", "true", "no"])
+            if oneway:
+                tags["oneway"] = oneway
+            ways.append(OsmWay(wid, refs, tags))
+        expected = _reference_edges(nodes, ways)
+        graph = build_nav_graph(nodes, ways)
+        assert list(graph.edges) == expected, trial
+        assert list(graph.nodes) == sorted({n for e in expected for n in e})

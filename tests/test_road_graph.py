@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from navpredict import road_graph
-from navpredict.geo import (MIAMI, CityFrame, GeoPoint, LocalPoint,
+from navpredict.geo import (MIAMI, CityFrame, GeoPoint,
+                            InvalidCoordinateError, LocalPoint,
                             OutOfZoneError, geo_to_local)
 from navpredict.osm_ingest import build_nav_graph, parse_osm
 from navpredict.road_graph import (
@@ -413,7 +414,8 @@ def test_radius_equal_to_an_edge_distance_keeps_an_edge_on_a_cell_edge(axis):
     local = {nid: LocalPoint(*p) for nid, p in enumerate(xy)}
     graph = NavGraph(nodes={nid: GeoPoint(25.0, -80.2) for nid in local},
                      edges=((0, 1), (2, 3), (4, 5)))
-    g = LocalNavGraph(graph=graph, frame=MIAMI, local=local)
+    x, y = np.array(xy).T
+    g = LocalNavGraph(graph=graph, frame=MIAMI, x=x, y=y)
     assert point_segment_distance(*center, local[0], local[1]) == 128.0
     got = segments_in_radius(g, LocalPoint(*center), 128.0)
     assert [s.edge_id for s in got] == [(0, 1), (4, 5)]
@@ -445,6 +447,25 @@ def test_radius_query_on_a_graph_without_edges_is_empty(nodes):
     for center in (LocalPoint(0.0, 0.0), LocalPoint(-9e5, 9e5)):
         for radius in (1e-300, 1.0, 1e6, 1e308):
             assert segments_in_radius(g, center, radius) == []
+
+
+def test_resample_counts_follow_math_hypot_on_integer_quotients():
+    # np.hypot and math.hypot can part in the last bit. Where length /
+    # step is an integer k by math.hypot but not by np.hypot, the count
+    # must still be k.
+    rng = np.random.default_rng(17)
+    cases = []
+    for dx, dy in rng.uniform(-300.0, 300.0, (20000, 2)).tolist():
+        length, other = math.hypot(dx, dy), float(np.hypot(dx, dy))
+        for k in (3, 7, 10):
+            step = length / k
+            if length / step == k and math.ceil(other / step) != k:
+                cases.append((dx, dy, step, k))
+    assert len(cases) >= 20
+    for dx, dy, step, k in cases:
+        points = resample_polyline(LocalPoint(0.0, 0.0), LocalPoint(dx, dy),
+                                   step)
+        assert len(points) == k + 1, (dx, dy, step)
 
 
 def test_resample_polyline_matches_per_point_reference():
@@ -515,3 +536,183 @@ def test_radius_query_allocates_per_segment_not_per_vertex():
     vertices = sum(len(s.polyline) for s in segs)
     assert len(segs) >= 20 and vertices >= 20 * len(segs)
     assert added <= 2 * len(segs) + 10, (added, len(segs), vertices)
+
+
+# Malformed graph files and the GraphFormatError text each got from the
+# per-line loader that built a GeoPoint per node: the array loader names
+# the same first faulty line with the same words.
+LOADER_ERRORS = {
+    "nan-lat": ("N 1 25.0 -80.0\nN 2 nan -80.1\nE 1 2\n",
+                "{path}:2: bad graph line 'N 2 nan -80.1' (non-finite "
+                "coordinate: GeoPoint(lat=nan, lon=-80.1))"),
+    "inf-lon": ("N 1 25.0 inf\n",
+                "{path}:1: bad graph line 'N 1 25.0 inf' (non-finite "
+                "coordinate: GeoPoint(lat=25.0, lon=inf))"),
+    "lat-range": ("N 1 25.0 -80.0\nN 2 90.5 -80.1\n",
+                  "{path}:2: bad graph line 'N 2 90.5 -80.1' (latitude out "
+                  "of range: 90.5)"),
+    "lon-range": ("N 1 25.0 -80.0\nN 2 25.0 180.0\nE 1 2\n",
+                  "{path}:2: bad graph line 'N 2 25.0 180.0' (longitude out "
+                  "of range: 180.0)"),
+    "repeated-node": ("N 1 25.0 -80.0\nN 2 25.0 -80.1\nN 1 26.0 -80.0\n",
+                      "{path}:3: bad graph line 'N 1 26.0 -80.0' (repeated "
+                      "node 1)"),
+    "missing-before": ("E 1 3\nN 1 25.0 -80.0\nN 2 25.0 -80.1\n",
+                       "{path}:1: edge (1, 3) references missing node"),
+    "missing-after": ("N 1 25.0 -80.0\nN 2 25.0 -80.1\nE 1 2\nE 2 3\n",
+                      "{path}:4: edge (2, 3) references missing node"),
+    "self-loop": ("N 1 25.0 -80.0\nN 2 25.0 -80.1\nE 1 2\nE 2 2\n",
+                  "{path}:4: self-loop edge at node 2"),
+    "repeated-edge": ("N 1 25.0 -80.0\nN 2 25.0 -80.1\nE 1 2\nE 2 1\n"
+                      "E 1 2\n", "{path}:5: repeated edge (1, 2)"),
+    "trailing-node": ("N 1 25.0 -80.0\nN 2 25.0 -80.1 7\n",
+                      "{path}:2: bad graph line 'N 2 25.0 -80.1 7' "
+                      "(unrecognized record)"),
+    "trailing-edge": ("N 1 25.0 -80.0\nN 2 25.0 -80.1\nE 1 2 3\n",
+                      "{path}:3: bad graph line 'E 1 2 3' (unrecognized "
+                      "record)"),
+    "underscore-ids": ("N 1_000 25.0 -80.0\nN 2 25.0 -80.1\nE 1_000 2\n"
+                       "N 1000 26.0 -80.0\n",
+                       "{path}:4: bad graph line 'N 1000 26.0 -80.0' "
+                       "(repeated node 1000)"),
+    "bad-int": ("N 1 25.0 -80.0\nE 1 2.0\n",
+                "{path}:2: bad graph line 'E 1 2.0' (invalid literal for "
+                "int() with base 10: '2.0')"),
+    "bad-float": ("N 1 25.0 -80.0\nN 2 25,0 -80.1\n",
+                  "{path}:2: bad graph line 'N 2 25,0 -80.1' (could not "
+                  "convert string to float: '25,0')"),
+    "repeat-before-float": ("N 1 25.0 -80.0\nN 1 x -80.1\n",
+                            "{path}:2: bad graph line 'N 1 x -80.1' "
+                            "(repeated node 1)"),
+    "range-before-parse": ("N 1 25.0 -80.0\nN 2 95.0 -80.0\nE 1 2\nX 1\n",
+                           "{path}:2: bad graph line 'N 2 95.0 -80.0' "
+                           "(latitude out of range: 95.0)"),
+    "parse-before-range": ("N 1 25.0 -80.0\nX 1\nN 2 95.0 -80.0\n",
+                           "{path}:2: bad graph line 'X 1' (unrecognized "
+                           "record)"),
+    "node-before-edge": ("E 1 1\nN 1 25.0 -80.0\nN 1 26.0 -80.0\n",
+                         "{path}:3: bad graph line 'N 1 26.0 -80.0' "
+                         "(repeated node 1)"),
+    "whitespace": ("\n  N 1\t25.0 -80.0  \r\n\nN 2 25.0 -1e400\n",
+                   "{path}:4: bad graph line 'N 2 25.0 -1e400' (non-finite "
+                   "coordinate: GeoPoint(lat=25.0, lon=-inf))"),
+    "edge-order": ("N 1 25.0 -80.0\nN 2 25.0 -80.1\nE 2 1\nE 1 9\nE 1 1\n"
+                   "E 2 1\n", "{path}:4: edge (1, 9) references missing "
+                   "node"),
+}
+
+
+@pytest.mark.parametrize("name", list(LOADER_ERRORS))
+def test_load_graph_error_text(tmp_path, name):
+    text, message = LOADER_ERRORS[name]
+    path = tmp_path / "bad.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(GraphFormatError) as info:
+        load_graph(path)
+    assert str(info.value) == message.format(path=path)
+
+
+@pytest.mark.parametrize("text,line,nid", [
+    ("N 1 25.0 -80.0\nN 9223372036854775808 25.0 -80.1\n", 2,
+     9223372036854775808),
+    ("N 1 25.0 -80.0\nE 1 -9223372036854775809\n", 2, -9223372036854775809),
+    ("E 99999999999999999999 1\nN 1 25.0 -80.0\n", 1, 99999999999999999999),
+    # The line that breaks first is named: a bad line, then the id.
+    ("N 1 25.0 -80.0\nN 2 95.0 -80.0\nE 1 2\nE 1 9223372036854775808\n", 2,
+     None),
+    ("N 1 25.0 -80.0\nE 1 9223372036854775808\nX\n", 2,
+     9223372036854775808),
+], ids=["node", "edge-dst", "edge-src-first", "coordinates-first",
+        "id-before-parse"])
+def test_load_rejects_ids_outside_int64(tmp_path, text, line, nid):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    what = (f"node id {nid} is outside int64" if nid is not None
+            else "latitude out of range")
+    with pytest.raises(GraphFormatError,
+                       match=f"^{re.escape(str(path))}:{line}: bad graph "
+                             f"line .*{what}"):
+        load_graph(path)
+
+
+def test_load_keeps_negative_and_extreme_int64_ids(tmp_path):
+    lo, hi = -2 ** 63, 2 ** 63 - 1
+    path = tmp_path / "g.txt"
+    path.write_text(f"N {hi} 25.0 -80.0\nN -5 25.0 -80.1\nN {lo} 25.1 -80.0\n"
+                    f"E -5 {hi}\nE {lo} -5\n")
+    g = load_graph(path)
+    assert list(g.nodes) == [lo, -5, hi]
+    assert g.edges == ((-5, hi), (lo, -5))
+    lg = localize(g, MIAMI)
+    assert successors(lg, (lo, -5)) == {(-5, hi)}
+    save_graph(g, tmp_path / "again.txt")
+    assert (tmp_path / "again.txt").read_text() == (
+        f"N {lo} 25.100000000 -80.000000000\nN -5 25.000000000 "
+        f"-80.100000000\nN {hi} 25.000000000 -80.000000000\n"
+        f"E -5 {hi}\nE {lo} -5\n")
+
+
+def test_graph_from_dict_names_ids_outside_int64():
+    nodes = {1: GeoPoint(25.0, -80.0), 2: GeoPoint(25.0, -80.1)}
+    with pytest.raises(ValueError, match="node id 9223372036854775808 is "
+                                         "outside int64"):
+        NavGraph(nodes={**nodes, 2 ** 63: GeoPoint(25.0, -80.2)}, edges=())
+    with pytest.raises(ValueError, match="node id -9223372036854775809 is "
+                                         "outside int64"):
+        NavGraph(nodes=nodes, edges=((1, 2), (-2 ** 63 - 1, 2)))
+
+
+def test_graph_views_read_the_arrays():
+    nodes = {7: GeoPoint(25.5, -80.25), -3: GeoPoint(25.25, -80.5),
+             4: GeoPoint(25.75, -80.125)}
+    graph = NavGraph(nodes=nodes, edges=((7, -3), (4, 7), (-3, 7)))
+    assert graph.ids.tolist() == [-3, 4, 7]
+    assert graph.edge_nodes.tolist() == [[2, 0], [1, 2], [0, 2]]
+    assert graph.nodes == nodes and len(graph.nodes) == 3
+    assert list(graph.nodes) == [-3, 4, 7]
+    assert 4 in graph.nodes and 5 not in graph.nodes
+    with pytest.raises(KeyError):
+        graph.nodes[5]
+    with pytest.raises(TypeError):
+        graph.nodes[4] = GeoPoint(0.0, 0.0)
+    with pytest.raises(ValueError):
+        graph.lat[0] = 0.0
+    lg = localize(graph, MIAMI)
+    for nid, p in nodes.items():
+        one = geo_to_local(p, MIAMI)
+        assert (lg.local[nid].x.hex(), lg.local[nid].y.hex()) == (
+            one.x.hex(), one.y.hex())
+    assert lg._edges == ((-3, 7), (4, 7), (7, -3))
+    assert lg._out == {-3: ((-3, 7),), 4: ((4, 7),), 7: ((7, -3),)}
+    assert lg._in == {-3: ((7, -3),), 7: ((-3, 7), (4, 7))}
+
+
+@pytest.mark.parametrize("lat", [1e-5, 0.0])
+def test_localize_rejects_a_graph_across_the_equator(lat):
+    # 2 m apart, but a southern node takes the false northing: one frame
+    # put these two points 10,000 km apart.
+    graph = NavGraph(nodes={1: GeoPoint(lat, -81.0),
+                            2: GeoPoint(-1e-5, -81.0)},
+                     edges=((1, 2), (2, 1)))
+    with pytest.raises(InvalidCoordinateError, match="equator"):
+        localize(graph, FRAME)
+    # Each side on its own localizes.
+    for nid in (1, 2):
+        localize(NavGraph(nodes={nid: graph.nodes[nid]}, edges=()), FRAME)
+
+
+def test_localize_peak_memory_of_a_10k_node_grid():
+    # No point object per node: the frame coordinates stay in two arrays,
+    # and each node's runs of out- and in-edges are slices of one tuple.
+    graph = _grid_graph(seed=3, side=100, spacing=50.0)
+    localize(graph, FRAME)                     # warm up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g = localize(graph, FRAME)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g.local) == 10001 and len(g._edges) == 39601
+    # The per-node LocalPoint dict and edge lists peaked near 15 MB.
+    assert peak < 13e6, peak
