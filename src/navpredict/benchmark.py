@@ -2,7 +2,8 @@
 
 Trains, on one fixed world, a map-free model, a plain nav-view model, an
 HD-view teacher and a nav-view student distilled from that teacher, each
-with the same budget and several training seeds, then reports the
+on the library's recipe (the ``TrainConfig``, ``ModelConfig`` and
+``DistillConfig`` defaults) at several training seeds, then reports the
 seed-averaged validation minFDE@6 per variant. The outer ordering holds
 and is asserted: the nav and HD models each beat map-free. The paper's
 middle ordering, HD <= distilled <= nav, is not resolved at three
@@ -28,7 +29,7 @@ VARIANTS = ("hd", "distilled", "nav", "map_free")
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
-    """Everything that pins the benchmark down, seeds included."""
+    """The world, scene sets and seeds; the recipe is the library's."""
 
     world_seed: int = 1
     train_scenes: int = 5000
@@ -36,11 +37,6 @@ class BenchmarkSpec:
     train_scene_seed: int = 7
     val_scene_seed: int = 8
     training_seeds: tuple[int, ...] = (0, 1, 2)
-    d_t: int = 64
-    epochs: int = 8
-    lr: float = 0.002
-    lr_decay: float = 0.7
-    grad_clip: float = 5.0
 
 
 @dataclass
@@ -64,48 +60,33 @@ def run_benchmark(spec: BenchmarkSpec = BenchmarkSpec(),
     scenes = generate_scenes(world, spec.train_scenes,
                              seed=spec.train_scene_seed)
     val = generate_scenes(world, spec.val_scenes, seed=spec.val_scene_seed)
-    nav_pts = view_points(world, "nav")
-    hd_pts = view_points(world, "hd")
-    empty = np.zeros((0, 2))
 
     per_seed: dict[int, dict[str, float]] = {}
     for seed in spec.training_seeds:
-        tcfg = TrainConfig(epochs=spec.epochs, lr=spec.lr,
-                           lr_decay=spec.lr_decay,
-                           grad_clip=spec.grad_clip, seed=seed)
-        teacher_cfg = m.ModelConfig(d=spec.d_t, map_source="hd")
-        teacher = train_teacher(scenes, world, teacher_cfg, tcfg)
-        nav = train(scenes, nav_pts,
-                    m.ModelConfig(d=spec.d_t, map_source="nav"), tcfg)
-        free = train(scenes, empty,
-                     m.ModelConfig(d=spec.d_t, map_source="none"), tcfg)
-        student = train_student(scenes, world, (teacher.params, teacher_cfg),
-                                DistillConfig(variant="shared"), tcfg)
-
-        row = {}
-        for name, result, pts in (
-            ("hd", teacher, hd_pts),
-            ("distilled", student, nav_pts),
-            ("nav", nav, nav_pts),
-            ("map_free", free, empty),
-        ):
-            report, _ = evaluate_model(result.params, result.config, val, pts)
-            row[name] = report.values[6]["minFDE"]
-        per_seed[seed] = row
+        tcfg = TrainConfig(seed=seed)
+        hd = train_teacher(scenes, world, m.ModelConfig(map_source="hd"), tcfg)
+        results = {
+            "hd": hd,
+            "distilled": train_student(scenes, world, (hd.params, hd.config),
+                                       DistillConfig(), tcfg),
+            "nav": train(scenes, view_points(world, "nav"),
+                         m.ModelConfig(map_source="nav"), tcfg),
+            "map_free": train(scenes, view_points(world, "none"),
+                              m.ModelConfig(map_source="none"), tcfg),
+        }
+        per_seed[seed] = row = {
+            name: evaluate_model(r.params, r.config, val, view_points(
+                world, r.config.map_source))[0].values[6]["minFDE"]
+            for name, r in results.items()}
         if progress is not None:
             progress(seed, row)
 
-    result = BenchmarkResult(per_seed=per_seed)
-    for name in VARIANTS:
-        result.mean[name] = float(np.mean(
-            [per_seed[s][name] for s in spec.training_seeds]
-        ))
-    deviations = [
-        per_seed[s][name] - result.mean[name]
-        for name in VARIANTS for s in spec.training_seeds
-    ]
-    n_seeds = len(spec.training_seeds)
-    if n_seeds > 1:
+    result = BenchmarkResult(per_seed=per_seed, mean={
+        name: float(np.mean([per_seed[s][name] for s in spec.training_seeds]))
+        for name in VARIANTS})
+    if len(spec.training_seeds) > 1:
+        deviations = [per_seed[s][name] - result.mean[name]
+                      for name in VARIANTS for s in spec.training_seeds]
         result.pooled_std = float(np.sqrt(
             np.sum(np.square(deviations)) / (len(deviations) - len(VARIANTS))
         ))

@@ -12,7 +12,7 @@ information.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -155,7 +155,7 @@ def train(scenes: list[Scene], map_points: np.ndarray,
               for scene, points in zip(scenes, prepare_map_inputs(
                   scenes, map_points, config.map_radius))]
     workspace = m.Workspace(
-        params, max(len(frame.map_offsets) for frame in frames))
+        params, max(len(frame.map_rows) for frame in frames))
     weights, step = params.flat, workspace.grads.flat
     # Per winning mode, the (gradient, velocity) views of each range that
     # a step with that winner writes.
@@ -209,19 +209,16 @@ def train_student(scenes: list[Scene], world: MapPair,
                   dcfg: DistillConfig, tcfg: TrainConfig,
                   map_radius: float | None = None) -> TrainResult:
     """Train a nav-view student distilled from the embeddings that a frozen
-    HD-view teacher gives each scene through ``model.forward_split``."""
+    HD-view teacher gives each scene through ``model.forward_split``. The
+    student's config is the teacher's with the variant's width, the nav
+    source and, when given, ``map_radius``."""
     t_params, t_config = teacher
     if t_config.map_source != "hd":
         raise ValueError("teacher must use the hd map source")
     xi_teacher = m.forward_split(t_params, t_config, scenes,
                                  view_points(world, "hd"))[2]
-    config = m.ModelConfig(
-        d=student_width(t_config.d, dcfg.variant),
-        k=t_config.k,
-        hidden=t_config.hidden,
-        map_radius=map_radius if map_radius is not None
-        else t_config.map_radius,
-        map_source="nav",
-    )
+    config = replace(
+        t_config, d=student_width(t_config.d, dcfg.variant), map_source="nav",
+        map_radius=t_config.map_radius if map_radius is None else map_radius)
     return train(scenes, view_points(world, "nav"), config, tcfg,
                  targets=(xi_teacher, dcfg))

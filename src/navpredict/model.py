@@ -411,9 +411,11 @@ def select_map_points(points: np.ndarray, center: np.ndarray,
     the disc test of ``_in_disc``. This is the definition of a map set;
     ``MapGrid`` returns the same sets for many centres at once. A radius
     that is negative, NaN or infinite raises ``ValueError``, as it does
-    for ``MapGrid`` and ``ModelConfig``.
+    for ``MapGrid`` and ``ModelConfig``; so does a NaN or infinite centre.
     """
     _check_radius(radius)
+    if not (math.isfinite(center[0]) and math.isfinite(center[1])):
+        raise ValueError(f"centre must be finite, got {center!r}")
     if points.shape[0] == 0:
         return points
     return points.take(_in_disc(points, center[0], center[1], radius),
@@ -510,19 +512,17 @@ class AgentFrame:
     """One scene's model inputs in its target's heading frame.
 
     ``rot`` is the ``(2, 2)`` rotation ``p @ rot`` into the frame;
-    ``observed`` the rotated ``(OBSERVED_LEN, 2)`` track and ``last_pos``
-    its last position; ``map_rows`` the ``(m, 3)`` homogeneous rows ``[x,
-    y, 1]`` of the map points, with offsets ``(map_points @ rot) -
-    last_pos``, that ``encode_map`` reads; ``map_offsets`` the ``(m, 2)``
-    view of their first two columns; ``future`` the rotated ``(FUTURE_LEN,
-    2)`` future, or ``None`` when none is given. This is the one
-    definition of the frame: ``forward`` and ``loss_and_grads`` read their
-    inputs from it, ``distill.train`` builds each scene's once per run,
-    and ``forward_batch`` builds a batch's with the same arithmetic.
+    ``observed`` the rotated ``(OBSERVED_LEN, 2)`` track and ``last_pos`` its
+    last position; ``map_rows`` the ``(m, 3)`` homogeneous rows ``[x, y, 1]``
+    of the map points, with offsets ``(map_points @ rot) - last_pos``, that
+    ``encode_map`` reads; ``future`` the rotated ``(FUTURE_LEN, 2)`` future,
+    or ``None`` when none is given. This is the one definition of the frame:
+    ``forward`` and ``loss_and_grads`` read their inputs from it,
+    ``distill.train`` builds each scene's once per run, and ``forward_batch``
+    builds a batch's with the same arithmetic.
     """
 
-    __slots__ = ("rot", "observed", "last_pos", "map_rows", "map_offsets",
-                 "future")
+    __slots__ = ("rot", "observed", "last_pos", "map_rows", "future")
 
     def __init__(self, observed: np.ndarray, map_points: np.ndarray,
                  future: np.ndarray | None = None):
@@ -533,7 +533,7 @@ class AgentFrame:
         # A map-free scene skips the two array calls on its empty set.
         if len(rows):
             _frame_rows(map_points, rot, self.last_pos, rows)
-        self.map_rows, self.map_offsets = rows, rows[:, :2]
+        self.map_rows = rows
         self.future = None if future is None else future @ rot
 
 
@@ -714,7 +714,7 @@ def loss_and_grads(frame: AgentFrame, params: ModelParams,
     future = frame.future
     if future is None:
         raise ValueError("the frame holds no future to take the loss on")
-    m_points = frame.map_offsets.shape[0]
+    m_points = len(frame.map_rows)
     if workspace is None:
         workspace = Workspace(params, m_points)
     elif workspace.grads.shapes != params.shapes:

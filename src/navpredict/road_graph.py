@@ -103,13 +103,12 @@ class NavGraph:
                  "_positions")
 
     def __init__(self, nodes: Mapping[int, GeoPoint], edges):
-        edges = tuple(edges)
         points = nodes.values()
         self._set(_int64_ids(list(nodes)),
                   np.fromiter((p.lat for p in points), float, len(points)),
                   np.fromiter((p.lon for p in points), float, len(points)),
                   _int64_ids(list(itertools.chain.from_iterable(edges)))
-                  .reshape(-1, 2), edges)
+                  .reshape(-1, 2))
 
     @classmethod
     def _from_arrays(cls, ids, lat, lon, pairs) -> NavGraph:
@@ -117,12 +116,12 @@ class NavGraph:
         and of the ``(E, 2)`` int64 ``pairs`` of edge end ids, each in
         input order."""
         graph = cls.__new__(cls)
-        graph._set(ids, lat, lon, pairs, None)
+        graph._set(ids, lat, lon, pairs)
         return graph
 
-    def _set(self, ids, lat, lon, pairs, edges):
-        """Check the records and hold them sorted; ``edges`` is ``pairs``
-        as a tuple of tuples, or None to build it when first read."""
+    def _set(self, ids, lat, lon, pairs):
+        """Check the records and hold them sorted; ``edges`` is built from
+        the arrays when first read."""
         n = len(ids)
         order = np.argsort(ids, kind="stable")
         keys = ids[order]
@@ -165,7 +164,7 @@ class NavGraph:
         self.edge_nodes, self._by_id = ends, by_id
         for array in (self.ids, self.lat, self.lon, ends, by_id):
             array.flags.writeable = False
-        self._edges, self._positions = edges, None
+        self._edges = self._positions = None
 
     @property
     def nodes(self) -> Mapping[int, GeoPoint]:
@@ -281,6 +280,10 @@ class LocalNavGraph:
     def __init__(self, graph: NavGraph, frame: CityFrame, x: np.ndarray,
                  y: np.ndarray, resample_step: float = 2.0):
         _check_positive("resample step", resample_step)
+        if not x.shape == y.shape == (len(graph.ids),):
+            raise ValueError(f"{len(graph.ids)} nodes need coordinates of "
+                             f"shape ({len(graph.ids)},), got x {x.shape} "
+                             f"and y {y.shape}")
         self.graph, self.frame, self.resample_step = graph, frame, resample_step
         self.x, self.y = x, y
         ends = graph.edge_nodes[graph._by_id]      # in edge-id order

@@ -434,7 +434,7 @@ def test_map_grads_within_summation_bound_of_materialised_backward(
     dh_a, ref, sums = _materialised_map_grads(frame, params, embedding, 0.5)
     # The reference takes the same upstream gradient: b2 gets dh_a.
     assert grads.b2.tobytes() == dh_a.tobytes()
-    m = len(frame.map_offsets)
+    m = len(frame.map_rows)
     for name in ("wk", "bk", "wv", "bv"):
         got = getattr(grads, name)
         assert np.isfinite(got).all(), name
@@ -479,7 +479,7 @@ def test_encode_map_within_dot_bound_of_two_pass_reference(batch_world,
     assert (frame.map_rows[:, 2] == 1.0).all()
     keys, values, (offsets, zk, zv) = encode_map(frame.map_rows, params)
     assert offsets.shape == (m, 2)
-    assert offsets.tobytes() == frame.map_offsets.tobytes()
+    assert offsets.tobytes() == frame.map_rows[:, :2].tobytes()
     x, y = offsets.T[:, :, None]
     for w, b, pre, act in ((params.wk, params.bk, zk, keys),
                            (params.wv, params.bv, zv, values)):
@@ -957,6 +957,19 @@ def test_map_grid_rejects_bad_radius(rule, radius):
 def test_map_grid_rejects_bad_centres(centers, n_points):
     with pytest.raises(ValueError, match="centres"):
         MapGrid(np.zeros((n_points, 2)), 5.0).select(centers)
+
+
+@pytest.mark.parametrize("center", [
+    (np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.0),
+], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("n_points", [0, 3])
+def test_selectors_reject_a_non_finite_centre(center, n_points):
+    # One centre rule for both selectors, on an empty view as on a full one.
+    points, center = np.zeros((n_points, 2)), np.array(center)
+    with pytest.raises(ValueError, match="must be finite"):
+        select_map_points(points, center, 5.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        MapGrid(points, 5.0).select(center[None])
 
 
 def test_map_grid_rejects_non_finite_points():

@@ -439,6 +439,16 @@ def test_long_edge_is_cheap_to_index():
     assert [s.edge_id for s in hits] == [(0, 1), (1, 0)]
 
 
+@pytest.mark.parametrize("nx, ny", [(2, 2), (5, 5), (3, 2)])
+def test_local_graph_rejects_coordinates_of_another_length(nx, ny):
+    graph = NavGraph(nodes={nid: GeoPoint(25.0, -80.2) for nid in range(3)},
+                     edges=((0, 1), (1, 2)))
+    message = (rf"^3 nodes need coordinates of shape \(3,\), "
+               rf"got x \({nx},\) and y \({ny},\)$")
+    with pytest.raises(ValueError, match=message):
+        LocalNavGraph(graph, MIAMI, np.zeros(nx), np.zeros(ny))
+
+
 @pytest.mark.parametrize("nodes", [
     {}, {1: GeoPoint(0.0, -81.0), 2: GeoPoint(0.0, -81.0 + 100 * DEG)},
 ], ids=["empty", "no-edges"])
