@@ -10,12 +10,14 @@ exits 0 on success, 2 on a usage error that click reports, and 1 with
 
 The modules that use numpy are imported inside the commands, not here,
 so that ``--threads`` sets the thread-pool variables before numpy loads
-and reads them.
+and reads them. No option restates a library default: a flag left out
+is not passed on, and a manifest records the values used by library name.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -24,11 +26,15 @@ import time
 from dataclasses import asdict
 
 import click
-from click.core import ParameterSource
 
 from . import __version__
 from .geo import (BUILTIN_FRAMES, FrameMismatchError, InvalidCoordinateError,
                   LocalPoint, OutOfZoneError, load_frames)
+
+
+def _given(**values) -> dict:
+    """The keyword arguments of the flags given: those not ``None``."""
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def _fail(exc: BaseException):
@@ -162,21 +168,23 @@ def _split_of(scene_id: int, train_fraction: float) -> str:
 @main.command()
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--n", default=1000, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--roads", default=6, show_default=True)
-@click.option("--lanes", default=2, show_default=True)
-@click.option("--lane-width", default=3.5, show_default=True)
-@click.option("--curvature", nargs=2, type=float, default=(-0.002, 0.002),
-              show_default=True)
-@click.option("--intersections", default=2, show_default=True)
-@click.option("--noise", default=0.1, show_default=True)
-@click.option("--p-turn", default=0.35, show_default=True)
-@click.option("--p-lane-change", default=0.2, show_default=True)
+@click.option("--seed", type=int)
+@click.option("--roads", type=int)
+@click.option("--lanes", type=int)
+@click.option("--lane-width", type=float)
+@click.option("--curvature", nargs=2, type=float)
+@click.option("--intersections", type=int)
+@click.option("--noise", type=float)
+@click.option("--p-turn", type=float)
+@click.option("--p-lane-change", type=float)
 @click.option("--split", "train_fraction", default=0.8, show_default=True,
               help="Train fraction; split by scene-id hash.")
 def gen(out_dir, n, seed, roads, lanes, lane_width, curvature,
         intersections, noise, p_turn, p_lane_change, train_fraction):
-    """Generate a synthetic world and scene dataset."""
+    """Generate a synthetic world and scene dataset.
+
+    Flags left out take scenario.WorldSpec's and generate_scenes' defaults.
+    """
     from . import scenario
 
     started = time.perf_counter()
@@ -184,18 +192,18 @@ def gen(out_dir, n, seed, roads, lanes, lane_width, curvature,
             and 0.0 <= train_fraction <= 1.0):
         raise ValueError(f"--split must be a train fraction in [0, 1], "
                          f"got {train_fraction}")
-    spec = scenario.WorldSpec(
+    spec = scenario.WorldSpec(**_given(
         seed=seed, num_roads=roads, lanes_per_road=lanes,
-        lane_width=lane_width, curvature_range=tuple(curvature),
-        intersection_count=intersections,
-    )
+        lane_width=lane_width, curvature_range=curvature,
+        intersection_count=intersections))
+    keywords = inspect.signature(scenario.generate_scenes).parameters.values()
+    draws = {p.name: p.default for p in keywords if p.default is not p.empty}
+    draws.update(_given(noise_sigma=noise, p_turn=p_turn,
+                        p_lane_change=p_lane_change))
     marks = [time.perf_counter()]
     world = scenario.generate_world(spec)
     marks.append(time.perf_counter())
-    scenes = scenario.generate_scenes(
-        world, n, seed=seed, noise_sigma=noise, p_turn=p_turn,
-        p_lane_change=p_lane_change,
-    )
+    scenes = scenario.generate_scenes(world, n, seed=spec.seed, **draws)
     marks.append(time.perf_counter())
     os.makedirs(out_dir, exist_ok=True)
     scenario.write_world(world, *_world_paths(out_dir))
@@ -209,12 +217,10 @@ def gen(out_dir, n, seed, roads, lanes, lane_width, curvature,
     marks.append(time.perf_counter())
     stages_s = {name: end - start for name, start, end in zip(
         ("world", "scenes", "write"), marks, marks[1:])}
-    config = {
-        "world": asdict(spec), "n": n, "noise": noise, "p_turn": p_turn,
-        "p_lane_change": p_lane_change, "train_fraction": train_fraction,
-    }
+    config = {"world": asdict(spec), "n": n, **draws,
+              "train_fraction": train_fraction}
     _write_manifest(os.path.join(out_dir, "scenes_train.ndjson"), "gen",
-                    config, seed, [], started, stages_s)
+                    config, spec.seed, [], started, stages_s)
     click.echo(f"generated {len(splits['train'])} train / "
                f"{len(splits['val'])} val scenes -> {out_dir}")
 
@@ -239,20 +245,23 @@ def _world_paths(data_dir: str) -> tuple[str, str]:
 @click.option("--distill", "teacher_path", default=None,
               type=click.Path(exists=True, dir_okay=False),
               help="Teacher checkpoint; enables knowledge distillation.")
-@click.option("--variant", type=click.Choice(["matched", "shared"]),
-              default="shared", show_default=True)
-@click.option("--alpha", default=1.0, show_default=True)
-@click.option("--beta", default=1.0, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--epochs", default=8, show_default=True)
-@click.option("--lr", default=0.002, show_default=True)
-@click.option("--d", "embed_width", default=64, show_default=True)
-@click.option("--hidden", default=64, show_default=True)
-@click.option("--map-radius", default=50.0, show_default=True)
+@click.option("--variant", type=click.Choice(["matched", "shared"]))
+@click.option("--alpha", type=float)
+@click.option("--beta", type=float)
+@click.option("--seed", type=int)
+@click.option("--epochs", type=int)
+@click.option("--lr", type=float)
+@click.option("--d", "embed_width", type=int)
+@click.option("--hidden", type=int)
+@click.option("--map-radius", type=float)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def train(data_dir, map_source, teacher_path, variant, alpha, beta, seed,
           epochs, lr, embed_width, hidden, map_radius, out_path):
-    """Train a predictor; optionally distill from an HD-map teacher."""
+    """Train a predictor; optionally distill from an HD-map teacher.
+
+    Flags left out take distill.TrainConfig's, model.ModelConfig's and
+    distill.DistillConfig's defaults; a student keeps its teacher's radius.
+    """
     from . import distill, scenario
     from . import model as model_mod
 
@@ -261,47 +270,38 @@ def train(data_dir, map_source, teacher_path, variant, alpha, beta, seed,
         raise click.UsageError("--distill requires --map nav")
     # A flag that the run would ignore is a usage error: a student's
     # widths derive from its teacher's, and only a student reads the rest.
-    if teacher_path is not None:
-        ignored, verb = (("embed_width", "--d"), ("hidden", "--hidden")), \
-            "cannot be used with"
-    else:
-        ignored, verb = (("variant", "--variant"), ("alpha", "--alpha"),
-                         ("beta", "--beta")), "requires"
-    ctx = click.get_current_context()
-    for name, flag in ignored:
-        if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
-            raise click.UsageError(f"{flag} {verb} --distill")
-    tcfg = distill.TrainConfig(epochs=epochs, lr=lr, seed=seed)
+    verb = "cannot be used with" if teacher_path is not None else "requires"
+    ignored = (_given(d=embed_width, hidden=hidden) if teacher_path is not None
+               else _given(variant=variant, alpha=alpha, beta=beta))
+    for name in ignored:
+        raise click.UsageError(f"--{name} {verb} --distill")
+    tcfg = distill.TrainConfig(**_given(epochs=epochs, lr=lr, seed=seed))
     scenes = scenario.read_scenes(
         os.path.join(data_dir, "scenes_train.ndjson")
     )
     world = scenario.read_world(*_world_paths(data_dir))
     if teacher_path is not None:
-        dcfg = distill.DistillConfig(alpha=alpha, beta=beta,
-                                     variant=variant)
+        dcfg = distill.DistillConfig(**_given(alpha=alpha, beta=beta,
+                                              variant=variant))
         result = distill.train_student(
-            scenes, world, model_mod.load_checkpoint(teacher_path),
-            dcfg, tcfg, map_radius=map_radius,
-        )
+            scenes, world, model_mod.load_checkpoint(teacher_path), dcfg,
+            tcfg, map_radius=map_radius)
     else:
-        config = model_mod.ModelConfig(
-            d=embed_width, hidden=hidden, map_radius=map_radius,
-            map_source=map_source,
-        )
-        result = distill.train(
-            scenes, scenario.view_points(world, map_source), config, tcfg,
-        )
+        config = model_mod.ModelConfig(map_source=map_source, **_given(
+            d=embed_width, hidden=hidden, map_radius=map_radius))
+        result = distill.train(scenes, scenario.view_points(world, map_source),
+                               config, tcfg)
     model_mod.save_checkpoint(out_path, result.params, result.config)
     with open(out_path + ".loss.csv", "w", encoding="utf-8",
               newline="\n") as fh:
         fh.write("epoch,smoothed_loss\n")
         for epoch, value in enumerate(result.loss_curve, start=1):
             fh.write(f"{epoch},{value:.9f}\n")
-    config_snapshot = asdict(result.config)
-    config_snapshot.update(epochs=epochs, lr=lr, distill=teacher_path)
+    config_snapshot = {**asdict(tcfg), **asdict(result.config),
+                       "distill": teacher_path}
     if teacher_path is not None:
-        config_snapshot.update(alpha=alpha, beta=beta, variant=variant)
-    _write_manifest(out_path, "train", config_snapshot, seed,
+        config_snapshot.update(asdict(dcfg))
+    _write_manifest(out_path, "train", config_snapshot, tcfg.seed,
                     [data_dir] + ([teacher_path] if teacher_path else []),
                     started)
     click.echo(f"trained {map_source} model "
@@ -422,7 +422,7 @@ def eval_cmd(data_dir, ckpt_path, split, json_path, csv_path, hist_path,
 @click.option("--x", required=True, type=float)
 @click.option("--y", required=True, type=float)
 @click.option("--radius", required=True, type=float)
-@click.option("--step", default=2.0, show_default=True,
+@click.option("--step", type=float,
               help="Polyline resampling step in meters.")
 def query(graph_path, frame_name, frames_config, x, y, radius, step):
     """List road segments within a radius, with resampled polylines."""
@@ -430,7 +430,7 @@ def query(graph_path, frame_name, frames_config, x, y, radius, step):
 
     frame = _resolve_frame(frame_name, frames_config)
     graph = road_graph.load_graph(graph_path)
-    local = road_graph.localize(graph, frame, resample_step=step)
+    local = road_graph.localize(graph, frame, **_given(resample_step=step))
     segments = road_graph.segments_in_radius(
         local, LocalPoint(x, y), radius
     )

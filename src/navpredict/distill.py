@@ -166,33 +166,39 @@ def train(scenes: list[Scene], map_points: np.ndarray,
     curve = []
     lr = tcfg.lr
     order = np.arange(len(scenes))
-    for _epoch in range(tcfg.epochs):
-        rng.shuffle(order)
-        for idx in order:
-            loss, _grads, _xi = m.loss_and_grads(
-                frames[idx], params, alpha=dcfg.alpha,
-                teacher_embedding=xi_targets[idx], beta=dcfg.beta,
-                workspace=workspace,
-            )
-            ranges = live[workspace.winner]
-            gnorm = _grad_norm(ranges)
-            if not math.isfinite(gnorm):
-                raise m.NumericError("non-finite gradient norm")
-            scale = 1.0
-            if tcfg.grad_clip > 0.0 and gnorm > tcfg.grad_clip:
-                scale = tcfg.grad_clip / gnorm
-            velocity *= tcfg.momentum
-            factor = lr * scale
-            for g, v in ranges:
-                g *= factor
-                v -= g
-            weights += velocity
-            smoothed = loss if smoothed is None else \
-                0.99 * smoothed + 0.01 * loss
-            if not np.isfinite(smoothed):
-                raise m.NumericError("training loss diverged")
-        curve.append(float(smoothed))
-        lr *= tcfg.lr_decay
+    # A diverging run overflows on its way to a non-finite value; ignoring
+    # the warnings makes it a NumericError under any warnings filter. The
+    # last update can overflow after the last check, so one follows.
+    with np.errstate(all="ignore"):
+        for _epoch in range(tcfg.epochs):
+            rng.shuffle(order)
+            for idx in order:
+                loss, _grads, _xi = m.loss_and_grads(
+                    frames[idx], params, alpha=dcfg.alpha,
+                    teacher_embedding=xi_targets[idx], beta=dcfg.beta,
+                    workspace=workspace,
+                )
+                ranges = live[workspace.winner]
+                gnorm = _grad_norm(ranges)
+                if not math.isfinite(gnorm):
+                    raise m.NumericError("non-finite gradient norm")
+                scale = 1.0
+                if tcfg.grad_clip > 0.0 and gnorm > tcfg.grad_clip:
+                    scale = tcfg.grad_clip / gnorm
+                velocity *= tcfg.momentum
+                factor = lr * scale
+                for g, v in ranges:
+                    g *= factor
+                    v -= g
+                weights += velocity
+                smoothed = loss if smoothed is None else \
+                    0.99 * smoothed + 0.01 * loss
+                if not np.isfinite(smoothed):
+                    raise m.NumericError("training loss diverged")
+            curve.append(float(smoothed))
+            lr *= tcfg.lr_decay
+    if not np.isfinite(weights).all():
+        raise m.NumericError("training diverged: non-finite parameters")
     return TrainResult(params=params, config=config, loss_curve=curve)
 
 

@@ -278,7 +278,7 @@ class LocalNavGraph:
                  "_edge_set", "_out", "_in", "_ends", "_intervals", "_index")
 
     def __init__(self, graph: NavGraph, frame: CityFrame, x: np.ndarray,
-                 y: np.ndarray, resample_step: float = 2.0):
+                 y: np.ndarray, resample_step: float):
         _check_positive("resample step", resample_step)
         if not x.shape == y.shape == (len(graph.ids),):
             raise ValueError(f"{len(graph.ids)} nodes need coordinates of "

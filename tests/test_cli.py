@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import pathlib
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,7 +14,13 @@ from click.testing import CliRunner
 
 import navpredict
 from navpredict.cli import main
-from navpredict.model import PARAM_FIELDS, ModelConfig, _shapes, init_params
+from navpredict.distill import TrainConfig
+from navpredict.distill import train as distill_train
+from navpredict.model import (PARAM_FIELDS, ModelConfig, _shapes, init_params,
+                              save_checkpoint)
+from navpredict.scenario import (WorldSpec, generate_scenes, generate_world,
+                                 read_scenes, read_world, view_points,
+                                 write_world)
 
 FIXTURE = pathlib.Path(__file__).parent / "data" / "fixture.osm"
 
@@ -393,6 +401,95 @@ def test_distill_rejects_nav_teacher(tmp_path, runner, dataset):
     ])
     assert result.exit_code == 1
     assert "error code=invalid-input" in result.stderr
+
+
+def _header_config(ckpt):
+    return json.loads(ckpt.read_bytes().split(b"\n", 1)[0])["config"]
+
+
+def test_student_keeps_its_teachers_map_radius(tmp_path, runner, dataset):
+    teacher = _train(runner, dataset, tmp_path, "teacher.ckpt",
+                     "--map", "hd", "--d", "4", "--map-radius", "30")
+    for name, args, radius in (("kept.ckpt", [], 30.0),
+                               ("set.ckpt", ["--map-radius", "40"], 40.0)):
+        student = tmp_path / name
+        result = runner.invoke(main, [
+            "train", "--data", str(dataset), "--map", "nav",
+            "--distill", str(teacher), "--epochs", "1", *args,
+            "--out", str(student),
+        ])
+        assert result.exit_code == 0, result.output
+        assert _header_config(student)["map_radius"] == radius
+
+
+def test_flagless_train_uses_the_library_defaults(tmp_path, runner, dataset):
+    # No recipe flag is given, so the run is distill.train's at the
+    # default configs: a retuned library default reaches the CLI.
+    ckpt = tmp_path / "cli.ckpt"
+    result = runner.invoke(main, [
+        "train", "--data", str(dataset), "--map", "none", "--out", str(ckpt),
+    ])
+    assert result.exit_code == 0, result.output
+    tcfg, config = TrainConfig(), ModelConfig(map_source="none")
+    world = read_world(dataset / "world_hd.json", dataset / "world_nav.json")
+    trained = distill_train(read_scenes(dataset / "scenes_train.ndjson"),
+                            view_points(world, "none"), config, tcfg)
+    library = tmp_path / "library.ckpt"
+    save_checkpoint(library, trained.params, trained.config)
+    assert ckpt.read_bytes() == library.read_bytes()
+    # The manifest records the values used, by their library names.
+    recorded = json.loads(
+        (tmp_path / "cli.ckpt.manifest.json").read_text())["config"]
+    assert recorded == {**asdict(tcfg), **asdict(config), "distill": None}
+
+
+def test_gen_records_the_library_defaults(tmp_path, dataset):
+    config = json.loads(
+        (dataset / "scenes_train.ndjson.manifest.json").read_text())["config"]
+    spec = WorldSpec(seed=3)
+    assert config["world"] == json.loads(json.dumps(asdict(spec)))
+    draws = {name: param.default for name, param in inspect.signature(
+        generate_scenes).parameters.items()
+        if param.default is not param.empty}
+    assert {name: config[name] for name in draws} == draws
+    paths = tmp_path / "hd.json", tmp_path / "nav.json"
+    write_world(generate_world(spec), *paths)
+    for path, name in zip(paths, ("world_hd.json", "world_nav.json")):
+        assert path.read_bytes() == (dataset / name).read_bytes()
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("train", "--epochs"), ("train", "--lr"), ("gen", "--roads"),
+    ("query", "--step"),
+])
+def test_non_numeric_flag_is_usage_error(tmp_path, runner, command, flag):
+    args = {
+        "train": ["--data", str(tmp_path), "--map", "none",
+                  "--out", str(tmp_path / "m.ckpt")],
+        "gen": ["--out", str(tmp_path / "data")],
+        "query": ["--graph", str(FIXTURE), "--frame", "miami",
+                  "--x", "0", "--y", "0", "--radius", "10"],
+    }[command]
+    result = runner.invoke(main, [command, *args, flag, "many"])
+    assert result.exit_code == 2
+    assert f"Invalid value for '{flag}'" in result.output + result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_diverging_training_is_numeric_error(tmp_path, runner, dataset):
+    # The run overflows on its way to a NaN loss. It reports
+    # numeric-error whatever the warnings filter, not a numpy warning.
+    ckpt = tmp_path / "m.ckpt"
+    result = runner.invoke(main, [
+        "train", "--data", str(dataset), "--map", "none", "--lr", "10",
+        "--epochs", "1", "--d", "8", "--hidden", "8", "--out", str(ckpt),
+    ])
+    assert result.exit_code == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert "error code=numeric-error" in lines[0]
+    assert not ckpt.exists()
 
 
 def test_eval_histogram_outputs(tmp_path, runner, dataset):

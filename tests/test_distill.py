@@ -454,6 +454,18 @@ def test_non_finite_gradient_raises_before_update(world, scenes,
         np.testing.assert_array_equal(params.flat, before)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, tcfg", [
+    (30, TrainConfig(lr=10)),
+    # One step: its loss is finite, and its update overflows after it.
+    (1, TrainConfig(epochs=1, lr=1e308, grad_clip=0.0)),
+], ids=["lr-10", "last-update-overflows"])
+def test_diverging_training_raises_numeric_error(world, scenes, n, tcfg):
+    config = M.ModelConfig(d=8, hidden=8, map_source="none")
+    with pytest.raises(M.NumericError):
+        train(scenes[:n], view_points(world, "none"), config, tcfg)
+
+
 def test_training_steps_allocate_less_than_one_map_array(world, scenes):
     # A step writes its (m, d) activations and gradients into the
     # workspace and adds the map encoder's biases without broadcasting,

@@ -415,7 +415,7 @@ def test_radius_equal_to_an_edge_distance_keeps_an_edge_on_a_cell_edge(axis):
     graph = NavGraph(nodes={nid: GeoPoint(25.0, -80.2) for nid in local},
                      edges=((0, 1), (2, 3), (4, 5)))
     x, y = np.array(xy).T
-    g = LocalNavGraph(graph=graph, frame=MIAMI, x=x, y=y)
+    g = LocalNavGraph(graph=graph, frame=MIAMI, x=x, y=y, resample_step=2.0)
     assert point_segment_distance(*center, local[0], local[1]) == 128.0
     got = segments_in_radius(g, LocalPoint(*center), 128.0)
     assert [s.edge_id for s in got] == [(0, 1), (4, 5)]
@@ -446,7 +446,7 @@ def test_local_graph_rejects_coordinates_of_another_length(nx, ny):
     message = (rf"^3 nodes need coordinates of shape \(3,\), "
                rf"got x \({nx},\) and y \({ny},\)$")
     with pytest.raises(ValueError, match=message):
-        LocalNavGraph(graph, MIAMI, np.zeros(nx), np.zeros(ny))
+        LocalNavGraph(graph, MIAMI, np.zeros(nx), np.zeros(ny), 2.0)
 
 
 @pytest.mark.parametrize("nodes", [
