@@ -8,15 +8,19 @@ each retained way into per-pair directed edges, honoring ``oneway``.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import logging
-import xml.etree.ElementTree as ET
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from xml.parsers import expat
 
 import numpy as np
 
 from .geo import InvalidCoordinateError
-from .road_graph import _INT64_MAX, _INT64_MIN, NavGraph, _NodeError
+from .road_graph import (_INT64_MAX, _INT64_MIN, NavGraph, _int64_ids,
+                         _NodeError, _point_arrays)
 
 __all__ = [
     "OsmNode",
@@ -39,7 +43,8 @@ ROAD_TYPE_WHITELIST = frozenset({
 
 
 class OsmParseError(ValueError):
-    """Malformed OSM XML; message carries line/column when available."""
+    """Malformed OSM XML or a bad element; the message names its line and
+    column."""
 
 
 class DuplicateNodeError(OsmParseError):
@@ -60,57 +65,136 @@ class OsmWay:
     tags: dict[str, str] = field(default_factory=dict)
 
 
-def parse_osm(source) -> tuple[dict[int, OsmNode], list[OsmWay]]:
+class _OsmNodes(Mapping):
+    """Read-only id -> ``OsmNode`` view of parsed nodes, held as three
+    arrays in document order: int64 ``ids`` with float ``lat`` and
+    ``lon``. An ``OsmNode`` is built each time one is read."""
+
+    __slots__ = ("ids", "lat", "lon", "_positions")
+
+    def __init__(self, ids: np.ndarray, lat: np.ndarray, lon: np.ndarray):
+        self.ids, self.lat, self.lon = ids, lat, lon
+        self._positions = None
+
+    def __getitem__(self, nid):
+        if self._positions is None:
+            self._positions = dict(zip(self.ids.tolist(),
+                                       range(len(self.ids))))
+        i = self._positions[nid]
+        return OsmNode(int(self.ids[i]), float(self.lat[i]),
+                       float(self.lon[i]))
+
+    def __iter__(self):
+        return iter(self.ids.tolist())
+
+    def __len__(self):
+        return len(self.ids)
+
+
+def parse_osm(source) -> tuple[Mapping[int, OsmNode], list[OsmWay]]:
     """Stream-parse an ``.osm`` document (path or binary file object).
 
-    Returns nodes keyed by id plus ways in document order. Elements other
-    than ``<node>`` and ``<way>`` (relations, bounds, ...) are skipped. A
-    node id or ``nd`` ref must fit in int64.
+    Returns the nodes and the ways, each in document order. The nodes are
+    a read-only id -> ``OsmNode`` mapping over int64 ``ids`` and float
+    ``lat`` and ``lon`` arrays, with no Python object per node; an
+    ``OsmNode`` is built only when one is read. A way's refs and tags are
+    its direct ``<nd>`` and ``<tag>`` children. Elements other than
+    ``<node>`` and ``<way>`` (relations, bounds, ...) are skipped. A node
+    id or ``nd`` ref must fit in int64.
+
+    The first fault in the document raises an ``OsmParseError``.
+    Malformed XML names expat's line, column and message, as
+    ElementTree does; a bad attribute or a repeated node id
+    (``DuplicateNodeError``) names the line and column at which its
+    element's start tag begins.
     """
-    nodes: dict[int, OsmNode] = {}
+    ids, lat, lon = array("q"), array("d"), array("d")
+    seen: set[int] = set()
     ways: list[OsmWay] = []
-    try:
-        for _event, elem in ET.iterparse(source, events=("end",)):
-            if elem.tag == "node":
-                nid = int(elem.attrib["id"])
+    open_ways = []  # (depth, id, refs, tags) of each open <way>
+    # Every start tag raises the depth. End tags lower it only inside a
+    # <way>, the one place depths are compared, so the end handler is set
+    # only there and no <node> outside pays for a call to it.
+    depth = 0
+    # ElementTree's separator, so namespaced names and texts stay its own.
+    parser = expat.ParserCreate(None, "}")
+
+    def where():
+        return (f"line {parser.CurrentLineNumber}, "
+                f"column {parser.CurrentColumnNumber}")
+
+    def start(name, attrs):
+        nonlocal depth
+        depth += 1
+        try:
+            if name == "node":
+                nid = int(attrs["id"])
                 if not _INT64_MIN <= nid <= _INT64_MAX:
                     raise ValueError(f"node id {nid} is outside int64")
-                if nid in nodes:
+                if nid in seen:
                     raise DuplicateNodeError(f"duplicate node id {nid}")
-                nodes[nid] = OsmNode(
-                    id=nid,
-                    lat=float(elem.attrib["lat"]),
-                    lon=float(elem.attrib["lon"]),
-                )
-                elem.clear()
-            elif elem.tag == "way":
-                refs = []
-                tags = {}
-                for child in elem:
-                    if child.tag == "nd":
-                        refs.append(int(child.attrib["ref"]))
-                    elif child.tag == "tag":
-                        tags[child.attrib["k"]] = child.attrib["v"]
-                if refs and not (_INT64_MIN <= min(refs)
-                                 and max(refs) <= _INT64_MAX):
-                    ref = next(r for r in refs
-                               if not _INT64_MIN <= r <= _INT64_MAX)
-                    raise ValueError(f"nd ref {ref} is outside int64")
-                ways.append(OsmWay(id=int(elem.attrib["id"]),
-                                   node_refs=tuple(refs), tags=tags))
-                elem.clear()
-            elif elem.tag in ("osm", "relation", "bounds"):
-                elem.clear()
-    except ET.ParseError as exc:
-        line, col = exc.position
-        raise OsmParseError(
-            f"malformed OSM XML at line {line}, column {col}: {exc.msg}"
-        ) from exc
-    except (KeyError, ValueError) as exc:
-        if isinstance(exc, OsmParseError):
-            raise
-        raise OsmParseError(f"bad OSM element attributes: {exc}") from exc
-    return nodes, ways
+                seen.add(nid)
+                ids.append(nid)
+                lat.append(float(attrs["lat"]))
+                lon.append(float(attrs["lon"]))
+            elif name == "way":
+                if not open_ways:
+                    parser.EndElementHandler = end
+                open_ways.append((depth, int(attrs["id"]), [], {}))
+            elif open_ways and open_ways[-1][0] == depth - 1:
+                if name == "nd":
+                    ref = int(attrs["ref"])
+                    if not _INT64_MIN <= ref <= _INT64_MAX:
+                        raise ValueError(f"nd ref {ref} is outside int64")
+                    open_ways[-1][2].append(ref)
+                elif name == "tag":
+                    open_ways[-1][3][attrs["k"]] = attrs["v"]
+        except DuplicateNodeError as exc:
+            raise DuplicateNodeError(
+                f"OSM element at {where()}: {exc}") from None
+        except (KeyError, ValueError) as exc:
+            raise OsmParseError(f"OSM element at {where()}: bad OSM element "
+                                f"attributes: {exc}") from exc
+
+    def end(name):
+        nonlocal depth
+        depth -= 1
+        if name == "way":
+            _, wid, refs, tags = open_ways.pop()
+            ways.append(OsmWay(id=wid, node_refs=tuple(refs), tags=tags))
+            if not open_ways:
+                parser.EndElementHandler = None
+
+    def skipped(entity, is_parameter_entity):
+        # ElementTree rejects a reference in content to an entity that
+        # an external DTD it does not read might declare.
+        if not is_parameter_entity:
+            at = where()
+            raise OsmParseError(f"malformed OSM XML at {at}: undefined "
+                                f"entity &{entity};: {at}")
+
+    parser.StartElementHandler = start
+    parser.SkippedEntityHandler = skipped
+    try:
+        with (contextlib.nullcontext(source) if hasattr(source, "read")
+              else open(source, "rb")) as fh:
+            while chunk := fh.read(1 << 16):
+                parser.Parse(chunk, False)
+            parser.Parse(b"", True)
+    except expat.ExpatError as exc:
+        raise OsmParseError(f"malformed OSM XML at line {exc.lineno}, "
+                            f"column {exc.offset}: {exc}") from exc
+    finally:
+        # The handlers read the parser's position, so they and the parser
+        # refer to each other: drop them, and ``seen`` is freed on return
+        # rather than by a later cycle collection.
+        parser.StartElementHandler = parser.EndElementHandler = None
+        parser.SkippedEntityHandler = None
+    arrays = (np.frombuffer(ids, np.int64), np.frombuffer(lat, float),
+              np.frombuffer(lon, float))
+    for values in arrays:
+        values.flags.writeable = False
+    return _OsmNodes(*arrays), ways
 
 
 def _way_directions(way: OsmWay) -> tuple[bool, bool]:
@@ -123,49 +207,66 @@ def _way_directions(way: OsmWay) -> tuple[bool, bool]:
     return True, True
 
 
-def build_nav_graph(nodes: dict[int, OsmNode], ways) -> NavGraph:
+def build_nav_graph(nodes: Mapping[int, OsmNode], ways) -> NavGraph:
     """Filter ways to the road-type whitelist and expand them into edges.
 
-    Ways referencing nodes absent from the document are skipped whole
-    with a warning; nodes not used by any retained way are dropped. Each
-    consecutive ref pair gives its forward edge, then its backward one, as
-    ``oneway`` allows; self-loops and repeats of an earlier edge are
-    dropped. The pairs of all retained ways are expanded in one array
-    pass, in way order.
+    ``nodes`` is the mapping ``parse_osm`` returns, or any id ->
+    ``OsmNode`` mapping with ids in int64, such as a dict; the latter is
+    first made into the same arrays. Every ref of a whitelisted way is
+    resolved by one binary search over the sorted node ids. Ways
+    referencing nodes absent from ``nodes`` are skipped whole with a
+    warning, as are ways of fewer than 2 refs; nodes not used by any
+    retained way are dropped. Each consecutive ref pair gives its forward
+    edge, then its backward one, as ``oneway`` allows; self-loops and
+    repeats of an earlier edge are dropped. The pairs of all retained ways
+    are expanded in one array pass, in way order.
     """
-    kept = []
-    for way in ways:
-        if way.tags.get("highway") not in ROAD_TYPE_WHITELIST:
-            continue
-        if any(ref not in nodes for ref in way.node_refs):
+    if isinstance(nodes, _OsmNodes):
+        ids, lat, lon = nodes.ids, nodes.lat, nodes.lon
+    else:
+        ids, lat, lon = _point_arrays(nodes)
+    order = np.argsort(ids, kind="stable")
+    keys = ids[order]
+    roads = [way for way in ways
+             if way.tags.get("highway") in ROAD_TYPE_WHITELIST]
+    refs = _int64_ids(list(itertools.chain.from_iterable(
+        way.node_refs for way in roads)))
+    sizes = np.fromiter((len(way.node_refs) for way in roads), np.intp,
+                        len(roads))
+    at = np.searchsorted(keys, refs)
+    found = (keys.take(at, mode="clip") == refs if len(keys)
+             else np.zeros(len(refs), dtype=bool))
+    missing = np.bincount(np.repeat(np.arange(len(roads)), sizes)[~found],
+                          minlength=len(roads))
+    kept = np.zeros(len(roads), dtype=bool)
+    for i, (way, unresolved, size) in enumerate(
+            zip(roads, missing.tolist(), sizes.tolist())):
+        if unresolved:
             log.warning("skipping way %d: unresolved node reference", way.id)
-            continue
-        if len(way.node_refs) < 2:
+        elif size < 2:
             log.warning("skipping way %d: fewer than 2 node refs", way.id)
-            continue
-        kept.append(way)
-    refs = np.fromiter(itertools.chain.from_iterable(
-        way.node_refs for way in kept), np.int64)
-    sizes = np.fromiter((len(way.node_refs) for way in kept), np.intp,
-                        len(kept))
+        else:
+            kept[i] = True
+    # From here a ref is its node's position in the sorted ids.
+    at, sizes = at[np.repeat(kept, sizes)], sizes[kept]
     # Pair k joins refs k and k + 1, unless ref k ends its way.
-    joined = np.ones(max(len(refs) - 1, 0), dtype=bool)
+    joined = np.ones(max(len(at) - 1, 0), dtype=bool)
     joined[np.cumsum(sizes)[:-1] - 1] = False
-    a, b = refs[:-1][joined], refs[1:][joined]
-    directions = np.array([_way_directions(way) for way in kept],
-                          dtype=bool).reshape(-1, 2)
+    a, b = at[:-1][joined], at[1:][joined]
+    directions = np.array([_way_directions(way) for way in roads],
+                          dtype=bool).reshape(-1, 2)[kept]
     emitted = np.repeat(directions, sizes - 1, axis=0)
-    edges = np.stack([a, b, b, a], axis=1).reshape(-1, 2, 2)[emitted]
-    edges = edges[edges[:, 0] != edges[:, 1]]
-    ids = np.unique(edges)
-    ends = np.searchsorted(ids, edges)
-    _, first = np.unique(ends[:, 0] * len(ids) + ends[:, 1],
+    ends = np.stack([a, b, b, a], axis=1).reshape(-1, 2, 2)[emitted]
+    ends = ends[ends[:, 0] != ends[:, 1]]
+    # The graph's nodes are those its edges use, in id order.
+    used = np.zeros(len(keys), dtype=bool)
+    used[ends] = True
+    ends = (np.cumsum(used) - 1)[ends]
+    _, first = np.unique(ends[:, 0] * len(keys) + ends[:, 1],
                          return_index=True)
-    points = [nodes[nid] for nid in ids.tolist()]
+    graph_ids, at = keys[used], order[used]
     try:
-        return NavGraph._from_arrays(
-            ids, np.fromiter((p.lat for p in points), float, len(points)),
-            np.fromiter((p.lon for p in points), float, len(points)),
-            edges[np.sort(first)])
+        return NavGraph._from_arrays(graph_ids, lat[at], lon[at],
+                                     graph_ids[ends[np.sort(first)]])
     except _NodeError as exc:
         raise InvalidCoordinateError(str(exc)) from None

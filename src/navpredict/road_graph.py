@@ -85,6 +85,15 @@ def _int64_ids(ids: list) -> np.ndarray:
         raise ValueError(f"node id {nid} is outside int64") from None
 
 
+def _point_arrays(nodes: Mapping) -> tuple[np.ndarray, ...]:
+    """The int64 ids of an id -> point mapping, in its order, with the
+    ``lat`` and ``lon`` of each point as float arrays."""
+    points = nodes.values()
+    return (_int64_ids(list(nodes)),
+            np.fromiter((p.lat for p in points), float, len(points)),
+            np.fromiter((p.lon for p in points), float, len(points)))
+
+
 class NavGraph:
     """Directed road graph in geographic coordinates, held as arrays.
 
@@ -103,10 +112,7 @@ class NavGraph:
                  "_positions")
 
     def __init__(self, nodes: Mapping[int, GeoPoint], edges):
-        points = nodes.values()
-        self._set(_int64_ids(list(nodes)),
-                  np.fromiter((p.lat for p in points), float, len(points)),
-                  np.fromiter((p.lon for p in points), float, len(points)),
+        self._set(*_point_arrays(nodes),
                   _int64_ids(list(itertools.chain.from_iterable(edges)))
                   .reshape(-1, 2))
 

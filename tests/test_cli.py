@@ -149,6 +149,19 @@ def test_ingest_malformed_osm_reports_error_code(tmp_path, runner):
     assert "error code=parse-error" in result.stderr
 
 
+def test_ingest_bad_element_names_its_line(tmp_path, runner):
+    bad = tmp_path / "bad.osm"
+    bad.write_text('<osm>\n  <node id="1" lat="0" lon="0"/>\n'
+                   '  <node id="1" lat="1" lon="1"/>\n</osm>\n')
+    result = runner.invoke(main, [
+        "ingest", str(bad), "--frame", "miami",
+        "--out", str(tmp_path / "g.txt"),
+    ])
+    assert result.exit_code == 1
+    assert result.stderr == ("error code=parse-error msg=OSM element at "
+                             "line 3, column 2: duplicate node id 1\n")
+
+
 @pytest.mark.parametrize("command", ["ingest", "query"])
 @pytest.mark.parametrize("text,code", [
     ('[{"name": "x", "zone": 17, "origin_northing": 0}]', "invalid-input"),
