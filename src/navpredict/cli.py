@@ -318,7 +318,13 @@ def _write_per_scene_csv(path, per_scene):
             fh.write(",".join(cells) + "\n")
 
 
-def _write_histogram(hist, csv_path=None, svg_path=None):
+def _write_histogram(fdes, csv_path, svg_path):
+    """Write the histogram of the minFDE values ``fdes`` to each path given."""
+    if not (csv_path or svg_path):
+        return
+    from . import metrics
+
+    hist = metrics.fde_histogram(fdes)
     if csv_path:
         with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("bin_start,bin_end,normalized_count\n")
@@ -406,11 +412,8 @@ def eval_cmd(data_dir, ckpt_path, split, json_path, csv_path, hist_path,
                         [data_dir, ckpt_path], started)
     if csv_path:
         _write_per_scene_csv(csv_path, per_scene)
-    if hist_path or hist_svg_path:
-        hist = metrics.fde_histogram(
-            [row["minFDE@6"] for row in per_scene]
-        )
-        _write_histogram(hist, hist_path, hist_svg_path)
+    _write_histogram([row["minFDE@6"] for row in per_scene], hist_path,
+                     hist_svg_path)
 
 
 @main.command()
@@ -478,9 +481,7 @@ def report(csv_path, k, hist_path, hist_svg_path):
         fdes.append(fde)
     rep = metrics.aggregate([ades], [fdes], ks=(k,))
     click.echo(metrics.format_report_table(rep))
-    if hist_path or hist_svg_path:
-        hist = metrics.fde_histogram(fdes)
-        _write_histogram(hist, hist_path, hist_svg_path)
+    _write_histogram(fdes, hist_path, hist_svg_path)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ import numpy as np
 
 from .geo import InvalidCoordinateError
 from .road_graph import (_INT64_MAX, _INT64_MIN, NavGraph, _int64_ids,
-                         _NodeError, _point_arrays)
+                         _NodeError, _point_arrays, _PointView, _repeats)
 
 __all__ = [
     "OsmNode",
@@ -65,42 +65,16 @@ class OsmWay:
     tags: dict[str, str] = field(default_factory=dict)
 
 
-class _OsmNodes(Mapping):
-    """Read-only id -> ``OsmNode`` view of parsed nodes, held as three
-    arrays in document order: int64 ``ids`` with float ``lat`` and
-    ``lon``. An ``OsmNode`` is built each time one is read."""
-
-    __slots__ = ("ids", "lat", "lon", "_positions")
-
-    def __init__(self, ids: np.ndarray, lat: np.ndarray, lon: np.ndarray):
-        self.ids, self.lat, self.lon = ids, lat, lon
-        self._positions = None
-
-    def __getitem__(self, nid):
-        if self._positions is None:
-            self._positions = dict(zip(self.ids.tolist(),
-                                       range(len(self.ids))))
-        i = self._positions[nid]
-        return OsmNode(int(self.ids[i]), float(self.lat[i]),
-                       float(self.lon[i]))
-
-    def __iter__(self):
-        return iter(self.ids.tolist())
-
-    def __len__(self):
-        return len(self.ids)
-
-
 def parse_osm(source) -> tuple[Mapping[int, OsmNode], list[OsmWay]]:
     """Stream-parse an ``.osm`` document (path or binary file object).
 
     Returns the nodes and the ways, each in document order. The nodes are
-    a read-only id -> ``OsmNode`` mapping over int64 ``ids`` and float
-    ``lat`` and ``lon`` arrays, with no Python object per node; an
-    ``OsmNode`` is built only when one is read. A way's refs and tags are
-    its direct ``<nd>`` and ``<tag>`` children. Elements other than
-    ``<node>`` and ``<way>`` (relations, bounds, ...) are skipped. A node
-    id or ``nd`` ref must fit in int64.
+    a read-only id -> ``OsmNode`` view, of the kind ``NavGraph.nodes``
+    is, over int64 ids and float lat and lon arrays: no Python object is
+    made per node, and an ``OsmNode`` is built only when one is read. A
+    way's refs and tags are its direct ``<nd>`` and ``<tag>`` children.
+    Elements other than ``<node>`` and ``<way>`` (relations, bounds, ...)
+    are skipped. A node id or ``nd`` ref must fit in int64.
 
     The first fault in the document raises an ``OsmParseError``.
     Malformed XML names expat's line, column and message, as
@@ -194,7 +168,7 @@ def parse_osm(source) -> tuple[Mapping[int, OsmNode], list[OsmWay]]:
               np.frombuffer(lon, float))
     for values in arrays:
         values.flags.writeable = False
-    return _OsmNodes(*arrays), ways
+    return _PointView(arrays[0], OsmNode, arrays, {}), ways
 
 
 def _way_directions(way: OsmWay) -> tuple[bool, bool]:
@@ -217,12 +191,14 @@ def build_nav_graph(nodes: Mapping[int, OsmNode], ways) -> NavGraph:
     referencing nodes absent from ``nodes`` are skipped whole with a
     warning, as are ways of fewer than 2 refs; nodes not used by any
     retained way are dropped. Each consecutive ref pair gives its forward
-    edge, then its backward one, as ``oneway`` allows; self-loops and
-    repeats of an earlier edge are dropped. The pairs of all retained ways
-    are expanded in one array pass, in way order.
+    edge, then its backward one, as ``oneway`` allows; the pairs of all
+    retained ways are expanded in one array pass, in way order. Self-loops
+    are dropped, and so is each edge that repeats an earlier one: by
+    ``NavGraph``'s rule, one that follows an equal edge in the stable sort
+    of the edges, so the first of each repeat stays, in way order.
     """
-    if isinstance(nodes, _OsmNodes):
-        ids, lat, lon = nodes.ids, nodes.lat, nodes.lon
+    if isinstance(nodes, _PointView) and nodes.point is OsmNode:
+        ids, lat, lon = nodes.columns
     else:
         ids, lat, lon = _point_arrays(nodes)
     order = np.argsort(ids, kind="stable")
@@ -262,11 +238,10 @@ def build_nav_graph(nodes: Mapping[int, OsmNode], ways) -> NavGraph:
     used = np.zeros(len(keys), dtype=bool)
     used[ends] = True
     ends = (np.cumsum(used) - 1)[ends]
-    _, first = np.unique(ends[:, 0] * len(keys) + ends[:, 1],
-                         return_index=True)
+    _, repeat = _repeats(ends[:, 0] * len(keys) + ends[:, 1])
     graph_ids, at = keys[used], order[used]
     try:
         return NavGraph._from_arrays(graph_ids, lat[at], lon[at],
-                                     graph_ids[ends[np.sort(first)]])
+                                     graph_ids[ends[~repeat]])
     except _NodeError as exc:
         raise InvalidCoordinateError(str(exc)) from None

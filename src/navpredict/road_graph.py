@@ -85,6 +85,16 @@ def _int64_ids(ids: list) -> np.ndarray:
         raise ValueError(f"node id {nid} is outside int64") from None
 
 
+def _repeats(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable sort order of ``keys``, and a mask of each key that
+    repeats an earlier one: one that follows an equal key in that order."""
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    repeat = np.zeros(len(keys), dtype=bool)
+    repeat[order[1:][ranked[1:] == ranked[:-1]]] = True
+    return order, repeat
+
+
 def _point_arrays(nodes: Mapping) -> tuple[np.ndarray, ...]:
     """The int64 ids of an id -> point mapping, in its order, with the
     ``lat`` and ``lon`` of each point as float arrays."""
@@ -129,12 +139,9 @@ class NavGraph:
         """Check the records and hold them sorted; ``edges`` is built from
         the arrays when first read."""
         n = len(ids)
-        order = np.argsort(ids, kind="stable")
+        # A repeated node is named before its coordinates are checked.
+        order, repeat = _repeats(ids)
         keys = ids[order]
-        # A node repeats an earlier one where it follows an equal id in
-        # the stable sort; the repeat is checked before the coordinates.
-        repeat = np.zeros(n, dtype=bool)
-        repeat[order[1:][keys[1:] == keys[:-1]]] = True
         in_range = (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (
             lon < 180.0)
         faults = np.flatnonzero(repeat | ~in_range)
@@ -151,13 +158,8 @@ class NavGraph:
                  else np.zeros(pairs.shape, dtype=bool))
         missing = ~found.all(axis=1)
         loop = pairs[:, 0] == pairs[:, 1]
-        # Edge keys in id order; the stable sort puts a repeat right after
-        # the edge it repeats, and is the order LocalNavGraph indexes in.
-        edge_keys = ends[:, 0] * n + ends[:, 1]
-        by_id = np.argsort(edge_keys, kind="stable")
-        edge_keys = edge_keys[by_id]
-        repeat = np.zeros(len(pairs), dtype=bool)
-        repeat[by_id[1:][edge_keys[1:] == edge_keys[:-1]]] = True
+        # Edge keys sort in edge-id order, the order LocalNavGraph indexes in.
+        by_id, repeat = _repeats(ends[:, 0] * n + ends[:, 1])
         faults = np.flatnonzero(missing | loop | repeat)
         if len(faults):
             i = int(faults[0])
@@ -170,11 +172,12 @@ class NavGraph:
         self.edge_nodes, self._by_id = ends, by_id
         for array in (self.ids, self.lat, self.lon, ends, by_id):
             array.flags.writeable = False
-        self._edges = self._positions = None
+        self._edges, self._positions = None, {}
 
     @property
     def nodes(self) -> Mapping[int, GeoPoint]:
-        return _PointView(self, GeoPoint, self.lat, self.lon)
+        return _PointView(self.ids, GeoPoint, (self.lat, self.lon),
+                          self._positions)
 
     @property
     def edges(self) -> tuple[EdgeId, ...]:
@@ -183,39 +186,43 @@ class NavGraph:
             self._edges = tuple(zip(src, dst))
         return self._edges
 
-    def _position(self) -> dict[int, int]:
-        """Node id -> position in ``ids``, built on first use."""
-        if self._positions is None:
-            self._positions = dict(zip(self.ids.tolist(),
-                                       range(len(self.ids))))
-        return self._positions
-
     def __repr__(self):
         return (f"NavGraph({len(self.ids)} nodes, "
                 f"{len(self.edge_nodes)} edges)")
 
 
 class _PointView(Mapping):
-    """Read-only id -> point view of a graph's two coordinate arrays; a
-    point is built each time one is read."""
+    """Read-only id -> point view of int64 ``ids`` and the arrays in
+    ``columns`` beside them: the point at position i, built each time one
+    is read, is ``point`` of each column's item i. ``positions`` is the
+    id -> position dict, filled on first use; views of one graph share
+    it."""
 
-    __slots__ = ("_graph", "_point", "_a", "_b")
+    __slots__ = ("ids", "point", "columns", "_positions")
 
-    def __init__(self, graph: NavGraph, point, a: np.ndarray, b: np.ndarray):
-        self._graph, self._point, self._a, self._b = graph, point, a, b
+    def __init__(self, ids: np.ndarray, point, columns: tuple,
+                 positions: dict):
+        self.ids, self.point, self.columns = ids, point, columns
+        self._positions = positions
+
+    def _position(self) -> dict[int, int]:
+        if not self._positions:
+            self._positions.update(zip(self.ids.tolist(),
+                                       range(len(self.ids))))
+        return self._positions
 
     def __getitem__(self, nid):
-        i = self._graph._position()[nid]
-        return self._point(float(self._a[i]), float(self._b[i]))
+        i = self._position()[nid]
+        return self.point(*[column.item(i) for column in self.columns])
 
     def __contains__(self, nid):
-        return nid in self._graph._position()
+        return nid in self._position()
 
     def __iter__(self):
-        return iter(self._graph.ids.tolist())
+        return iter(self.ids.tolist())
 
     def __len__(self):
-        return len(self._graph.ids)
+        return len(self.ids)
 
 
 class RoadSegment:
@@ -309,7 +316,8 @@ class LocalNavGraph:
 
     @property
     def local(self) -> Mapping[int, LocalPoint]:
-        return _PointView(self.graph, LocalPoint, self.x, self.y)
+        return _PointView(self.graph.ids, LocalPoint, (self.x, self.y),
+                          self.graph._positions)
 
     def _check_edge(self, edge_id: EdgeId):
         if edge_id not in self._edge_set:
@@ -535,13 +543,15 @@ def load_graph(path) -> NavGraph:
 
     ``E`` lines may come before the ``N`` lines of their nodes. The first
     line of the file that breaks the format or a node rule of
-    :class:`NavGraph`, or holds an id outside int64, is named. Only when
-    there is none are the edges checked, naming the first faulty edge's
-    line.
+    :class:`NavGraph`, or holds an id outside int64, is named; each line's
+    ids are checked against int64 as it is read, once its tokens parse.
+    Only when there is none are the edges checked, naming the first faulty
+    edge's line.
     """
     ids, lat, lon, node_lines = [], [], [], []
     src, dst, edge_lines = [], [], []
     fault = None            # (line number, message) of the line that broke
+    lo, hi = _INT64_MIN, _INT64_MAX      # local names: read on every line
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
@@ -557,12 +567,17 @@ def load_graph(path) -> NavGraph:
                         if nid in ids:
                             raise ValueError(f"repeated node {nid}") from None
                         raise
+                    if not lo <= nid <= hi:
+                        raise ValueError(f"node id {nid} is outside int64")
                     ids.append(nid)
                     lat.append(y)
                     lon.append(x)
                     node_lines.append(lineno)
                 elif parts[0] == "E" and len(parts) == 3:
                     a, b = int(parts[1]), int(parts[2])
+                    if not (lo <= a <= hi and lo <= b <= hi):
+                        nid = b if lo <= a <= hi else a
+                        raise ValueError(f"node id {nid} is outside int64")
                     src.append(a)
                     dst.append(b)
                     edge_lines.append(lineno)
@@ -571,27 +586,13 @@ def load_graph(path) -> NavGraph:
             except ValueError as exc:
                 fault = lineno, str(exc)
                 break
+    # The edges are checked only when no line broke.
+    pairs = (np.array([src, dst], dtype=np.int64).T if fault is None
+             else np.zeros((0, 2), dtype=np.int64))
     try:
-        keys = np.array(ids, dtype=np.int64)
-        pairs = np.array([src, dst], dtype=np.int64).T
-    except OverflowError:
-        # A line with an id outside int64 is faulty. The first such line
-        # comes before the one the loop broke at, so only the nodes above
-        # it are checked.
-        lineno, _, nid = min(
-            (line, k, v) for k, (values, lines) in enumerate(
-                ((ids, node_lines), (src, edge_lines), (dst, edge_lines)))
-            for v, line in zip(values, lines)
-            if not _INT64_MIN <= v <= _INT64_MAX)
-        fault = lineno, f"node id {nid} is outside int64"
-        keys = np.array(ids[:bisect.bisect_left(node_lines, lineno)],
-                        dtype=np.int64)
-    if fault is not None:
-        pairs = np.zeros((0, 2), dtype=np.int64)
-    n = len(keys)
-    try:
-        graph = NavGraph._from_arrays(keys, np.array(lat[:n], dtype=float),
-                                      np.array(lon[:n], dtype=float), pairs)
+        graph = NavGraph._from_arrays(np.array(ids, dtype=np.int64),
+                                      np.array(lat, dtype=float),
+                                      np.array(lon, dtype=float), pairs)
     except _NodeError as exc:
         fault = node_lines[exc.index], str(exc)
     except _EdgeError as exc:

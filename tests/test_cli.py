@@ -90,6 +90,23 @@ def test_ingest_writes_the_golden_fixture_graph(tmp_path, runner):
                                 / "fixture-graph.txt").read_bytes()
 
 
+def test_query_of_the_ingested_fixture_matches_the_golden_csv(tmp_path,
+                                                               runner):
+    # A disc that holds 14 of the fixture graph's 25 edges.
+    graph = tmp_path / "graph.txt"
+    result = runner.invoke(main, [
+        "ingest", str(FIXTURE), "--frame", "miami", "--out", str(graph),
+    ])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, [
+        "query", "--graph", str(graph), "--frame", "miami",
+        "--x", "-200", "--y", "1880", "--radius", "150",
+    ])
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == (FIXTURE.parent
+                                   / "fixture-query.csv").read_bytes()
+
+
 @pytest.mark.parametrize("text,line", [
     ("N 9223372036854775808 25.0 -80.0\n", 1),
     ("N 1 25.0 -80.0\nN -2 25.0 -80.1\nE -2 -9223372036854775809\n", 3),

@@ -58,6 +58,20 @@ def test_parse_minimal_document():
     assert ways[0].tags["highway"] == "residential"
 
 
+def test_parsed_nodes_are_a_read_only_view():
+    nodes, _ = parse_osm(_doc(
+        '<node id="7" lat="25.5" lon="-80.25"/>'
+        '<node id="-3" lat="25.25" lon="-80.5"/>'))
+    assert list(nodes) == [7, -3] and len(nodes) == 2
+    assert nodes == {7: OsmNode(7, 25.5, -80.25),
+                     -3: OsmNode(-3, 25.25, -80.5)}
+    assert -3 in nodes and 3 not in nodes
+    with pytest.raises(KeyError):
+        nodes[3]
+    with pytest.raises(TypeError):
+        nodes[3] = OsmNode(3, 0.0, 0.0)
+
+
 def test_relations_are_ignored():
     nodes, ways = parse_osm(_doc(
         MINIMAL + '<relation id="5"><member type="way" ref="10"/></relation>'
@@ -368,11 +382,10 @@ def test_parse_matches_elementtree_reference(tmp_path, caplog):
             io.BytesIO(doc.encode()))
         nodes, ways = parse_osm(io.BytesIO(doc.encode()))
         assert ways == expected_ways, trial
-        assert nodes.ids.tolist() == list(expected_nodes), trial
-        assert nodes.lat.tolist() == [n.lat for n in
-                                      expected_nodes.values()], trial
-        assert nodes.lon.tolist() == [n.lon for n in
-                                      expected_nodes.values()], trial
+        ids, lat, lon = nodes.columns
+        assert nodes.ids is ids and ids.tolist() == list(expected_nodes), trial
+        assert lat.tolist() == [n.lat for n in expected_nodes.values()], trial
+        assert lon.tolist() == [n.lon for n in expected_nodes.values()], trial
         assert len(nodes) == len(expected_nodes), trial
         assert list(nodes) == list(expected_nodes), trial
         for nid, node in expected_nodes.items():

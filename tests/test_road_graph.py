@@ -609,6 +609,12 @@ LOADER_ERRORS = {
     "edge-order": ("N 1 25.0 -80.0\nN 2 25.0 -80.1\nE 2 1\nE 1 9\nE 1 1\n"
                    "E 2 1\n", "{path}:4: edge (1, 9) references missing "
                    "node"),
+    # A line's tokens parse before its ids are checked against int64.
+    "float-before-int64": ("N 1 25.0 -80.0\n"
+                           "N 9223372036854775808 abc -80.0\n",
+                           "{path}:2: bad graph line 'N 9223372036854775808 "
+                           "abc -80.0' (could not convert string to float: "
+                           "'abc')"),
 }
 
 
